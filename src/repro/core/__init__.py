@@ -2,7 +2,10 @@
 
 * :mod:`repro.core.perturbation` — the perturbation primitives (classic DP
   noise, Eq. 8, and GeoDP's geometric noise, Algorithm 1 steps 6-9).
-* :mod:`repro.core.dpsgd` / :mod:`repro.core.geodp` — optimizers.
+* :mod:`repro.core.pipeline` — the one DP release pipeline (clip → noise →
+  account → update) every DP optimizer configures.
+* :mod:`repro.core.dpsgd` / :mod:`repro.core.geodp` /
+  :mod:`repro.core.geodp_adam` — DP-SGD, GeoDP-SGD and GeoDP-Adam.
 * :mod:`repro.core.sgd` — non-private SGD/Momentum/Adam and DP-Adam.
 * :mod:`repro.core.techniques` — IS [67] and SUR [68] training optimisations.
 * :mod:`repro.core.trainer` — the training loop tying everything together.

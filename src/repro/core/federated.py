@@ -3,8 +3,10 @@
 The paper names federated learning as the extension target for GeoDP
 (§VII, ref [69]).  :class:`FederatedTrainer` simulates cross-silo federated
 averaging: the global model is broadcast, each sampled client computes
-per-sample gradients on a local batch, clips, averages and *privatises its
-release* (classic DP or GeoDP), and the server averages the releases.
+per-sample gradients on a local batch and *privatises its release*
+(classic DP or GeoDP), and the server averages the releases.  Each client
+release goes through its own DP optimizer, i.e. the same clip → noise →
+account pipeline (:mod:`repro.core.pipeline`) as centralised training.
 Privacy is record-level per client; each client carries its own RDP
 accountant, stepped only on the rounds it participates in.
 """
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.perturbation import perturb_dp, perturb_geodp
+from repro.core.dpsgd import DpSgdOptimizer
+from repro.core.geodp import GeoDpSgdOptimizer
 from repro.privacy.accountant import RdpAccountant
 from repro.privacy.clipping import ClippingStrategy, FlatClipping
 from repro.utils.rng import as_rng, spawn_rngs
@@ -83,40 +86,47 @@ class FederatedTrainer:
         self.beta = check_probability("beta", beta)
         self.sensitivity_mode = sensitivity_mode
         self.rng = as_rng(rng)
-        self._client_rngs = spawn_rngs(self.rng, num_clients)
         #: One accountant per client (stepped on participation only).
         self.accountants = [RdpAccountant() for _ in self.shards]
+        self._clients = [
+            self._client_optimizer(shard, client_rng, accountant)
+            for shard, client_rng, accountant in zip(
+                self.shards, spawn_rngs(self.rng, num_clients), self.accountants
+            )
+        ]
         self.rounds_run = 0
+
+    def _client_optimizer(self, shard, rng, accountant):
+        """The DP optimizer that clips, noises and accounts one client's
+        releases (sigma 0 and no accountant for ``scheme="none"``)."""
+        batch_size = min(self.local_batch_size, len(shard))
+        common = dict(
+            learning_rate=self.learning_rate,
+            clipping=self.clipping,
+            rng=rng,
+            sample_rate=min(batch_size / len(shard), 1.0),
+        )
+        if self.scheme == "none":
+            return DpSgdOptimizer(noise_multiplier=0.0, **common)
+        common.update(noise_multiplier=self.noise_multiplier, accountant=accountant)
+        if self.scheme == "dp":
+            return DpSgdOptimizer(**common)
+        return GeoDpSgdOptimizer(
+            beta=self.beta, sensitivity_mode=self.sensitivity_mode, **common
+        )
 
     # ------------------------------------------------------------- internals
     def _client_release(self, client: int, params: np.ndarray) -> np.ndarray:
         shard = self.shards[client]
-        rng = self._client_rngs[client]
+        optimizer = self._clients[client]
         batch_size = min(self.local_batch_size, len(shard))
-        idx = rng.choice(len(shard), size=batch_size, replace=False)
+        idx = optimizer.rng.choice(len(shard), size=batch_size, replace=False)
         x, y = shard.batch(idx)
 
         self.model.set_params(params)
         _, per_sample = self.model.loss_and_per_sample_gradients(x, y)
-        clipped = self.clipping.clip(per_sample)
-        avg = clipped.mean(axis=0)
-
-        if self.scheme == "none":
-            return avg
-        sample_rate = batch_size / len(shard)
-        self.accountants[client].step(
-            max(self.noise_multiplier, 1e-12), min(sample_rate, 1.0)
-        )
-        if self.scheme == "dp":
-            return perturb_dp(
-                avg, self.clipping.sensitivity(), self.noise_multiplier,
-                batch_size, rng, clip=False,
-            )
-        return perturb_geodp(
-            avg, self.clipping.sensitivity(), self.noise_multiplier,
-            batch_size, self.beta, rng, clip=False,
-            sensitivity_mode=self.sensitivity_mode,
-        )
+        optimizer.step(params, per_sample)
+        return optimizer.last_noisy_gradient
 
     # --------------------------------------------------------------- public
     def round(self) -> np.ndarray:

@@ -15,33 +15,29 @@ Per iteration:
 With the same noise multiplier as DP-SGD, the direction — which Theorem 1
 shows is what actually drives model efficiency — receives unbiased,
 ``beta``-controllable noise instead of the biased accumulation classic DP
-induces (Lemma 1).
+induces (Lemma 1).  Only steps 6-9 differ from DP-SGD: clipping,
+accounting and the update are the shared
+:class:`~repro.core.pipeline.DpOptimizer` pipeline, and the release is
+:class:`~repro.core.pipeline.GeoDpMechanism`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.backend import workspace
-from repro.core.perturbation import perturb_geodp
-from repro.geometry.bounding import (
-    delta_prime_upper_bound,
-    direction_sensitivity,
-    per_angle_sensitivity,
-)
-from repro.privacy.clipping import ClippingStrategy, FlatClipping
-from repro.telemetry.diagnostics import record_clipping, record_release
-from repro.telemetry.tracing import joint_span
-from repro.utils.rng import as_rng
-from repro.utils.validation import check_matrix, check_positive, check_probability
+from repro.core.pipeline import DpOptimizer, GeoDpMechanism
+from repro.core.sgd import SgdOptimizer
+from repro.privacy.clipping import ClippingStrategy
 
 __all__ = ["GeoDpSgdOptimizer"]
 
 
-class GeoDpSgdOptimizer:
-    """GeoDP-SGD on flat parameter vectors (Algorithm 1)."""
+class GeoDpSgdOptimizer(GeoDpMechanism, DpOptimizer, SgdOptimizer):
+    """GeoDP-SGD on flat parameter vectors (Algorithm 1).
 
-    requires_per_sample = True
+    ``beta`` and ``sensitivity_mode`` (default ``"total"``, Algorithm 1 as
+    stated) configure the spherical release; ``momentum`` is optional
+    heavy-ball momentum on the released gradient.  The remaining keyword
+    arguments are documented on :class:`~repro.core.pipeline.DpOptimizer`.
+    """
 
     def __init__(
         self,
@@ -51,265 +47,10 @@ class GeoDpSgdOptimizer:
         beta: float,
         rng=None,
         *,
-        accountant=None,
-        sample_rate: float | None = None,
         sensitivity_mode: str = "total",
-        lot_size: int | None = None,
         momentum: float = 0.0,
-        recorder=None,
-        tracer=None,
-        ledger=None,
-        grad_mode: str = "materialize",
+        **release,
     ):
-        from repro.core.ghost import check_grad_mode
-
-        self.recorder = recorder
-        self.tracer = tracer
-        self.ledger = ledger
-        self.grad_mode = check_grad_mode(grad_mode)
-        self.learning_rate = check_positive("learning_rate", learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: np.ndarray | None = None
-        if isinstance(clipping, (int, float)):
-            clipping = FlatClipping(float(clipping))
-        self.clipping = clipping
-        self.noise_multiplier = check_positive(
-            "noise_multiplier", noise_multiplier, strict=False
-        )
-        self.beta = check_probability("beta", beta)
-        if sensitivity_mode not in ("total", "per_angle"):
-            raise ValueError(
-                f"sensitivity_mode must be 'total' or 'per_angle', got {sensitivity_mode!r}"
-            )
-        self.sensitivity_mode = sensitivity_mode
-        self.rng = as_rng(rng)
-        self.accountant = accountant
-        self.sample_rate = sample_rate
-        if accountant is not None and sample_rate is None:
-            raise ValueError("sample_rate is required when an accountant is attached")
-        if lot_size is not None and lot_size < 1:
-            raise ValueError(f"lot_size must be >= 1, got {lot_size}")
-        self.lot_size = lot_size
-        self.last_noisy_gradient: np.ndarray | None = None
-
-    def direction_sensitivity(self, d: int) -> float:
-        """``Delta theta`` for a ``d``-dimensional gradient at this ``beta``."""
-        return direction_sensitivity(d, self.beta)
-
-    @property
-    def delta_prime(self) -> float:
-        """Lemma 2's bound on the extra delta of the direction release."""
-        return delta_prime_upper_bound(self.beta)
-
-    def clipped_sum(self, per_sample_grads) -> np.ndarray:
-        """Clip per-sample gradients and sum them (the accumulation unit)."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        if grads.shape[0] == 0:
-            return np.zeros(grads.shape[1])
-        if self.recorder is None and self.tracer is None:
-            return self.clipping.clip(grads).sum(axis=0)
-        with joint_span(self.recorder, self.tracer, "clip"):
-            clipped, norms = self.clipping.clip_with_norms(grads)
-            summed = clipped.sum(axis=0)
-        if self.recorder is not None:
-            record_clipping(
-                self.recorder, grads, self.clipping.sensitivity(), norms=norms
-            )
-        return summed
-
-    def ghost_clipped_sum(self, model, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Clip-and-sum one batch via the ghost fast path (no ``(B, P)``).
-
-        GeoDP only needs the *averaged* clipped gradient before its
-        spherical conversion (Algorithm 1 step 5), so the ghost sum feeds
-        :meth:`noisy_gradient_presummed` unchanged.
-        """
-        from repro.core.ghost import ghost_clipped_sum
-
-        return ghost_clipped_sum(self, model, x, y)
-
-    def step_ghost(self, params: np.ndarray, model, x, y) -> tuple[np.ndarray, float]:
-        """One GeoDP update via the ghost path; returns ``(params, mean loss)``."""
-        from repro.core.ghost import ghost_step
-
-        return ghost_step(self, params, model, x, y)
-
-    def _noise_split(self, d: int, denominator: int) -> dict[str, float]:
-        """GeoDP's spherical noise split: magnitude vs direction noise std."""
-        sigma = self.noise_multiplier
-        if self.sensitivity_mode == "total":
-            dir_sens = direction_sensitivity(d, self.beta)
-        else:
-            dir_sens = float(np.mean(per_angle_sensitivity(d, self.beta)))
-        return {
-            "geodp_beta": self.beta,
-            "geodp_magnitude_noise_scale": sigma * self.clipping.sensitivity() / denominator,
-            "geodp_direction_noise_scale": sigma * dir_sens / denominator,
-        }
-
-    def noisy_gradient_presummed(self, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """Algorithm 1 steps 6-9 on an already clipped-and-summed gradient."""
-        denominator = self.lot_size if self.lot_size is not None else count
-        if denominator < 1:
-            raise ValueError(
-                "empty batch with no lot_size: set lot_size for Poisson sampling"
-            )
-        workspace.note_release_shape(self, clipped_sum.shape)
-        if self.recorder is None and self.tracer is None:
-            # Workspace-pooled average (bit-identical to ``clipped_sum /
-            # denominator``); the buffer is recycled once the release no
-            # longer references it.
-            avg = workspace.take(clipped_sum.shape)
-            np.divide(clipped_sum, denominator, out=avg)
-            noisy = perturb_geodp(
-                avg,
-                self.clipping.sensitivity(),
-                self.noise_multiplier,
-                denominator,
-                self.beta,
-                self.rng,
-                clip=False,  # per-sample clipping already bounded the average
-                sensitivity_mode=self.sensitivity_mode,
-            )
-            workspace.give(avg)
-            return noisy
-        avg = clipped_sum / denominator
-        with joint_span(self.recorder, self.tracer, "noise"):
-            noisy = perturb_geodp(
-                avg,
-                self.clipping.sensitivity(),
-                self.noise_multiplier,
-                denominator,
-                self.beta,
-                self.rng,
-                clip=False,  # per-sample clipping already bounded the average
-                sensitivity_mode=self.sensitivity_mode,
-                tracer=self.tracer,
-            )
-        if self.recorder is not None:
-            record_release(
-                self.recorder,
-                avg,
-                noisy,
-                sigma=self.noise_multiplier,
-                sensitivity=self.clipping.sensitivity(),
-                extras=self._noise_split(len(avg), denominator),
-            )
-        return noisy
-
-    def noisy_gradient(self, per_sample_grads) -> np.ndarray:
-        """Algorithm 1 steps 5-9 on one batch of per-sample gradients."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        return self.noisy_gradient_presummed(self.clipped_sum(grads), grads.shape[0])
-
-    def _descend(self, params: np.ndarray, noisy: np.ndarray) -> np.ndarray:
-        """(Optionally momentum-accelerated) descent on the DP release."""
-        if self.momentum == 0.0:
-            return params - self.learning_rate * noisy
-        if self._velocity is None:
-            self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + noisy
-        return params - self.learning_rate * self._velocity
-
-    #: Mechanism label written into ledger entries.
-    ledger_mechanism = "geodp"
-
-    def _ledger_meta(self) -> dict:
-        """Beta and calibration mode, so a ledger audit sees the mechanism."""
-        return {"beta": self.beta, "sensitivity_mode": self.sensitivity_mode}
-
-    def _account_release(self) -> None:
-        """Record one DP release with the accountant and the ledger."""
-        if self.accountant is not None:
-            self.accountant.step(max(self.noise_multiplier, 1e-12), self.sample_rate)
-        if self.ledger is not None:
-            self.ledger.record_release(
-                mechanism=self.ledger_mechanism,
-                sigma=self.noise_multiplier,
-                sensitivity=self.clipping.sensitivity(),
-                sample_rate=0.0 if self.sample_rate is None else self.sample_rate,
-                accountant=self.accountant,
-                meta=self._ledger_meta(),
-            )
-        if self.recorder is not None:
-            # Per-mechanism release counter for the live metric surface
-            # (release mix across gaussian/geodp under one registry).
-            self.recorder.increment(f"releases_{self.ledger_mechanism}")
-
-    def step(self, params: np.ndarray, per_sample_grads) -> np.ndarray:
-        """One GeoDP-SGD update; returns the new parameter vector."""
-        noisy = self.noisy_gradient(per_sample_grads)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return self._descend(params, noisy)
-
-    def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """One update from an accumulated clipped sum (gradient accumulation)."""
-        noisy = self.noisy_gradient_presummed(clipped_sum, count)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return self._descend(params, noisy)
-
-    def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, count: int, sparse) -> np.ndarray:
-        """One sparse GeoDP update: geometric noise on the active subvector.
-
-        The dense average and the touched embedding rows are perturbed
-        jointly as one averaged gradient (Algorithm 1 on the active
-        coordinates); untouched rows accrue deferred Gaussian cover noise
-        through ``sparse.lazy``.  Accounting and the ledger entry are
-        identical to the dense path.  Returns the new dense params.
-        """
-        from repro.sparse.release import geodp_sparse_release
-
-        denominator = self.lot_size if self.lot_size is not None else count
-        if denominator < 1:
-            raise ValueError(
-                "empty batch with no lot_size: set lot_size for Poisson sampling"
-            )
-        noisy = geodp_sparse_release(self, dense_sum, sparse, denominator)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return self._descend(params, noisy)
-
-    def state_dict(self) -> dict:
-        """Mutable optimizer state for checkpointing (see :mod:`repro.checkpoint`)."""
-        from repro.core.sgd import _copy_or_none
-        from repro.utils.rng import get_rng_state
-
-        return {
-            "velocity": _copy_or_none(self._velocity),
-            "lot_size": None if self.lot_size is None else int(self.lot_size),
-            "rng": get_rng_state(self.rng),
-            "clipping": self.clipping.state_dict(),
-            "accountant": (
-                None if self.accountant is None else self.accountant.state_dict()
-            ),
-            "ledger": None if self.ledger is None else self.ledger.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        from repro.core.sgd import _copy_or_none
-        from repro.utils.rng import set_rng_state
-
-        self._velocity = _copy_or_none(state["velocity"])
-        self.lot_size = None if state["lot_size"] is None else int(state["lot_size"])
-        set_rng_state(self.rng, state["rng"])
-        self.clipping.load_state_dict(state["clipping"])
-        if state["accountant"] is not None:
-            if self.accountant is None:
-                raise ValueError("snapshot has accountant state but none is attached")
-            self.accountant.load_state_dict(state["accountant"])
-        # Snapshots from before the ledger existed have no "ledger" key.
-        if state.get("ledger") is not None:
-            if self.ledger is None:
-                raise ValueError("snapshot has ledger state but none is attached")
-            self.ledger.load_state_dict(state["ledger"])
-
-    def __repr__(self) -> str:
-        return (
-            f"GeoDpSgdOptimizer(lr={self.learning_rate}, clipping={self.clipping!r}, "
-            f"sigma={self.noise_multiplier}, beta={self.beta})"
-        )
+        SgdOptimizer.__init__(self, learning_rate, momentum=momentum)
+        GeoDpMechanism.__init__(self, beta, sensitivity_mode)
+        DpOptimizer.__init__(self, clipping, noise_multiplier, rng, **release)

@@ -5,34 +5,28 @@ optimizations, such as Adam optimizer [54], on GeoDP."  This module
 implements the natural composition: the per-iteration released quantity is
 GeoDP's geometrically perturbed averaged gradient (identical privacy
 analysis to GeoDP-SGD), which then drives Adam's moment estimates instead
-of a plain SGD step.
+of a plain SGD step.  In pipeline terms (:mod:`repro.core.pipeline`) it is
+the GeoDP mechanism with the Adam update rule.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.backend import workspace
-from repro.core.perturbation import perturb_geodp
+from repro.core.pipeline import DpOptimizer, GeoDpMechanism
 from repro.core.sgd import AdamOptimizer
-from repro.geometry.bounding import (
-    delta_prime_upper_bound,
-    direction_sensitivity,
-    per_angle_sensitivity,
-)
-from repro.privacy.clipping import ClippingStrategy, FlatClipping
-from repro.telemetry.diagnostics import record_clipping, record_release
-from repro.telemetry.tracing import joint_span
-from repro.utils.rng import as_rng
-from repro.utils.validation import check_matrix, check_positive, check_probability
+from repro.privacy.clipping import ClippingStrategy
 
 __all__ = ["GeoDpAdamOptimizer"]
 
 
-class GeoDpAdamOptimizer(AdamOptimizer):
-    """Adam driven by GeoDP-perturbed gradients."""
+class GeoDpAdamOptimizer(GeoDpMechanism, DpOptimizer, AdamOptimizer):
+    """Adam driven by GeoDP-perturbed gradients.
 
-    requires_per_sample = True
+    ``sensitivity_mode`` defaults to ``"per_angle"``.  On the sparse path
+    Adam's moments cover only the dense block; the embedding rows take a
+    plain SGD step at ``learning_rate`` (lazily-noised rows cannot keep
+    per-row moments without densifying the state).  The remaining keyword
+    arguments are documented on :class:`~repro.core.pipeline.DpOptimizer`.
+    """
 
     def __init__(
         self,
@@ -45,218 +39,9 @@ class GeoDpAdamOptimizer(AdamOptimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        accountant=None,
-        sample_rate: float | None = None,
         sensitivity_mode: str = "per_angle",
-        recorder=None,
-        tracer=None,
-        ledger=None,
-        grad_mode: str = "materialize",
+        **release,
     ):
-        from repro.core.ghost import check_grad_mode
-
-        super().__init__(learning_rate, beta1=beta1, beta2=beta2, eps=eps)
-        self.recorder = recorder
-        self.tracer = tracer
-        self.ledger = ledger
-        self.grad_mode = check_grad_mode(grad_mode)
-        if isinstance(clipping, (int, float)):
-            clipping = FlatClipping(float(clipping))
-        self.clipping = clipping
-        self.noise_multiplier = check_positive(
-            "noise_multiplier", noise_multiplier, strict=False
-        )
-        self.beta = check_probability("beta", beta)
-        if sensitivity_mode not in ("total", "per_angle"):
-            raise ValueError(
-                f"sensitivity_mode must be 'total' or 'per_angle', got {sensitivity_mode!r}"
-            )
-        self.sensitivity_mode = sensitivity_mode
-        self.rng = as_rng(rng)
-        self.accountant = accountant
-        self.sample_rate = sample_rate
-        if accountant is not None and sample_rate is None:
-            raise ValueError("sample_rate is required when an accountant is attached")
-        self.last_noisy_gradient: np.ndarray | None = None
-
-    @property
-    def delta_prime(self) -> float:
-        """Lemma 2's bound on the direction release's extra delta."""
-        return delta_prime_upper_bound(self.beta)
-
-    def _noise_split(self, d: int, batch_size: int) -> dict[str, float]:
-        """GeoDP's spherical noise split: magnitude vs direction noise std."""
-        sigma = self.noise_multiplier
-        if self.sensitivity_mode == "total":
-            dir_sens = direction_sensitivity(d, self.beta)
-        else:
-            dir_sens = float(np.mean(per_angle_sensitivity(d, self.beta)))
-        return {
-            "geodp_beta": self.beta,
-            "geodp_magnitude_noise_scale": sigma * self.clipping.sensitivity() / batch_size,
-            "geodp_direction_noise_scale": sigma * dir_sens / batch_size,
-        }
-
-    def clipped_sum(self, per_sample_grads) -> np.ndarray:
-        """Clip per-sample gradients and sum them (the accumulation unit)."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        if grads.shape[0] == 0:
-            return np.zeros(grads.shape[1])
-        with joint_span(self.recorder, self.tracer, "clip"):
-            clipped, norms = self.clipping.clip_with_norms(grads)
-            summed = clipped.sum(axis=0)
-        record_clipping(
-            self.recorder, grads, self.clipping.sensitivity(), norms=norms
-        )
-        return summed
-
-    def noisy_gradient_presummed(self, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """GeoDP perturbation of an already clipped-and-summed gradient."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        workspace.note_release_shape(self, clipped_sum.shape)
-        if self.recorder is None and self.tracer is None:
-            # Workspace-pooled average (bit-identical to ``clipped_sum /
-            # count``), recycled once the release no longer references it.
-            avg = workspace.take(clipped_sum.shape)
-            np.divide(clipped_sum, count, out=avg)
-            noisy = perturb_geodp(
-                avg,
-                self.clipping.sensitivity(),
-                self.noise_multiplier,
-                count,
-                self.beta,
-                self.rng,
-                clip=False,
-                sensitivity_mode=self.sensitivity_mode,
-            )
-            workspace.give(avg)
-            return noisy
-        avg = clipped_sum / count
-        with joint_span(self.recorder, self.tracer, "noise"):
-            noisy = perturb_geodp(
-                avg,
-                self.clipping.sensitivity(),
-                self.noise_multiplier,
-                count,
-                self.beta,
-                self.rng,
-                clip=False,
-                sensitivity_mode=self.sensitivity_mode,
-                tracer=self.tracer,
-            )
-        if self.recorder is not None:
-            record_release(
-                self.recorder,
-                avg,
-                noisy,
-                sigma=self.noise_multiplier,
-                sensitivity=self.clipping.sensitivity(),
-                extras=self._noise_split(len(avg), count),
-            )
-        return noisy
-
-    #: Mechanism label written into ledger entries (the released quantity is
-    #: GeoDP's perturbed gradient; Adam is post-processing).
-    ledger_mechanism = "geodp"
-
-    def _ledger_meta(self) -> dict:
-        """Beta and calibration mode, so a ledger audit sees the mechanism."""
-        return {"beta": self.beta, "sensitivity_mode": self.sensitivity_mode}
-
-    def _account_release(self) -> None:
-        """Record one DP release with the accountant and the ledger."""
-        if self.accountant is not None:
-            self.accountant.step(max(self.noise_multiplier, 1e-12), self.sample_rate)
-        if self.ledger is not None:
-            self.ledger.record_release(
-                mechanism=self.ledger_mechanism,
-                sigma=self.noise_multiplier,
-                sensitivity=self.clipping.sensitivity(),
-                sample_rate=0.0 if self.sample_rate is None else self.sample_rate,
-                accountant=self.accountant,
-                meta=self._ledger_meta(),
-            )
-        if self.recorder is not None:
-            # Per-mechanism release counter for the live metric surface
-            # (release mix across gaussian/geodp under one registry).
-            self.recorder.increment(f"releases_{self.ledger_mechanism}")
-
-    def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """One Adam update from an accumulated clipped sum."""
-        noisy = self.noisy_gradient_presummed(clipped_sum, count)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return AdamOptimizer.step(self, params, noisy)
-
-    def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, count: int, sparse) -> np.ndarray:
-        """One sparse GeoDP-Adam update (DLRM-style hybrid).
-
-        The release is GeoDP's geometric perturbation of the active
-        subvector, as in :meth:`GeoDpSgdOptimizer.step_sparse`.  Adam's
-        moment estimates cover only the dense block; the embedding rows
-        take a plain SGD step at ``learning_rate`` — lazily-noised rows
-        cannot maintain per-row moments without densifying the state
-        (the standard sparse-table hybrid).  Returns the new dense params.
-        """
-        from repro.sparse.release import geodp_sparse_release
-
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        noisy = geodp_sparse_release(self, dense_sum, sparse, count)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return AdamOptimizer.step(self, params, noisy)
-
-    def step(self, params: np.ndarray, per_sample_grads) -> np.ndarray:
-        """GeoDP perturbation of the clipped average, then an Adam update."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        return self.step_presummed(params, self.clipped_sum(grads), grads.shape[0])
-
-    def ghost_clipped_sum(self, model, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Clip-and-sum one batch via the ghost fast path (no ``(B, P)``)."""
-        from repro.core.ghost import ghost_clipped_sum
-
-        return ghost_clipped_sum(self, model, x, y)
-
-    def step_ghost(self, params: np.ndarray, model, x, y) -> tuple[np.ndarray, float]:
-        """One GeoDP-Adam update via the ghost path; returns ``(params, mean loss)``."""
-        from repro.core.ghost import ghost_step
-
-        return ghost_step(self, params, model, x, y)
-
-    def state_dict(self) -> dict:
-        """Adam moments plus noise stream, clipping and accountant state."""
-        from repro.utils.rng import get_rng_state
-
-        state = AdamOptimizer.state_dict(self)
-        state["rng"] = get_rng_state(self.rng)
-        state["clipping"] = self.clipping.state_dict()
-        state["accountant"] = (
-            None if self.accountant is None else self.accountant.state_dict()
-        )
-        state["ledger"] = None if self.ledger is None else self.ledger.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        from repro.utils.rng import set_rng_state
-
-        AdamOptimizer.load_state_dict(self, {k: state[k] for k in ("m", "v", "t")})
-        set_rng_state(self.rng, state["rng"])
-        self.clipping.load_state_dict(state["clipping"])
-        if state["accountant"] is not None:
-            if self.accountant is None:
-                raise ValueError("snapshot has accountant state but none is attached")
-            self.accountant.load_state_dict(state["accountant"])
-        # Snapshots from before the ledger existed have no "ledger" key.
-        if state.get("ledger") is not None:
-            if self.ledger is None:
-                raise ValueError("snapshot has ledger state but none is attached")
-            self.ledger.load_state_dict(state["ledger"])
-
-    def __repr__(self) -> str:
-        return (
-            f"GeoDpAdamOptimizer(lr={self.learning_rate}, clipping={self.clipping!r}, "
-            f"sigma={self.noise_multiplier}, beta={self.beta})"
-        )
+        AdamOptimizer.__init__(self, learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+        GeoDpMechanism.__init__(self, beta, sensitivity_mode)
+        DpOptimizer.__init__(self, clipping, noise_multiplier, rng, **release)

@@ -298,19 +298,6 @@ def perturb_geodp_active(
     """
     dense_avg = np.asarray(dense_avg, dtype=np.float64)
     row_avg = np.asarray(row_avg, dtype=np.float64)
-    if row_avg.size == 0:
-        noisy = perturb_geodp(
-            dense_avg,
-            clip_norm,
-            noise_multiplier,
-            batch_size,
-            beta,
-            rng,
-            clip=False,
-            sensitivity_mode=sensitivity_mode,
-            tracer=tracer,
-        )
-        return noisy, row_avg.copy()
     active = np.concatenate([dense_avg, row_avg.ravel()])
     noisy = perturb_geodp(
         active,

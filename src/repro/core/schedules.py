@@ -120,6 +120,12 @@ class ScheduledOptimizer:
     learning_rate / noise_multiplier:
         Optional :class:`Schedule` instances; missing ones leave the wrapped
         optimizer's value untouched.
+
+    The schedules advance once per update.  A DP optimizer announces every
+    release through its ``release_hooks`` — whichever entry point the
+    trainer used (``step``, ``step_presummed`` on the ghost and microbatch
+    paths, or ``step_sparse``) — so the wrapper hooks in there; other
+    optimizers advance in :meth:`step`.
     """
 
     def __init__(
@@ -137,18 +143,26 @@ class ScheduledOptimizer:
                 f"{type(optimizer).__name__} has no noise_multiplier to schedule"
             )
         self.step_count = 0
+        self._hooked = hasattr(optimizer, "release_hooks")
+        if self._hooked:
+            optimizer.release_hooks.append(self._advance)
 
     @property
     def requires_per_sample(self) -> bool:
         return getattr(self.optimizer, "requires_per_sample", False)
 
-    def step(self, params, grads):
-        """Update hyper-parameters for this step, then delegate."""
+    def _advance(self) -> None:
+        """Set this update's hyper-parameters on the wrapped optimizer."""
         if self.lr_schedule is not None:
             self.optimizer.learning_rate = self.lr_schedule(self.step_count)
         if self.noise_schedule is not None:
             self.optimizer.noise_multiplier = self.noise_schedule(self.step_count)
         self.step_count += 1
+
+    def step(self, params, grads):
+        """Update hyper-parameters for this step, then delegate."""
+        if not self._hooked:
+            self._advance()
         return self.optimizer.step(params, grads)
 
     def __getattr__(self, name):

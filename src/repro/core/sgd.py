@@ -2,16 +2,18 @@
 
 The paper's noise-free baseline is mini-batch SGD without momentum (§II-B);
 Momentum/Adam are provided as substrate for the "future work" direction the
-paper names (DP-Adam [54]) and for the ablation benchmarks.
+paper names (DP-Adam [54]) and for the ablation benchmarks.  SGD and Adam
+are also the two update rules of the DP release pipeline
+(:mod:`repro.core.pipeline`), which applies them to the released gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.privacy.clipping import ClippingStrategy, FlatClipping
-from repro.utils.rng import as_rng
-from repro.utils.validation import check_in_range, check_matrix, check_positive
+from repro.core.pipeline import DpOptimizer, GaussianMechanism
+from repro.privacy.clipping import ClippingStrategy
+from repro.utils.validation import check_in_range, check_positive
 
 __all__ = ["SgdOptimizer", "AdamOptimizer", "DpAdamOptimizer"]
 
@@ -107,15 +109,14 @@ class AdamOptimizer:
         return f"AdamOptimizer(lr={self.learning_rate})"
 
 
-class DpAdamOptimizer(AdamOptimizer):
+class DpAdamOptimizer(GaussianMechanism, DpOptimizer, AdamOptimizer):
     """DP-Adam: per-sample clip + Gaussian noise, then Adam moments (ref [54]).
 
     The privacy analysis is identical to DP-SGD (the noisy averaged gradient
     is the only data-dependent quantity entering the moments), so the same
-    accountant applies.
+    accountant applies.  The remaining keyword arguments are documented on
+    :class:`~repro.core.pipeline.DpOptimizer`.
     """
-
-    requires_per_sample = True
 
     def __init__(
         self,
@@ -127,60 +128,7 @@ class DpAdamOptimizer(AdamOptimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        accountant=None,
-        sample_rate: float | None = None,
+        **release,
     ):
-        super().__init__(learning_rate, beta1=beta1, beta2=beta2, eps=eps)
-        if isinstance(clipping, (int, float)):
-            clipping = FlatClipping(float(clipping))
-        self.clipping = clipping
-        self.noise_multiplier = check_positive(
-            "noise_multiplier", noise_multiplier, strict=False
-        )
-        self.rng = as_rng(rng)
-        self.accountant = accountant
-        self.sample_rate = sample_rate
-        if accountant is not None and sample_rate is None:
-            raise ValueError("sample_rate is required when an accountant is attached")
-
-    def step(self, params: np.ndarray, per_sample_grads) -> np.ndarray:
-        """Clip + noise the batch gradient, then apply Adam."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        batch_size = grads.shape[0]
-        clipped = self.clipping.clip(grads)
-        summed = clipped.sum(axis=0)
-        scale = self.noise_multiplier * self.clipping.sensitivity()
-        noise = self.rng.normal(0.0, scale, size=summed.shape) if scale > 0 else 0.0
-        noisy_avg = (summed + noise) / batch_size
-        if self.accountant is not None:
-            self.accountant.step(max(self.noise_multiplier, 1e-12), self.sample_rate)
-        return super().step(params, noisy_avg)
-
-    def state_dict(self) -> dict:
-        """Adam moments plus noise stream, clipping and accountant state."""
-        from repro.utils.rng import get_rng_state
-
-        state = super().state_dict()
-        state["rng"] = get_rng_state(self.rng)
-        state["clipping"] = self.clipping.state_dict()
-        state["accountant"] = (
-            None if self.accountant is None else self.accountant.state_dict()
-        )
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        from repro.utils.rng import set_rng_state
-
-        super().load_state_dict({k: state[k] for k in ("m", "v", "t")})
-        set_rng_state(self.rng, state["rng"])
-        self.clipping.load_state_dict(state["clipping"])
-        if state["accountant"] is not None:
-            if self.accountant is None:
-                raise ValueError("snapshot has accountant state but none is attached")
-            self.accountant.load_state_dict(state["accountant"])
-
-    def __repr__(self) -> str:
-        return (
-            f"DpAdamOptimizer(lr={self.learning_rate}, clipping={self.clipping!r}, "
-            f"sigma={self.noise_multiplier})"
-        )
+        AdamOptimizer.__init__(self, learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+        DpOptimizer.__init__(self, clipping, noise_multiplier, rng, **release)

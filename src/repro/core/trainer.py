@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.ghost import check_grad_mode
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.data.sampling import minibatch_indices
 from repro.telemetry.diagnostics import record_clipping
@@ -201,13 +202,10 @@ class Trainer:
                 raise ValueError("poisson sampling requires a per-sample (DP) optimizer")
             # Poisson batches vary in size, so the aggregation denominator
             # must be the fixed expected lot size, not the realised count.
-            if getattr(optimizer, "lot_size", None) is None and hasattr(
-                optimizer, "lot_size"
-            ):
-                optimizer.lot_size = batch_size
+            inner = _unwrap_optimizer(optimizer)
+            if hasattr(inner, "lot_size") and inner.lot_size is None:
+                inner.lot_size = batch_size
         self.sampling = sampling
-        from repro.core.ghost import check_grad_mode
-
         if grad_mode is None:
             grad_mode = getattr(optimizer, "grad_mode", "materialize")
         self.grad_mode = check_grad_mode(grad_mode)
@@ -282,13 +280,14 @@ class Trainer:
         self.parallel_grad_workers = parallel_grad_workers
         self._gradmap = None
         self.telemetry = telemetry
-        if telemetry is not None and getattr(optimizer, "recorder", None) is None:
-            if hasattr(optimizer, "recorder"):
-                optimizer.recorder = telemetry
         self.tracer = tracer
-        if tracer is not None and getattr(optimizer, "tracer", None) is None:
-            if hasattr(optimizer, "tracer"):
-                optimizer.tracer = tracer
+        # Attach the sinks to the (unwrapped) DP optimizer's free slots.
+        inner = _unwrap_optimizer(optimizer)
+        for slot, sink in (("recorder", telemetry), ("tracer", tracer)):
+            if sink is None or not hasattr(inner, slot):
+                continue
+            if getattr(inner, slot) is None:
+                setattr(inner, slot, sink)
         if sur is not None:
             eval_n = min(sur_eval_size, len(train_data))
             eval_idx = self.rng.choice(len(train_data), size=eval_n, replace=False)
@@ -416,29 +415,6 @@ class Trainer:
 
     def _per_sample_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
         n = len(self.train_data)
-        if self.microbatch_size is not None or self.sampling == "poisson":
-            idx = self._draw_indices(n)
-            if self.microbatch_size is not None:
-                return self._accumulated_step(params, idx)
-            if self.grad_mode == "ghost":
-                return self._ghost_step(params, idx)
-            with self._span("sample"):
-                x, y = self.train_data.batch(idx)
-                if self.augment is not None and len(idx):
-                    x = self.augment(x)
-            if len(idx):
-                with self._span("forward_backward"):
-                    losses, grads = self.model.loss_and_per_sample_gradients(x, y)
-                batch_loss = float(np.mean(losses))
-            else:
-                # Empty Poisson batch: the mechanism still releases pure
-                # noise (sum of zero clipped gradients plus Gaussian).
-                grads = np.zeros((0, self.model.num_params))
-                batch_loss = float("nan")
-            with self._span("step"):
-                return self.optimizer.step(params, grads), batch_loss
-        if self.grad_mode == "ghost":
-            return self._ghost_step(params, minibatch_indices(n, self.batch_size, self.rng))
         if self.importance_sampling is not None:
             with self._span("sample"):
                 pool_size = min(self.pool_factor * self.batch_size, n)
@@ -450,18 +426,29 @@ class Trainer:
                 losses, grads = self.model.loss_and_per_sample_gradients(x, y)
             norms = np.linalg.norm(grads, axis=1)
             chosen = self.importance_sampling.select(norms, self.batch_size, self.rng)
-            losses, grads = losses[chosen], grads[chosen]
-        else:
-            with self._span("sample"):
-                idx = minibatch_indices(n, self.batch_size, self.rng)
-                x, y = self.train_data.batch(idx)
-                if self.augment is not None:
-                    x = self.augment(x)
+            with self._span("step"):
+                new_params = self.optimizer.step(params, grads[chosen])
+            return new_params, float(np.mean(losses[chosen]))
+        idx = self._draw_indices(n)
+        if self.microbatch_size is not None:
+            return self._accumulated_step(params, idx)
+        if self.grad_mode == "ghost":
+            return self._ghost_step(params, idx)
+        with self._span("sample"):
+            x, y = self.train_data.batch(idx)
+            if self.augment is not None and len(idx):
+                x = self.augment(x)
+        if len(idx):
             with self._span("forward_backward"):
                 losses, grads = self.model.loss_and_per_sample_gradients(x, y)
+            batch_loss = float(np.mean(losses))
+        else:
+            # Empty Poisson batch: the mechanism still releases pure
+            # noise (sum of zero clipped gradients plus Gaussian).
+            grads = np.zeros((0, self.model.num_params))
+            batch_loss = float("nan")
         with self._span("step"):
-            new_params = self.optimizer.step(params, grads)
-        return new_params, float(np.mean(losses))
+            return self.optimizer.step(params, grads), batch_loss
 
     def _mean_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
         with self._span("sample"):

@@ -138,17 +138,13 @@ def sparse_loss_and_clipped_grads(model, emb_index: int, x, y, clipping):
 def sparse_clipped_sums(optimizer, model, emb_index: int, x, y):
     """:func:`sparse_loss_and_clipped_grads` with the optimizer's telemetry.
 
-    Mirrors :func:`repro.core.ghost.ghost_clipped_sum`: the clip span,
-    clipping diagnostics from the exact norms, and ``sparse_*`` counters.
+    The sparse counterpart of
+    :meth:`~repro.core.pipeline.DpOptimizer.ghost_clipped_sum`: the clip
+    span, clipping diagnostics from the exact norms, and ``sparse_*``
+    counters.
     """
-    recorder = getattr(optimizer, "recorder", None)
-    tracer = getattr(optimizer, "tracer", None)
-    if recorder is None and tracer is None:
-        losses, dense_sum, rows, row_sum, _ = sparse_loss_and_clipped_grads(
-            model, emb_index, x, y, optimizer.clipping
-        )
-        return losses, dense_sum, rows, row_sum
-    with joint_span(recorder, tracer, "sparse_clip"):
+    recorder = optimizer.recorder
+    with joint_span(recorder, optimizer.tracer, "sparse_clip"):
         losses, dense_sum, rows, row_sum, norms = sparse_loss_and_clipped_grads(
             model, emb_index, x, y, optimizer.clipping
         )

@@ -1,14 +1,16 @@
 """Sparse DP releases: touched-row updates plus deferred cover noise.
 
-One sparse release perturbs and applies, per step:
+:meth:`repro.core.pipeline.DpOptimizer.release` hands a sparse step to its
+mechanism, which calls one of the two functions here.  One sparse release
+perturbs and applies, per step:
 
 * the **dense block** (every non-embedding parameter) — exactly the dense
-  mechanism (Gaussian for DP-SGD, geometric for GeoDP), drawn from the
-  optimizer's own RNG;
-* the **touched rows** — DP-SGD adds Gaussian noise from the
-  counter-based row streams (:mod:`repro.sparse.noise`); GeoDP perturbs
-  the *active subvector* ``[dense, touched rows]`` geometrically as one
-  averaged gradient (:func:`repro.core.perturbation.perturb_geodp_active`);
+  mechanism, drawn from the optimizer's own RNG;
+* the **touched rows** — the Gaussian mechanism adds noise from the
+  counter-based row streams (:mod:`repro.sparse.noise`); the GeoDP
+  mechanism perturbs the *active subvector* ``[dense, touched rows]``
+  geometrically as one averaged gradient
+  (:func:`repro.core.perturbation.perturb_geodp_active`);
 * the **untouched rows** — nothing now; their Gaussian cover noise
   (scale ``sigma * C / denominator`` per coordinate per step) is owed in
   the :class:`~repro.sparse.noise.LazyRowNoise` bookkeeping and
@@ -16,9 +18,8 @@ One sparse release perturbs and applies, per step:
 
 Accounting is untouched: each sparse step is one subsampled release with
 the same ``(sigma, sensitivity, sample_rate)`` as its dense counterpart,
-so the optimizer's ``_account_release`` records a ledger entry identical
-to the dense path and :func:`~repro.privacy.ledger.verify_ledger` replays
-to the same epsilon.
+accounted and ledgered by the same pipeline stage as a dense step, so
+:func:`~repro.privacy.ledger.verify_ledger` replays to the same epsilon.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = ["SparseRelease", "gaussian_sparse_release", "geodp_sparse_release"]
 
 @dataclass
 class SparseRelease:
-    """Everything an optimizer's ``step_sparse`` needs about the table."""
+    """Everything a sparse release needs about the table."""
 
     #: Sorted unique embedding rows touched by this lot, ``(R,)``.
     rows: np.ndarray
@@ -88,8 +89,7 @@ def geodp_sparse_release(
     """
     dense_avg = dense_sum / denominator
     row_avg = sparse.row_sum / denominator
-    recorder = getattr(optimizer, "recorder", None)
-    tracer = getattr(optimizer, "tracer", None)
+    recorder, tracer = optimizer.recorder, optimizer.tracer
     with joint_span(recorder, tracer, "noise"):
         noisy_dense, noisy_rows = perturb_geodp_active(
             dense_avg,

@@ -60,10 +60,8 @@ class SparseTrainer:
         A :class:`repro.nn.Sequential` containing exactly one
         :class:`repro.nn.Embedding` layer.
     optimizer:
-        A DP optimizer with a ``step_sparse`` method
-        (:class:`~repro.core.dpsgd.DpSgdOptimizer`,
-        :class:`~repro.core.geodp.GeoDpSgdOptimizer` or
-        :class:`~repro.core.geodp_adam.GeoDpAdamOptimizer`).
+        Any DP optimizer of :mod:`repro.core` (they all release sparse
+        steps through :meth:`~repro.core.pipeline.DpOptimizer.step_sparse`).
     lazy:
         ``True`` (default) defers untouched-row noise; ``False`` flushes
         every step — the eager reference the lazy path must match.
@@ -97,7 +95,7 @@ class SparseTrainer:
         if not hasattr(optimizer, "step_sparse"):
             raise ValueError(
                 f"{type(optimizer).__name__} has no step_sparse; sparse training "
-                "supports DpSgdOptimizer, GeoDpSgdOptimizer and GeoDpAdamOptimizer"
+                "needs a DP optimizer from repro.core"
             )
         clipping = optimizer.clipping
         if not getattr(clipping, "supports_ghost", False):

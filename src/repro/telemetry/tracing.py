@@ -317,10 +317,14 @@ class Tracer:
 
 
 # ------------------------------------------------------------------ helpers
+#: The one no-op span (``nullcontext`` is stateless, so sharing is safe).
+_NO_SPAN = nullcontext()
+
+
 def maybe_span(tracer: Tracer | None, name: str, level: str = "phase"):
     """``tracer.span(...)`` or a no-op context when ``tracer`` is ``None``."""
     if tracer is None:
-        return nullcontext()
+        return _NO_SPAN
     return tracer.span(name, level)
 
 

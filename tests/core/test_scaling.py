@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import DpSgdOptimizer, GeoDpSgdOptimizer, Trainer
+from repro.core import (
+    DpAdamOptimizer,
+    DpSgdOptimizer,
+    GeoDpAdamOptimizer,
+    GeoDpSgdOptimizer,
+    Trainer,
+)
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
 from repro.privacy import PerLayerClipping
@@ -17,6 +23,14 @@ def small_data():
 
 def lr_model():
     return build_logistic_regression((1, 16, 16), rng=0)
+
+
+#: Every DP optimizer has ``lot_size``, so Poisson sampling pins it for all.
+POISSON_OPTIMIZERS = {
+    "dpsgd": lambda sigma: DpSgdOptimizer(1.0, 0.1, sigma, rng=2),
+    "geodp_adam": lambda sigma: GeoDpAdamOptimizer(0.05, 0.1, sigma, beta=0.1, rng=2),
+    "dp_adam": lambda sigma: DpAdamOptimizer(0.05, 0.1, sigma, rng=2),
+}
 
 
 class TestGradientAccumulation:
@@ -71,16 +85,18 @@ class TestGradientAccumulation:
 
 
 class TestPoissonSampling:
-    def test_lot_size_auto_configured(self, small_data):
+    @pytest.mark.parametrize("name", sorted(POISSON_OPTIMIZERS))
+    def test_lot_size_auto_configured(self, small_data, name):
         train, _ = small_data
-        opt = DpSgdOptimizer(1.0, 0.1, 1.0, rng=2)
+        opt = POISSON_OPTIMIZERS[name](1.0)
         Trainer(lr_model(), opt, train, batch_size=32, rng=3, sampling="poisson")
         assert opt.lot_size == 32
 
-    def test_training_runs_and_tolerates_empty_batches(self, small_data):
+    @pytest.mark.parametrize("name", sorted(POISSON_OPTIMIZERS))
+    def test_training_runs_and_tolerates_empty_batches(self, small_data, name):
         train, _ = small_data
         # Tiny expected lot -> empty batches occur; training must survive.
-        opt = DpSgdOptimizer(1.0, 0.1, 0.5, rng=2)
+        opt = POISSON_OPTIMIZERS[name](0.5)
         trainer = Trainer(lr_model(), opt, train, batch_size=1, rng=3, sampling="poisson")
         history = trainer.train(40)
         assert history.iterations == 40

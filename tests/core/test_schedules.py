@@ -106,3 +106,28 @@ class TestScheduledOptimizer:
         model = build_logistic_regression((1, 16, 16), rng=0)
         Trainer(model, wrapped, train, batch_size=32, rng=2).train(20)
         assert opt.noise_multiplier < 10.0
+
+    @pytest.mark.parametrize("path", ["materialize", "ghost", "microbatch"])
+    def test_schedule_advances_once_per_release_on_every_path(self, path):
+        """Ghost and microbatch lots release through ``step_presummed``; the
+        schedule must advance there exactly as on the materialized path."""
+        from repro.core import Trainer
+        from repro.data import make_mnist_like, train_test_split
+        from repro.models import build_logistic_regression
+
+        train, _ = train_test_split(make_mnist_like(200, rng=0, size=16), rng=0)
+        opt = DpSgdOptimizer(0.5, 0.1, 1.0, rng=1)
+        schedule = LinearDecay(1.0, 0.01, 10)
+        wrapped = ScheduledOptimizer(opt, learning_rate=schedule)
+        model = build_logistic_regression((1, 16, 16), rng=0)
+        Trainer(
+            model,
+            wrapped,
+            train,
+            batch_size=32,
+            rng=2,
+            grad_mode="ghost" if path == "ghost" else "materialize",
+            microbatch_size=8 if path == "microbatch" else None,
+        ).train(10)
+        assert wrapped.step_count == 10
+        assert opt.learning_rate == schedule(9)

@@ -11,9 +11,18 @@ from repro.core import (
     SgdOptimizer,
     Trainer,
 )
-from repro.data import make_mnist_like, train_test_split
+from repro.data import make_click_log, make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
-from repro.telemetry import MetricsRecorder, clip_diagnostics, release_diagnostics
+from repro.models.text import build_text_classifier
+from repro.privacy import RdpAccountant
+from repro.privacy.ledger import ReleaseLedger
+from repro.sparse import SparseTrainer
+from repro.telemetry import (
+    MetricsRecorder,
+    Tracer,
+    clip_diagnostics,
+    release_diagnostics,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +33,23 @@ def small_data():
 
 def lr_model():
     return build_logistic_regression((1, 12, 12), rng=0)
+
+
+#: DP optimizers whose instrumented runs must be byte-identical.
+OBSERVED_OPTIMIZERS = {
+    "dpsgd": lambda **kw: DpSgdOptimizer(1.0, 0.1, 1.0, **kw),
+    "geodp": lambda **kw: GeoDpSgdOptimizer(
+        1.0, 0.1, 1.0, beta=0.1, sensitivity_mode="per_angle", **kw
+    ),
+    "geodp_adam": lambda **kw: GeoDpAdamOptimizer(0.05, 0.1, 1.0, beta=0.1, **kw),
+}
+
+
+def _sinks(instrumented: bool) -> dict:
+    """A recorder plus a phase-granularity tracer, or neither."""
+    if not instrumented:
+        return {"recorder": None, "tracer": None}
+    return {"recorder": MetricsRecorder(), "tracer": Tracer(granularity="phase")}
 
 
 DP_METRICS = {
@@ -139,19 +165,94 @@ class TestTrainerTelemetry:
         assert "noise_to_signal" not in rec.events[0].metrics
         assert {"sample", "forward_backward", "step"} <= set(rec.events[0].timings)
 
-    def test_telemetry_does_not_change_training(self, small_data):
-        """The recorder observes; it must never consume randomness."""
+    @pytest.mark.parametrize("grad_mode", ["materialize", "ghost"])
+    @pytest.mark.parametrize("name", sorted(OBSERVED_OPTIMIZERS))
+    def test_telemetry_does_not_change_training(self, small_data, name, grad_mode):
+        """Recorder and tracer observe: params, ledger head and accountant
+        history are byte-identical to an uninstrumented run."""
         train, _ = small_data
 
-        def run(telemetry):
-            opt = DpSgdOptimizer(1.0, 0.1, 1.0, rng=5)
+        def run(instrumented):
+            sinks = _sinks(instrumented)
+            accountant, ledger = RdpAccountant(), ReleaseLedger()
+            opt = OBSERVED_OPTIMIZERS[name](
+                rng=5,
+                accountant=accountant,
+                sample_rate=32 / len(train),
+                ledger=ledger,
+                grad_mode=grad_mode,
+            )
             model = lr_model()
             Trainer(
-                model, opt, train, batch_size=32, rng=6, telemetry=telemetry
+                model,
+                opt,
+                train,
+                batch_size=32,
+                rng=6,
+                telemetry=sinks["recorder"],
+                tracer=sinks["tracer"],
             ).train(5)
-            return model.get_params()
+            if instrumented:
+                assert sinks["recorder"].counters["releases"] == 5
+                assert "noise" in {span.name for span in sinks["tracer"].spans}
+            return model.get_params(), ledger.head, accountant.history
 
-        assert np.allclose(run(None), run(MetricsRecorder()))
+        plain, observed = run(False), run(True)
+        assert np.array_equal(plain[0], observed[0])
+        assert plain[1] == observed[1]
+        assert plain[2] == observed[2]
+
+    def test_telemetry_does_not_change_sparse_training(self):
+        """The same byte-identity for a GeoDP SparseTrainer run."""
+        train, _ = train_test_split(
+            make_click_log(
+                90,
+                rng=np.random.default_rng(1),
+                vocab_size=300,
+                seq_length=8,
+                touch_rate=0.1,
+                padding_idx=0,
+            ),
+            rng=np.random.default_rng(2),
+        )
+
+        def run(instrumented):
+            sinks = _sinks(instrumented)
+            accountant, ledger = RdpAccountant(), ReleaseLedger()
+            opt = GeoDpSgdOptimizer(
+                0.5,
+                1.0,
+                0.7,
+                beta=0.02,
+                rng=np.random.default_rng(3),
+                accountant=accountant,
+                sample_rate=15 / len(train),
+                ledger=ledger,
+                **sinks,
+            )
+            model = build_text_classifier(
+                300, 2, embedding_dim=4, padding_idx=0, rng=np.random.default_rng(0)
+            )
+            trainer = SparseTrainer(
+                model,
+                opt,
+                train,
+                batch_size=15,
+                rng=np.random.default_rng(4),
+                noise_seed=9,
+                telemetry=sinks["recorder"],
+                tracer=sinks["tracer"],
+            )
+            trainer.train(5)
+            trainer.finalize()
+            if instrumented:
+                assert sinks["recorder"].counters["sparse_clipped_sums"] == 5
+            return model.get_params(), ledger.head, accountant.history
+
+        plain, observed = run(False), run(True)
+        assert np.array_equal(plain[0], observed[0])
+        assert plain[1] == observed[1]
+        assert plain[2] == observed[2]
 
     def test_trainer_attaches_recorder_to_optimizer(self, small_data):
         train, _ = small_data

@@ -70,6 +70,69 @@ def test_hot_path_module_list_is_current():
         assert (REPO_ROOT / relative).is_file(), f"{relative} missing"
 
 
+#: Packages of the DP release pipeline.  Telemetry there observes the one
+#: code path; it must never select a different one.
+TELEMETRY_OBSERVER_DIRS = ("src/repro/core", "src/repro/sparse")
+
+
+def _none_checked_names(test: ast.expr) -> set[str]:
+    """Lower-cased names / attributes compared against ``None`` in ``test``."""
+    names = set()
+    for node in ast.walk(test):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if not any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            continue
+        if not any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+            continue
+        for operand in operands:
+            if isinstance(operand, ast.Name):
+                names.add(operand.id.lower())
+            elif isinstance(operand, ast.Attribute):
+                names.add(operand.attr.lower())
+    return names
+
+
+def _telemetry_forks(source: str, filename: str) -> list[str]:
+    """``file:line`` for every ``if`` that branches on recorder *and* tracer."""
+    violations = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        names = _none_checked_names(node.test)
+        if any("recorder" in n for n in names) and any("tracer" in n for n in names):
+            violations.append(f"{filename}:{node.lineno}")
+    return violations
+
+
+def test_telemetry_never_forks_the_release():
+    violations = []
+    for directory in TELEMETRY_OBSERVER_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            relative = str(path.relative_to(REPO_ROOT))
+            violations.extend(_telemetry_forks(path.read_text(), relative))
+    assert violations == [], (
+        "an `if` tests recorder and tracer against None — telemetry must "
+        "observe the one release path (joint_span + `if recorder is not "
+        "None` diagnostics), not fork it:\n  " + "\n  ".join(violations)
+    )
+
+
+def test_telemetry_observer_dirs_are_current():
+    for directory in TELEMETRY_OBSERVER_DIRS:
+        assert (REPO_ROOT / directory).is_dir(), f"{directory} missing"
+
+
+def test_telemetry_fork_lint_detects_offender():
+    """The AST check catches the fork, and only the fork."""
+    fork = "if self.recorder is None and self.tracer is None:\n    pass\n"
+    assert _telemetry_forks(fork, "x.py") == ["x.py:1"]
+    either = "x = 1 if recorder is None or tracer is None else 2\n"
+    assert _telemetry_forks(either, "x.py") == ["x.py:1"]
+    assert _telemetry_forks("if recorder is not None:\n    pass\n", "x.py") == []
+
+
 #: Timing-sensitive modules: interval measurements must use the
 #: monotonic ``time.perf_counter`` — bare ``time.time()`` is subject to
 #: NTP slews/wall-clock jumps and poisons latency metrics and benchmark
