@@ -98,7 +98,8 @@ class FederatedTrainer:
 
     def _client_optimizer(self, shard, rng, accountant):
         """The DP optimizer that clips, noises and accounts one client's
-        releases (sigma 0 and no accountant for ``scheme="none"``)."""
+        releases (sigma 0 and no accountant for ``scheme="none"``).  The
+        server applies the update, so the client learning rate is unused."""
         batch_size = min(self.local_batch_size, len(shard))
         common = dict(
             learning_rate=self.learning_rate,
@@ -125,8 +126,7 @@ class FederatedTrainer:
 
         self.model.set_params(params)
         _, per_sample = self.model.loss_and_per_sample_gradients(x, y)
-        optimizer.step(params, per_sample)
-        return optimizer.last_noisy_gradient
+        return optimizer.release(optimizer.clipped_sum(per_sample), len(per_sample))
 
     # --------------------------------------------------------------- public
     def round(self) -> np.ndarray:

@@ -22,9 +22,10 @@ the mechanism supplies ``_perturb`` / ``_release_sparse`` / ledger meta,
 ``state_dict`` are reached through ``super()``.
 
 Every step enters through :meth:`DpOptimizer.release`, which takes a
-clipped sum plus optional sparse rows: ``step`` (materialized per-sample
-gradients), ``step_presummed`` (ghost and microbatch paths) and
-``step_sparse`` (:class:`repro.sparse.SparseTrainer`) only forward to it.
+clipped sum plus optional sparse rows and returns the noisy gradient:
+``step`` (materialized per-sample gradients), ``step_presummed`` (ghost
+and microbatch paths) and ``step_sparse`` (:class:`repro.sparse.SparseTrainer`)
+apply the update rule to it; the federated server applies it itself.
 
 Telemetry observes instead of forking: instrumented and uninstrumented
 runs execute the same arithmetic on the same workspace buffers and draw
@@ -232,18 +233,15 @@ class DpOptimizer:
             self.recorder.increment(f"releases_{self.ledger_mechanism}")
 
     # ----------------------------------------------------------- entry point
-    def release(
-        self, params: np.ndarray, clipped_sum: np.ndarray, count: int, sparse=None
-    ) -> np.ndarray:
-        """The single release entry point: noise, account, update.
+    def release(self, clipped_sum: np.ndarray, count: int, sparse=None) -> np.ndarray:
+        """The single release entry point: noise and account one step.
 
         ``clipped_sum`` holds the clipped per-sample gradients summed over
         ``count`` samples.  With ``sparse`` (a
-        :class:`repro.sparse.release.SparseRelease`), ``params`` and
-        ``clipped_sum`` cover only the dense block and the touched
-        embedding rows are released and updated in place.  One release,
-        one accountant step, one ledger entry either way.  Returns the new
-        parameters.
+        :class:`repro.sparse.release.SparseRelease`), ``clipped_sum`` covers
+        only the dense block and the touched embedding rows are released
+        and updated in place.  One accountant step and one ledger entry
+        either way.  Returns the noisy averaged (dense) gradient.
         """
         for hook in self.release_hooks:
             hook()
@@ -253,15 +251,16 @@ class DpOptimizer:
             noisy = self._release_sparse(clipped_sum, sparse, self._denominator(count))
         self.last_noisy_gradient = noisy
         self._account_release()
-        return super().step(params, noisy)
+        return noisy
 
     def step(self, params: np.ndarray, per_sample_grads) -> np.ndarray:
         """One DP update from materialized per-sample gradients."""
-        return self.release(params, self.clipped_sum(per_sample_grads), len(per_sample_grads))
+        summed = self.clipped_sum(per_sample_grads)
+        return super().step(params, self.release(summed, len(per_sample_grads)))
 
     def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, count: int) -> np.ndarray:
         """One DP update from an accumulated clipped sum (ghost, microbatches)."""
-        return self.release(params, clipped_sum, count)
+        return super().step(params, self.release(clipped_sum, count))
 
     def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, count: int, sparse) -> np.ndarray:
         """One sparse DP update: dense block plus touched embedding rows.
@@ -270,7 +269,7 @@ class DpOptimizer:
         no momentum or Adam moments; see ``docs/sparse.md``).  Returns the
         new dense params.
         """
-        return self.release(params, dense_sum, count, sparse)
+        return super().step(params, self.release(dense_sum, count, sparse))
 
     # ------------------------------------------------------------ checkpoint
     def state_dict(self) -> dict:

@@ -124,8 +124,9 @@ class ScheduledOptimizer:
     The schedules advance once per update.  A DP optimizer announces every
     release through its ``release_hooks`` — whichever entry point the
     trainer used (``step``, ``step_presummed`` on the ghost and microbatch
-    paths, or ``step_sparse``) — so the wrapper hooks in there; other
-    optimizers advance in :meth:`step`.
+    paths) — so the wrapper hooks in there; other optimizers advance in
+    :meth:`step`.  The hook stays for good, so a DP optimizer can be
+    scheduled only once.
     """
 
     def __init__(
@@ -145,11 +146,12 @@ class ScheduledOptimizer:
         self.step_count = 0
         self._hooked = hasattr(optimizer, "release_hooks")
         if self._hooked:
+            if optimizer.release_hooks:
+                raise ValueError(
+                    f"{type(optimizer).__name__} is already scheduled; wrap a "
+                    "fresh optimizer instead"
+                )
             optimizer.release_hooks.append(self._advance)
-
-    @property
-    def requires_per_sample(self) -> bool:
-        return getattr(self.optimizer, "requires_per_sample", False)
 
     def _advance(self) -> None:
         """Set this update's hyper-parameters on the wrapped optimizer."""

@@ -108,6 +108,11 @@ class SparseTrainer:
                 f"{type(clipping).__name__} adapts its sensitivity between "
                 "steps; deferred row noise requires a constant sigma * C"
             )
+        if getattr(optimizer, "release_hooks", None):
+            raise ValueError(
+                "optimizer has release hooks (e.g. a ScheduledOptimizer); "
+                "deferred row noise requires a constant lr * sigma"
+            )
         self.model = model
         self.optimizer = optimizer
         self.train_data = train_data

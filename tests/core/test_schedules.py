@@ -85,6 +85,14 @@ class TestScheduledOptimizer:
         with pytest.raises(ValueError, match="noise_multiplier"):
             ScheduledOptimizer(SgdOptimizer(0.1), noise_multiplier=ConstantSchedule(1.0))
 
+    def test_second_schedule_on_same_optimizer_rejected(self):
+        opt = DpSgdOptimizer(0.1, 1.0, 1.0, rng=0)
+        wrapped = ScheduledOptimizer(opt, learning_rate=ConstantSchedule(0.1))
+        with pytest.raises(ValueError, match="already scheduled"):
+            ScheduledOptimizer(opt, learning_rate=ConstantSchedule(0.01))
+        with pytest.raises(ValueError, match="already scheduled"):
+            ScheduledOptimizer(wrapped, learning_rate=ConstantSchedule(0.01))
+
     def test_delegation(self, rng):
         opt = DpSgdOptimizer(0.1, 1.0, 1.0, rng=0)
         wrapped = ScheduledOptimizer(opt)

@@ -167,6 +167,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="constant"):
             SparseTrainer(_model(), opt, click_data[0], batch_size=BATCH)
 
+    def test_rejects_scheduled_optimizer(self, click_data):
+        from repro.core.schedules import LinearDecay, ScheduledOptimizer
+
+        opt = ScheduledOptimizer(
+            _optimizer("geodp"), noise_multiplier=LinearDecay(2.0, 0.5, 10)
+        )
+        with pytest.raises(ValueError, match="release hooks"):
+            SparseTrainer(_model(), opt, click_data[0], batch_size=BATCH)
+
     def test_rejects_model_without_embedding(self, click_data):
         from repro.models import build_logistic_regression
 
