@@ -1,13 +1,14 @@
 """Gradient execution modes, including the ghost-clipping fast path.
 
 The ghost fast path replaces "materialize the ``(B, P)`` per-sample
-gradient matrix, clip, sum" with two backward passes over the model
-(:meth:`repro.nn.Sequential.loss_and_clipped_grad_sum`): one that computes
-per-sample gradient *norms* from layer-local quantities, and one that
-re-runs backward with the loss-output gradients scaled by the clipping
-factors.  Gradient memory drops from O(B*P) to O(P); the DP release —
-sensitivity, noise draw, accounting — is untouched because the clipped sum
-is numerically the same quantity.  Every DP optimizer reaches it through
+gradient matrix, clip, sum" with two passes over the model
+(:meth:`repro.nn.Sequential.loss_and_clipped_grad_sum`): a backward pass
+that computes per-sample gradient *norms* from layer-local quantities, and
+one clip-scaled accumulation per parametric layer from the upstream
+gradient the first pass cached.  Gradient memory drops from O(B*P) to
+O(P); the DP release — sensitivity, noise draw, accounting — is untouched
+because the clipped sum is numerically the same quantity.  Every DP
+optimizer reaches it through
 :meth:`repro.core.pipeline.DpOptimizer.ghost_clipped_sum`, whose sum then
 enters the shared release like any other.
 """

@@ -3,8 +3,8 @@
 DP-SGD (and therefore GeoDP-SGD) clips *per-sample* gradients, so unlike a
 generic autodiff framework every layer here can return the gradient of each
 sample's loss with respect to its parameters (the quantity Opacus computes
-with hooks).  Layers are numpy-only; convolutions use im2col so per-sample
-gradients reduce to einsums.
+with hooks).  Layers are numpy-only; convolutions use im2col so the forward
+pass and per-sample gradients reduce to batched matrix products (BLAS).
 """
 
 from repro.nn.functional import (

@@ -74,7 +74,8 @@ def im2col(x, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
 
     Returns a column tensor of shape ``(B, C*kernel*kernel, L)`` where
     ``L = out_h * out_w``, so that a convolution with flattened weights
-    ``W_flat (out_c, C*k*k)`` becomes ``einsum('ok,bkl->bol')``.
+    ``W_flat (out_c, C*k*k)`` becomes the batched GEMM
+    ``np.matmul(W_flat, cols)``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:

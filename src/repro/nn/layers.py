@@ -280,7 +280,7 @@ class Conv2d(Layer):
         )
         cols = F.im2col(x, self.kernel, self.stride, self.padding)
         w_flat = self.weight.reshape(self.out_channels, -1)
-        out = np.einsum("ok,bkl->bol", w_flat, cols)
+        out = np.matmul(w_flat, cols)
         if self.bias is not None:
             out = out + self.bias[None, :, None]
         if train:
@@ -297,19 +297,21 @@ class Conv2d(Layer):
         w_flat = self.weight.reshape(self.out_channels, -1)
 
         if per_sample:
-            dw = np.einsum("bol,bkl->bok", dy, self._cols).reshape(
+            dw = np.matmul(dy, self._cols.transpose(0, 2, 1)).reshape(
                 batch, *self.weight.shape
             )
             grads = {"weight": dw}
             if self.bias is not None:
                 grads["bias"] = dy.sum(axis=2)
         else:
-            dw = np.einsum("bol,bkl->ok", dy, self._cols).reshape(self.weight.shape)
+            dw = np.tensordot(dy, self._cols, ([0, 2], [0, 2])).reshape(
+                self.weight.shape
+            )
             grads = {"weight": dw}
             if self.bias is not None:
                 grads["bias"] = dy.sum(axis=(0, 2))
 
-        dcols = np.einsum("ok,bol->bkl", w_flat, dy)
+        dcols = np.matmul(w_flat.T, dy)
         grad_in = F.col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
         return grad_in, grads
 
@@ -324,7 +326,7 @@ class Conv2d(Layer):
         # (and may block the Grams over the batch for cache residency).
         norm_sq = get_backend().conv_norm_sq(self._cols, dy, self.bias is not None)
         w_flat = self.weight.reshape(self.out_channels, -1)
-        dcols = np.einsum("ok,bol->bkl", w_flat, dy)
+        dcols = np.matmul(w_flat.T, dy)
         grad_in = F.col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
         return grad_in, norm_sq
 

@@ -157,21 +157,28 @@ class Sequential:
         per_layer = self._backward(grad_out, per_sample=True)
         return losses, self._flatten_grads(per_layer, batch=x.shape[0])
 
-    def per_sample_grad_norms(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def per_sample_grad_norms(
+        self, grad_out: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
         """Ghost backward pass #1: pre-clip per-sample gradient L2 norms.
 
         Runs the layer chain's :meth:`~repro.nn.layers.Layer.backward_norm_sq`
         hooks on the (already cached) forward activations, accumulating each
         layer's squared-norm contribution.  Returns ``(norms (B,),
-        grad_out)`` so callers can reuse the loss-output gradient for the
-        second, scaled backward pass.
+        upstream)``: ``upstream[i]`` is parametric layer ``i``'s unscaled
+        upstream gradient (``None`` for parameter-free layers), the input of
+        its :meth:`~repro.nn.layers.Layer.accumulate_clipped` in pass #2.
         """
         norm_sq = np.zeros(grad_out.shape[0])
+        upstream: list[np.ndarray | None] = [None] * len(self.layers)
         grad = grad_out
         for i in reversed(range(len(self.layers))):
-            grad, layer_norm_sq = self.layers[i].backward_norm_sq(grad)
+            layer = self.layers[i]
+            if layer.params():
+                upstream[i] = grad
+            grad, layer_norm_sq = layer.backward_norm_sq(grad)
             norm_sq += layer_norm_sq
-        return np.sqrt(norm_sq), grad_out
+        return np.sqrt(norm_sq), upstream
 
     def loss_and_clipped_grad_sum(
         self, x: np.ndarray, y, clipping
@@ -207,16 +214,7 @@ class Sequential:
         grad_out = self.loss.gradient(outputs, y)
 
         # Pass #1: norms, caching each parametric layer's upstream gradient.
-        norm_sq = np.zeros(grad_out.shape[0])
-        upstream: list[np.ndarray | None] = [None] * len(self.layers)
-        grad = grad_out
-        for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
-            if layer.params():
-                upstream[i] = grad
-            grad, layer_norm_sq = layer.backward_norm_sq(grad)
-            norm_sq += layer_norm_sq
-        norms = np.sqrt(norm_sq)
+        norms, upstream = self.per_sample_grad_norms(grad_out)
 
         factors = np.asarray(clipping.clip_factors(norms), dtype=np.float64)
 

@@ -41,8 +41,13 @@ class ResidualBlock(Layer):
         else:
             self.projection = None
         self.relu_out = ReLU()
+        # (conv1 upstream, conv2/projection upstream) from the last norm pass.
+        self._upstream: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        if train:
+            # Upstreams cached by the norm pass belong to the previous forward.
+            self._upstream = None
         main = self.conv2.forward(
             self.relu1.forward(self.conv1.forward(x, train), train), train
         )
@@ -68,16 +73,39 @@ class ResidualBlock(Layer):
     def backward_norm_sq(self, grad_out):
         # Compose the sub-layers' ghost contributions; the block's per-sample
         # gradient is the concatenation of its convolutions' gradients, so
-        # the squared norms add.
+        # the squared norms add.  Each convolution's upstream gradient is
+        # kept for :meth:`accumulate_clipped`.
         grad_sum, _ = self.relu_out.backward(grad_out, per_sample=False)
         grad, n2 = self.conv2.backward_norm_sq(grad_sum)
         grad, _ = self.relu1.backward(grad, per_sample=False)
         grad_main, n1 = self.conv1.backward_norm_sq(grad)
+        self._upstream = (grad, grad_sum)
         if self.projection is not None:
             grad_short, n_proj = self.projection.backward_norm_sq(grad_sum)
         else:
             grad_short, n_proj = grad_sum, 0.0
         return grad_main + grad_short, n1 + n2 + n_proj
+
+    def accumulate_clipped(self, grad_out, factors):
+        # Each convolution accumulates from the upstream the norm pass
+        # cached, so the block's chain (ReLU masks, input gradients, col2im)
+        # is never walked again; ``grad_out`` is already folded into them.
+        if self._upstream is None:
+            raise RuntimeError(
+                "accumulate_clipped called before backward_norm_sq on the "
+                "current forward(train=True)"
+            )
+        up1, up2 = self._upstream
+        grads = {}
+        for prefix, conv, upstream in (
+            ("conv1", self.conv1, up1),
+            ("conv2", self.conv2, up2),
+            ("projection", self.projection, up2),
+        ):
+            if conv is not None:
+                sub = conv.accumulate_clipped(upstream, factors)
+                grads.update({f"{prefix}.{k}": v for k, v in sub.items()})
+        return grads
 
     def params(self) -> dict[str, np.ndarray]:
         out = {f"conv1.{k}": v for k, v in self.conv1.params().items()}

@@ -15,8 +15,8 @@ import pytest
 from repro.core import DpSgdOptimizer, GeoDpSgdOptimizer, ImportanceSampling, Trainer
 from repro.core.geodp_adam import GeoDpAdamOptimizer
 from repro.core.ghost import check_grad_mode
-from repro.data import make_mnist_like, train_test_split
-from repro.models import build_cnn
+from repro.data import make_cifar_like, make_mnist_like, train_test_split
+from repro.models import build_cnn, build_resnet
 from repro.privacy.clipping import (
     AdaptiveQuantileClipping,
     AutoSClipping,
@@ -32,8 +32,18 @@ def cnn_data():
     return train_test_split(data, rng=0)
 
 
+@pytest.fixture(scope="module")
+def resnet_data():
+    data = make_cifar_like(160, rng=0, size=8)
+    return train_test_split(data, rng=0)
+
+
 def cnn_model():
     return build_cnn(input_shape=(1, 8, 8), rng=0)
+
+
+def resnet_model():
+    return build_resnet(input_shape=(3, 8, 8), rng=0)
 
 
 def batch(data, n=16, rng_seed=3):
@@ -52,6 +62,19 @@ class TestCheckGradMode:
             check_grad_mode("magic")
 
 
+def check_clipped_sum_parity(model, train, make):
+    x, y = batch(train)
+    losses_ref, grads = model.loss_and_per_sample_gradients(x, y)
+    clipped, norms_ref = make().clip_with_norms(grads)
+    ref_sum = clipped.sum(axis=0)
+
+    losses, ghost_sum, norms = model.loss_and_clipped_grad_sum(x, y, make())
+    assert np.allclose(losses, losses_ref, rtol=1e-12)
+    assert np.allclose(norms, norms_ref, rtol=1e-10)
+    scale = np.abs(ref_sum).max() + 1e-30
+    assert np.abs(ghost_sum - ref_sum).max() / scale <= 1e-8
+
+
 class TestClippedSumParity:
     @pytest.mark.parametrize(
         "make",
@@ -64,19 +87,15 @@ class TestClippedSumParity:
         ids=["flat", "autos", "psac", "adaptive"],
     )
     def test_loss_and_clipped_grad_sum(self, cnn_data, make):
-        train, _ = cnn_data
-        x, y = batch(train)
-        model = cnn_model()
+        check_clipped_sum_parity(cnn_model(), cnn_data[0], make)
 
-        losses_ref, grads = model.loss_and_per_sample_gradients(x, y)
-        clipped, norms_ref = make().clip_with_norms(grads)
-        ref_sum = clipped.sum(axis=0)
-
-        losses, ghost_sum, norms = model.loss_and_clipped_grad_sum(x, y, make())
-        assert np.allclose(losses, losses_ref, rtol=1e-12)
-        assert np.allclose(norms, norms_ref, rtol=1e-10)
-        scale = np.abs(ref_sum).max() + 1e-30
-        assert np.abs(ghost_sum - ref_sum).max() / scale <= 1e-8
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: FlatClipping(0.7), lambda: AdaptiveQuantileClipping(0.7)],
+        ids=["flat", "adaptive"],
+    )
+    def test_resnet_clipped_grad_sum(self, resnet_data, make):
+        check_clipped_sum_parity(resnet_model(), resnet_data[0], make)
 
     def test_empty_batch(self, cnn_data):
         train, _ = cnn_data
@@ -89,8 +108,10 @@ class TestClippedSumParity:
         assert np.array_equal(summed, np.zeros(model.num_params))
 
 
-def run_training(optimizer_factory, train, test, *, grad_mode, iterations=8, **kw):
-    model = cnn_model()
+def run_training(
+    optimizer_factory, train, test, *, grad_mode, iterations=8, model=cnn_model, **kw
+):
+    model = model()
     optimizer = optimizer_factory()
     trainer = Trainer(
         model,
@@ -121,6 +142,25 @@ class TestEndToEndParity:
         train, test = cnn_data
         losses_m, params_m = run_training(factory, train, test, grad_mode="materialize")
         losses_g, params_g = run_training(factory, train, test, grad_mode="ghost")
+        assert np.allclose(losses_m, losses_g, rtol=1e-9, atol=1e-12)
+        assert np.allclose(params_m, params_g, rtol=1e-7, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7),
+            lambda: GeoDpSgdOptimizer(0.2, 0.7, 0.5, beta=0.1, rng=7),
+        ],
+        ids=["dpsgd", "geodp"],
+    )
+    def test_resnet_ghost_matches_materialize(self, resnet_data, factory):
+        train, test = resnet_data
+        losses_m, params_m = run_training(
+            factory, train, test, grad_mode="materialize", model=resnet_model
+        )
+        losses_g, params_g = run_training(
+            factory, train, test, grad_mode="ghost", model=resnet_model
+        )
         assert np.allclose(losses_m, losses_g, rtol=1e-9, atol=1e-12)
         assert np.allclose(params_m, params_g, rtol=1e-7, atol=1e-10)
 

@@ -141,6 +141,39 @@ class TestResidualGhost:
         block = ResidualBlock(3, 5, stride=2, rng=0)
         check_ghost_parity(block, rng.normal(size=(4, 3, 6, 6)))
 
+    @pytest.mark.parametrize(
+        "out_channels,stride", [(3, 1), (5, 2)], ids=["identity", "projection"]
+    )
+    def test_accumulate_clipped_parity(self, out_channels, stride):
+        # Pass 2 from the norm pass's cached upstreams equals one batch
+        # backward on the factor-scaled block upstream.
+        rng = np.random.default_rng(14)
+        block = ResidualBlock(3, out_channels, stride=stride, rng=0)
+        out = block.forward(rng.normal(size=(4, 3, 6, 6)), train=True)
+        grad_out = rng.normal(size=out.shape)
+        factors = rng.uniform(0.1, 1.0, size=4)
+
+        block.backward_norm_sq(grad_out)
+        grads = block.accumulate_clipped(grad_out, factors)
+        _, expected = block.backward(grad_out * factors[:, None, None, None])
+
+        assert grads.keys() == expected.keys() == block.params().keys()
+        for name, value in expected.items():
+            assert np.allclose(grads[name], value, rtol=1e-12, atol=1e-12), name
+
+    def test_accumulate_clipped_requires_norm_pass(self):
+        rng = np.random.default_rng(15)
+        block = ResidualBlock(3, 5, stride=2, rng=0)
+        x = rng.normal(size=(2, 3, 6, 6))
+        out = block.forward(x, train=True)
+        with pytest.raises(RuntimeError, match="backward_norm_sq"):
+            block.accumulate_clipped(np.ones_like(out), np.ones(2))
+        # A new forward makes the previous norm pass's upstreams stale.
+        block.backward_norm_sq(np.ones_like(out))
+        block.forward(x, train=True)
+        with pytest.raises(RuntimeError, match="backward_norm_sq"):
+            block.accumulate_clipped(np.ones_like(out), np.ones(2))
+
 
 class TestParameterFreeGhost:
     @pytest.mark.parametrize("layer,shape", [
@@ -191,3 +224,34 @@ class TestModelGhostNorms:
         assert np.allclose(norms, expected, rtol=1e-10, atol=1e-12), (
             np.abs(norms - expected).max()
         )
+
+
+def test_resnet_pass_two_never_rewalks_the_chain(monkeypatch):
+    """After the clip factors exist, no input gradient is computed again."""
+    import repro.nn.functional as F
+    from repro.models import build_resnet
+    from repro.privacy.clipping import FlatClipping
+
+    rng = np.random.default_rng(16)
+    model = build_resnet(input_shape=(3, 8, 8), rng=0)
+    x = rng.normal(size=(4, 3, 8, 8))
+    y = rng.integers(0, 10, size=4)
+    _, per_sample = model.loss_and_per_sample_gradients(x, y)
+    clipped, _ = FlatClipping(0.5).clip_with_norms(per_sample)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ghost pass 2 re-walked the layer chain")
+
+    clipping = FlatClipping(0.5)
+    clip_factors = clipping.clip_factors
+
+    def clip_factors_then_forbid(norms):
+        factors = clip_factors(norms)
+        monkeypatch.setattr(Conv2d, "backward", forbidden)
+        monkeypatch.setattr(ReLU, "backward", forbidden)
+        monkeypatch.setattr(F, "col2im", forbidden)
+        return factors
+
+    monkeypatch.setattr(clipping, "clip_factors", clip_factors_then_forbid)
+    _, summed, _ = model.loss_and_clipped_grad_sum(x, y, clipping)
+    assert np.allclose(summed, clipped.sum(axis=0), rtol=1e-10, atol=1e-12)

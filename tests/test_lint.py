@@ -9,6 +9,10 @@ hot-path modules must route every buffer through the
 :mod:`repro.backend.workspace` arena, so a direct ``np.empty`` /
 ``np.zeros`` there is a regression of the zero-allocation contract even
 when it is numerically harmless.
+
+The GEMM gate is also pure ``ast``: layer code must not spell a matrix
+product as a two-operand ``np.einsum``, which numpy runs in its generic
+loop instead of BLAS.
 """
 
 import ast
@@ -192,6 +196,78 @@ def test_wall_clock_lint_detects_offender():
         "x.py:2 time.time()"
     ]
     assert _wall_clock_calls("import time\nt0 = time.perf_counter()\n", "x.py") == []
+
+
+#: Layer code: a contraction shaped like a matrix product goes to BLAS
+#: (``np.matmul`` / ``np.tensordot``), not to numpy's generic einsum loop.
+GEMM_LINT_DIR = "src/repro/nn"
+
+
+def _einsum_is_gemm(subscripts: str) -> bool:
+    """Two operands, a summed index, and two or more output indices."""
+    inputs, arrow, output = subscripts.replace(" ", "").partition("->")
+    operands = inputs.split(",")
+    if len(operands) != 2:
+        return False
+    letters = "".join(operands)
+    if not arrow:  # implicit mode: output is the indices used exactly once
+        output = "".join(c for c in letters if letters.count(c) == 1)
+    summed = set(letters) - set(output)
+    return bool(summed) and len(output) >= 2
+
+
+def _gemm_einsums(source: str, filename: str) -> list[str]:
+    """``file:line einsum('...')`` for every GEMM-shaped two-operand einsum."""
+    violations = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if not (
+            func.attr == "einsum"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            continue
+        subscripts = node.args[0].value
+        if _einsum_is_gemm(subscripts):
+            violations.append(f"{filename}:{node.lineno} einsum({subscripts!r})")
+    return violations
+
+
+def test_layer_contractions_use_blas():
+    violations = []
+    for path in sorted((REPO_ROOT / GEMM_LINT_DIR).rglob("*.py")):
+        relative = str(path.relative_to(REPO_ROOT))
+        violations.extend(_gemm_einsums(path.read_text(), relative))
+    assert violations == [], (
+        "a GEMM-shaped np.einsum in layer code runs numpy's generic loop — "
+        "use np.matmul / np.tensordot:\n  " + "\n  ".join(violations)
+    )
+
+
+def test_gemm_lint_dir_is_current():
+    assert (REPO_ROOT / GEMM_LINT_DIR).is_dir(), f"{GEMM_LINT_DIR} missing"
+
+
+def test_gemm_lint_detects_offender():
+    """The AST check catches GEMMs and lets per-sample dots and outer
+    products through."""
+    conv = 'out = np.einsum("ok,bkl->bol", w, cols)\n'
+    assert _gemm_einsums(conv, "x.py") == ["x.py:1 einsum('ok,bkl->bol')"]
+    assert _gemm_einsums('g = np.einsum("ij,jk", a, b)\n', "x.py") == [
+        "x.py:1 einsum('ij,jk')"
+    ]
+    allowed = (
+        'n = np.einsum("bc,bc->b", g, g)\n'
+        'w = np.einsum("bi,bo->bio", x, e)\n'
+        't = np.einsum("bij->b", g)\n'
+        "s = np.einsum(spec, a, b)\n"
+    )
+    assert _gemm_einsums(allowed, "x.py") == []
 
 
 def ruff_available() -> bool:
