@@ -14,8 +14,8 @@ Three ideas carry the speedups:
   pure numpy — it needs compiled code to pay off, which is exactly what the
   ``cext``/``numba`` backends do.)
 * **BLAS routing**: the batched Gram/contract einsums of the ghost norms
-  become ``matmul``/``tensordot`` calls, which dispatch to BLAS instead of
-  einsum's generic loops.
+  become ``matmul`` calls, which dispatch to BLAS instead of einsum's
+  generic loops.
 * **Chunk parallelism**: the row blocks above double as the unit of
   thread scheduling (:mod:`repro.backend.threads`).  Chunk boundaries are
   derived from the input *shape* alone and partial reductions are summed
@@ -248,9 +248,11 @@ class FusedBackend(ReferenceBackend):
         if len(spans) <= 1:
             with workspace.scratch(dy.shape) as scaled:
                 np.multiply(dy, factors[:, None, None], out=scaled)
-                # tensordot reshapes to one (O, B*L) @ (B*L, K) GEMM; einsum's
-                # generic 3-index loop is an order of magnitude slower here.
-                dw = np.tensordot(scaled, cols, axes=([0, 2], [0, 2]))
+                # Per-sample (O, L) @ (L, K) BLAS GEMMs on the transposed view,
+                # then a batch sum: tensordot would first copy cols into a
+                # (B*L, K) array, and einsum's generic 3-index loop is an
+                # order of magnitude slower.
+                dw = np.matmul(scaled, cols.transpose(0, 2, 1)).sum(axis=0)
                 db = scaled.sum(axis=(0, 2)) if bias else None
             return dw, db
         partials: list = [None] * len(spans)
@@ -258,7 +260,7 @@ class FusedBackend(ReferenceBackend):
         def chunk(start, stop):
             with workspace.scratch((stop - start,) + dy.shape[1:]) as scaled:
                 np.multiply(dy[start:stop], factors[start:stop, None, None], out=scaled)
-                dw = np.tensordot(scaled, cols[start:stop], axes=([0, 2], [0, 2]))
+                dw = np.matmul(scaled, cols[start:stop].transpose(0, 2, 1)).sum(axis=0)
                 db = scaled.sum(axis=(0, 2)) if bias else None
             partials[start // block] = (dw, db)
 

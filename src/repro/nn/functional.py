@@ -2,7 +2,7 @@
 
 ``im2col``/``col2im`` implement the patch-extraction view that turns 2-D
 convolution into matrix multiplication; per-sample convolution gradients are
-then plain einsums over the column tensor.
+then batched BLAS GEMMs (``np.matmul``) over the column tensor.
 """
 
 from __future__ import annotations

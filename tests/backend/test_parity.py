@@ -142,8 +142,15 @@ def test_linear_kernels_parity(backend_name, shape, seed, dtype, bias):
         assert db is None and ref_db is None
 
 
-# Both Gram-crossover branches: L^2 <= O*K (small maps) and L^2 > O*K.
-CONV_SHAPES = [(2, 12, 4, 9), (6, 27, 8, 49), (4, 18, 3, 100)]  # (B, K, O, L)
+# Both Gram-crossover branches: L^2 <= O*K (small maps) and L^2 > O*K.  The
+# last shape is a ResNet 32x32 convolution: above the fused backend's block
+# threshold, so its clipped accumulate sums three batch spans.
+CONV_SHAPES = [  # (B, K, O, L)
+    (2, 12, 4, 9),
+    (6, 27, 8, 49),
+    (4, 18, 3, 100),
+    (16, 72, 8, 1024),
+]
 
 
 @pytest.mark.parametrize("shape", CONV_SHAPES)

@@ -181,6 +181,22 @@ class TestConv2d:
             Conv2d(3, 2, 3, rng=0).forward(np.zeros((1, 2, 8, 8)))
 
 
+def axis_maxpool(x, k, grad_out):
+    """Max pooling by reductions over the window axes (3, 5): the golden."""
+    b, c, h, w = x.shape
+    windows = x.reshape(b, c, h // k, k, w // k, k)
+    out = windows.max(axis=(3, 5))
+    mask = windows == out[:, :, :, None, :, None]
+    counts = mask.sum(axis=(3, 5), keepdims=True)
+    spread = mask * grad_out[:, :, :, None, :, None] / np.maximum(counts, 1)
+    return out, spread.reshape(x.shape)
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 class TestMaxPool2d:
     def test_forward_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -203,6 +219,34 @@ class TestMaxPool2d:
         with pytest.raises(ValueError, match="not divisible"):
             MaxPool2d(3).forward(np.zeros((1, 1, 8, 8)))
 
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    @pytest.mark.parametrize("inputs", ["relu_normal", "small_int"])
+    def test_bit_parity_with_axis_reduction(self, kernel, inputs):
+        rng = np.random.default_rng(kernel)
+        shape = (3, 2, 12, 18)
+        if inputs == "relu_normal":
+            # All-zero windows tie every position.
+            x = np.maximum(rng.normal(size=shape), 0.0)
+        else:
+            # Values in {0, 1, 2} force 2- and 3-way ties; 1/3 is inexact.
+            x = rng.integers(0, 3, size=shape).astype(np.float64)
+        self._check_bit_parity(x, kernel, rng)
+
+    def test_bit_parity_on_cnn_shaped_input(self):
+        rng = np.random.default_rng(7)
+        x = np.maximum(rng.normal(size=(128, 8, 28, 28)), 0.0)
+        self._check_bit_parity(x, 2, rng)
+
+    @staticmethod
+    def _check_bit_parity(x, kernel, rng):
+        layer = MaxPool2d(kernel)
+        out = layer.forward(x, train=True)
+        grad_out = rng.normal(size=out.shape)
+        grad_in, _ = layer.backward(grad_out)
+        expected_out, expected_grad_in = axis_maxpool(x, kernel, grad_out)
+        assert_bits_equal(out, expected_out)
+        assert_bits_equal(grad_in, expected_grad_in)
+
 
 class TestAvgPool2d:
     def test_forward_values(self):
@@ -212,6 +256,12 @@ class TestAvgPool2d:
 
     def test_input_gradient(self, rng):
         check_input_gradient(AvgPool2d(2), rng.normal(size=(2, 2, 4, 4)))
+
+
+@pytest.mark.parametrize("pool", [MaxPool2d, AvgPool2d])
+def test_pooling_rejects_non_4d_input(pool):
+    with pytest.raises(ValueError, match=r"expected \(B, C, H, W\), got \(4, 16\)"):
+        pool(2).forward(np.zeros((4, 16)))
 
 
 class TestGlobalAvgPool2d:
