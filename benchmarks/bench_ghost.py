@@ -129,7 +129,7 @@ def test_geodp_step_competitive(report):
     """
     with use_backend("auto"):
         backend = get_backend()
-        if backend.name not in ("numba", "cext"):
+        if backend.name != "cext":
             pytest.skip(f"no compiled backend available (best: {backend.name!r})")
         grads = np.random.default_rng(0).normal(size=(64, 5000)) * 0.01
         noise_rng = np.random.default_rng(2)

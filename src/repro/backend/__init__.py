@@ -12,12 +12,10 @@ reference  Plain numpy, bit-identical to the pre-backend library.  The
            parity baseline and the default.
 fused      Optimized numpy: trig-identity fused GeoDP perturbation,
            BLAS-routed ghost kernels, blocked conv Grams.
-numba      Numba-JIT compiled hot loops; available only when numba is
-           installed.
 cext       ctypes-loaded C kernel compiled on first use with the system
            C compiler; available only when compilation succeeds.
 auto       Selects the fastest available accelerated backend
-           (numba > cext > fused) without counting a fallback.
+           (cext > fused) without counting a fallback.
 ========= ==============================================================
 
 Selection::
@@ -32,10 +30,10 @@ or via the environment: ``REPRO_BACKEND=fused python -m repro...``.
 ``REPRO_BACKEND_DISABLE`` (comma-separated names) masks backends, which is
 how sandboxed environments keep the compiler probe off.
 
-Requesting an unavailable backend (e.g. ``numba`` without numba) is not an
-error: the dispatcher *falls back* down the acceleration chain and records
-the event, surfaced as a ``backend_fallbacks`` telemetry counter so runs
-document the substitution.  Switching backends never changes *which*
+Requesting an unavailable backend (e.g. ``cext`` without a C compiler) is
+not an error: the dispatcher *falls back* down the acceleration chain and
+records the event, surfaced as a ``backend_fallbacks`` telemetry counter so
+runs document the substitution.  Switching backends never changes *which*
 random numbers a DP release consumes — noise is drawn by the callers, in a
 fixed order, and handed to the kernels — so accounting and ledger replay
 are bit-identical across backends (``tests/backend/`` enforces this).
@@ -58,7 +56,6 @@ import weakref
 
 from repro.backend.cext import CExtBackend, compiler_available
 from repro.backend.fused import FusedBackend
-from repro.backend.numba_backend import NumbaBackend, numba_available
 from repro.backend.reference import ReferenceBackend
 from repro.backend.threads import (
     THREADS_ENV,
@@ -84,7 +81,7 @@ __all__ = [
 ]
 
 #: Selectable names, in documentation order ("auto" resolves to one of them).
-BACKEND_NAMES = ("reference", "fused", "numba", "cext")
+BACKEND_NAMES = ("reference", "fused", "cext")
 
 #: Environment variable naming the initial backend (default: ``reference``).
 BACKEND_ENV = "REPRO_BACKEND"
@@ -93,7 +90,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 BACKEND_DISABLE_ENV = "REPRO_BACKEND_DISABLE"
 
 #: Fallback preference for unavailable accelerated backends and ``auto``.
-_ACCELERATED_ORDER = ("numba", "cext", "fused")
+_ACCELERATED_ORDER = ("cext", "fused")
 
 _active = None
 _active_fell_back = False
@@ -111,8 +108,6 @@ def _is_available(name: str) -> bool:
         return False
     if name in ("reference", "fused"):
         return True
-    if name == "numba":
-        return numba_available()
     if name == "cext":
         return compiler_available()
     return False
@@ -128,7 +123,6 @@ def _instantiate(name: str):
         cls = {
             "reference": ReferenceBackend,
             "fused": FusedBackend,
-            "numba": NumbaBackend,
             "cext": CExtBackend,
         }[name]
         _instances[name] = cls()
@@ -159,7 +153,7 @@ def _resolve(name: str) -> tuple[str, bool]:
 def set_backend(name: str):
     """Select the process-wide backend; returns the backend object.
 
-    Unavailable requests fall back down the chain (numba > cext > fused >
+    Unavailable requests fall back down the chain (cext > fused >
     reference) and mark the selection as a fallback, which
     :func:`note_backend` reports as a ``backend_fallbacks`` counter.
     """

@@ -12,7 +12,7 @@ Three ideas carry the speedups:
   with bit-identical results because rows never interact.  (A trig-identity
   rewrite that avoids ``arctan2`` entirely was measured slower than this in
   pure numpy — it needs compiled code to pay off, which is exactly what the
-  ``cext``/``numba`` backends do.)
+  ``cext`` backend does.)
 * **BLAS routing**: the batched Gram/contract einsums of the ghost norms
   become ``matmul`` calls, which dispatch to BLAS instead of einsum's
   generic loops.

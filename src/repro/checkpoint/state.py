@@ -1,23 +1,20 @@
 """Capture and restore complete training state for exact resume.
 
-:func:`capture_training_state` walks a :class:`~repro.core.trainer.Trainer`
-and collects *everything* that evolves during training — model parameters,
-optimizer internals (via each component's ``state_dict``), accountant
-history, every RNG bit-generator state, the
-:class:`~repro.core.trainer.TrainingHistory`, SUR counters and telemetry —
-into one nested dict that :mod:`repro.checkpoint.snapshot` can persist.
-:func:`restore_training_state` applies such a dict to a freshly
-reconstructed trainer (same architecture, hyper-parameters and seeds as the
-original run), after which training continues bit-identically to a run that
-was never interrupted.
+:func:`capture_training_state` takes a trainer's
+:meth:`~repro.core.trainer.Trainer.state_dict` — *everything* that evolves
+during training: model parameters, optimizer internals (via each
+component's ``state_dict``), accountant history, every RNG bit-generator
+state, SUR counters and telemetry — and adds the iteration and the
+:class:`~repro.core.trainer.TrainingHistory`, into one nested dict that
+:mod:`repro.checkpoint.snapshot` can persist.  :func:`restore_training_state`
+applies such a dict to a freshly reconstructed trainer (same architecture,
+hyper-parameters and seeds as the original run), after which training
+continues bit-identically to a run that was never interrupted.  Both
+trainers share this format; :class:`~repro.sparse.SparseTrainer` flushes
+its deferred noise first and adds its ``lazy`` noise state.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro.checkpoint.snapshot import SnapshotError
-from repro.utils.rng import get_rng_state, set_rng_state
 
 __all__ = [
     "capture_training_state",
@@ -57,77 +54,27 @@ def history_from_state(state: dict):
     )
 
 
-def _augment_rng(trainer):
-    """The augmentation pipeline's generator, if it keeps one."""
-    augment = trainer.augment
-    if augment is None:
-        return None
-    for name in ("_rng", "rng"):
-        rng = getattr(augment, name, None)
-        if isinstance(rng, np.random.Generator):
-            return rng
-    return None
-
-
 def capture_training_state(trainer, history, iteration: int) -> dict:
-    """Snapshot the full mutable state of ``trainer`` after ``iteration``."""
-    optimizer = trainer.optimizer
-    state = {
+    """Snapshot the full mutable state of ``trainer`` after ``iteration``.
+
+    The trainer's own :meth:`~repro.core.trainer.Trainer.state_dict` plus
+    the iteration and the :class:`~repro.core.trainer.TrainingHistory`.
+    """
+    return {
+        **trainer.state_dict(),
         "iteration": int(iteration),
-        "optimizer_class": type(optimizer).__name__,
-        "num_params": int(trainer.model.num_params),
-        "model_params": trainer.model.get_params().copy(),
-        "trainer_rng": get_rng_state(trainer.rng),
         "history": history_to_state(history),
-        "optimizer": (
-            optimizer.state_dict() if hasattr(optimizer, "state_dict") else {}
-        ),
-        "sur": None if trainer.sur is None else trainer.sur.state_dict(),
-        "telemetry": (
-            None if trainer.telemetry is None else trainer.telemetry.state_dict()
-        ),
     }
-    augment_rng = _augment_rng(trainer)
-    if augment_rng is not None:
-        state["augment_rng"] = get_rng_state(augment_rng)
-    return state
 
 
 def restore_training_state(trainer, state: dict):
     """Apply a captured state to ``trainer``; returns ``(history, iteration)``.
 
-    The trainer must have been rebuilt exactly as for the original run (same
-    model architecture, optimizer configuration, techniques and seeds); this
-    function then overwrites every mutable piece so the next iteration
-    continues the interrupted run bit-for-bit.  Mismatches (different
-    optimizer class or parameter count) raise :class:`SnapshotError` rather
-    than silently resuming a different experiment.
+    The trainer must have been rebuilt exactly as for the original run;
+    :meth:`~repro.core.trainer.Trainer.load_state_dict` then overwrites
+    every mutable piece (raising :class:`~repro.checkpoint.SnapshotError`
+    on a mismatched optimizer class, parameter count or SUR attachment) so
+    the next iteration continues the interrupted run bit-for-bit.
     """
-    optimizer = trainer.optimizer
-    expected = type(optimizer).__name__
-    if state["optimizer_class"] != expected:
-        raise SnapshotError(
-            f"snapshot was taken with {state['optimizer_class']}, but the "
-            f"trainer uses {expected}"
-        )
-    if int(state["num_params"]) != int(trainer.model.num_params):
-        raise SnapshotError(
-            f"snapshot has {state['num_params']} model parameters, but the "
-            f"model has {trainer.model.num_params}"
-        )
-    if (state["sur"] is None) != (trainer.sur is None):
-        raise SnapshotError(
-            "snapshot and trainer disagree on whether SUR is attached"
-        )
-    trainer.model.set_params(np.asarray(state["model_params"], dtype=np.float64))
-    set_rng_state(trainer.rng, state["trainer_rng"])
-    if hasattr(optimizer, "load_state_dict"):
-        optimizer.load_state_dict(state["optimizer"])
-    if trainer.sur is not None:
-        trainer.sur.load_state_dict(state["sur"])
-    if trainer.telemetry is not None and state["telemetry"] is not None:
-        trainer.telemetry.load_state_dict(state["telemetry"])
-    augment_rng = _augment_rng(trainer)
-    if augment_rng is not None and "augment_rng" in state:
-        set_rng_state(augment_rng, state["augment_rng"])
+    trainer.load_state_dict(state)
     return history_from_state(state["history"]), int(state["iteration"])

@@ -23,8 +23,8 @@ the mechanism supplies ``_perturb`` / ``_release_sparse`` / ledger meta,
 
 Every step enters through :meth:`DpOptimizer.release`, which takes a
 clipped sum plus optional sparse rows and returns the noisy gradient:
-``step`` (materialized per-sample gradients), ``step_presummed`` (ghost
-and microbatch paths) and ``step_sparse`` (:class:`repro.sparse.SparseTrainer`)
+``step`` (materialized per-sample gradients), ``step_presummed`` (the
+trainer's chunk loop) and ``step_sparse`` (:class:`repro.sparse.SparseTrainer`)
 apply the update rule to it; the federated server applies it itself.
 
 Telemetry observes instead of forking: instrumented and uninstrumented
@@ -259,7 +259,7 @@ class DpOptimizer:
         return super().step(params, self.release(summed, len(per_sample_grads)))
 
     def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """One DP update from an accumulated clipped sum (ghost, microbatches)."""
+        """One DP update from an accumulated clipped sum (the trainer's lots)."""
         return super().step(params, self.release(clipped_sum, count))
 
     def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, count: int, sparse) -> np.ndarray:

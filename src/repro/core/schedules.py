@@ -123,8 +123,8 @@ class ScheduledOptimizer:
 
     The schedules advance once per update.  A DP optimizer announces every
     release through its ``release_hooks`` — whichever entry point the
-    trainer used (``step``, ``step_presummed`` on the ghost and microbatch
-    paths) — so the wrapper hooks in there; other optimizers advance in
+    trainer used (``step``, or ``step_presummed`` from its chunk loop) —
+    so the wrapper hooks in there; other optimizers advance in
     :meth:`step`.  The hook stays for good, so a DP optimizer can be
     scheduled only once.
     """

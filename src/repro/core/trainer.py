@@ -3,7 +3,9 @@
 The trainer is deliberately simple: one uniform minibatch per iteration
 (the paper's setting), per-sample or mean gradients depending on what the
 optimizer requires, optional importance sampling of the batch (IS) and
-optional selective update/release (SUR).
+optional selective update/release (SUR).  Every DP lot without IS runs one
+chunk loop, and :class:`repro.sparse.SparseTrainer` replaces only the
+per-lot step.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint.snapshot import SnapshotError
 from repro.core.ghost import check_grad_mode
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.data.sampling import minibatch_indices
 from repro.telemetry.diagnostics import record_clipping
 from repro.telemetry.tracing import joint_span, maybe_span
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, get_rng_state, set_rng_state
 
 __all__ = ["Trainer", "TrainingHistory"]
 
@@ -51,6 +54,15 @@ def _restore_update_state(optimizer, state: dict) -> None:
     optimizer = _unwrap_optimizer(optimizer)
     for name, value in state.items():
         setattr(optimizer, name, value.copy() if isinstance(value, np.ndarray) else value)
+
+
+def _augment_rng(augment):
+    """The augmentation pipeline's generator, if it keeps one."""
+    for name in ("_rng", "rng"):
+        rng = getattr(augment, name, None)
+        if isinstance(rng, np.random.Generator):
+            return rng
+    return None
 
 
 @dataclass
@@ -322,6 +334,36 @@ class Trainer:
         """Joint recorder + tracer span for one phase (no-op when both off)."""
         return joint_span(self.telemetry, self.tracer, name)
 
+    def _lot(self) -> float:
+        """Draw one lot and descend on it; returns the lot's mean loss.
+
+        Round-trips the flat parameter vector through the model and applies
+        SUR: the update is scored on the held-out slice and rolled back when
+        rejected.
+        """
+        params = self.model.get_params()
+        if self.sur is not None:
+            loss_before = self.model.mean_loss(*self._sur_eval)
+            # The descent step also advances momentum/Adam buffers; a
+            # rejected update must roll those back too, or the rejected
+            # noisy gradient keeps steering later accepted steps.
+            update_state = _capture_update_state(self.optimizer)
+        if getattr(self.optimizer, "requires_per_sample", False):
+            new_params, batch_loss = self._per_sample_step(params)
+        else:
+            new_params, batch_loss = self._mean_step(params)
+        self.model.set_params(new_params)
+        if self.sur is not None:
+            loss_after = self.model.mean_loss(*self._sur_eval)
+            accepted = self.sur.should_accept(loss_before, loss_after)
+            if not accepted:
+                self.model.set_params(params)
+                _restore_update_state(self.optimizer, update_state)
+            if self.telemetry is not None:
+                self.telemetry.record("sur_accepted", float(accepted))
+                self.telemetry.increment("sur_accepted" if accepted else "sur_rejected")
+        return batch_loss
+
     def _draw_indices(self, n: int) -> np.ndarray:
         if self.sampling == "poisson":
             from repro.data.sampling import poisson_indices
@@ -330,7 +372,12 @@ class Trainer:
         return minibatch_indices(n, self.batch_size, self.rng)
 
     def _accumulated_step(self, params: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-        """Gradient-accumulation path: clip+sum per microbatch, noise once.
+        """Every DP lot without IS: clip+sum per chunk, noise once.
+
+        A lot is ``microbatch_size`` chunks, or one chunk when that is unset
+        (an empty Poisson lot has none and releases pure noise).  The lot's
+        sum starts from the first chunk's, so a one-chunk lot releases
+        exactly that chunk's ghost or materialized clipped sum.
 
         The chunks of one lot are one DP release, so adaptive clipping is
         bracketed with ``begin_lot``/``end_lot``: every chunk is clipped at
@@ -338,117 +385,83 @@ class Trainer:
         when the noise is calibrated) and the threshold adapts once per
         optimizer step, not once per microbatch.
         """
+        size = self.microbatch_size or max(len(idx), 1)
+        chunks = [idx[start : start + size] for start in range(0, len(idx), size)]
         clipping = getattr(self.optimizer, "clipping", None)
         if clipping is not None:
             clipping.begin_lot()
-        total = np.zeros(self.model.num_params)
-        losses: list[float] = []
+        total = None
+        losses: list[np.ndarray] = []
         try:
             outs = None
             if self._gradmap is not None and self._gradmap.available and clipping is not None:
-                from repro.runtime.jobs import chunk_ranges
-
-                chunks = [
-                    idx[start:stop]
-                    for start, stop in chunk_ranges(len(idx), self.microbatch_size)
-                ]
                 with self._span("parallel_grad"):
                     outs = self._gradmap.map_chunks(params, chunks, clipping)
             if outs is not None:
-                # Reduce in chunk-index order: same additions in the same
-                # order as the serial loop below, hence bit-identical sums.
                 # The workers clipped against pickled copies; replaying the
                 # observed norms here keeps the parent's adaptive-clipping
                 # state on the serial trajectory.
                 recorder = getattr(self.optimizer, "recorder", None)
-                for chunk_sum, chunk_losses, norms in outs:
+                for _, _, norms in outs:
                     clipping.observe(norms)
                     if recorder is not None:
                         record_clipping(
                             recorder, None, clipping.sensitivity(), norms=norms
                         )
-                    total += chunk_sum
-                    losses.extend(chunk_losses.tolist())
+                sums = [
+                    (chunk_sum, chunk_losses) for chunk_sum, chunk_losses, _ in outs
+                ]
             else:
-                for start in range(0, len(idx), self.microbatch_size):
-                    chunk = idx[start : start + self.microbatch_size]
-                    with self._span("sample"):
-                        x, y = self.train_data.batch(chunk)
-                        if self.augment is not None:
-                            x = self.augment(x)
-                    if self.grad_mode == "ghost":
-                        with self._span("forward_backward"):
-                            chunk_losses, chunk_sum = self.optimizer.ghost_clipped_sum(
-                                self.model, x, y
-                            )
-                        total += chunk_sum
-                    else:
-                        with self._span("forward_backward"):
-                            chunk_losses, grads = self.model.loss_and_per_sample_gradients(x, y)
-                        total += self.optimizer.clipped_sum(grads)
-                    losses.extend(chunk_losses.tolist())
+                sums = map(self._clipped_chunk, chunks)
+            # Reduce in chunk-index order: the parallel sums are added in
+            # the serial loop's order, hence bit-identical.
+            for chunk_sum, chunk_losses in sums:
+                if total is None:
+                    total = chunk_sum
+                else:
+                    total += chunk_sum
+                losses.append(chunk_losses)
         finally:
             if clipping is not None:
                 clipping.end_lot()
+        if total is None:
+            total = np.zeros(self.model.num_params)
         with self._span("step"):
             new_params = self.optimizer.step_presummed(params, total, len(idx))
-        batch_loss = float(np.mean(losses)) if losses else float("nan")
+        batch_loss = float(np.mean(np.concatenate(losses))) if losses else float("nan")
         return new_params, batch_loss
 
-    def _ghost_step(self, params: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-        """Ghost fast path: clip-and-sum without the ``(B, P)`` matrix.
-
-        Same sampling, same denominator and same noise stream as the
-        materialized step — only the clipped sum is computed differently,
-        so losses track the materialized path to floating-point tolerance.
-        """
+    def _clipped_chunk(self, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(clipped gradient sum, per-sample losses)`` of one chunk of a lot."""
         with self._span("sample"):
-            x, y = self.train_data.batch(idx)
-            if self.augment is not None and len(idx):
+            x, y = self.train_data.batch(chunk)
+            if self.augment is not None:
                 x = self.augment(x)
+        if self.grad_mode == "ghost":
+            with self._span("forward_backward"):
+                losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
+            return clipped_sum, losses
         with self._span("forward_backward"):
-            losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
-        with self._span("step"):
-            new_params = self.optimizer.step_presummed(params, clipped_sum, len(idx))
-        batch_loss = float(np.mean(losses)) if len(losses) else float("nan")
-        return new_params, batch_loss
+            losses, grads = self.model.loss_and_per_sample_gradients(x, y)
+        return self.optimizer.clipped_sum(grads), losses
 
     def _per_sample_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
         n = len(self.train_data)
-        if self.importance_sampling is not None:
-            with self._span("sample"):
-                pool_size = min(self.pool_factor * self.batch_size, n)
-                pool_idx = minibatch_indices(n, pool_size, self.rng)
-                x, y = self.train_data.batch(pool_idx)
-                if self.augment is not None:
-                    x = self.augment(x)
-            with self._span("forward_backward"):
-                losses, grads = self.model.loss_and_per_sample_gradients(x, y)
-            norms = np.linalg.norm(grads, axis=1)
-            chosen = self.importance_sampling.select(norms, self.batch_size, self.rng)
-            with self._span("step"):
-                new_params = self.optimizer.step(params, grads[chosen])
-            return new_params, float(np.mean(losses[chosen]))
-        idx = self._draw_indices(n)
-        if self.microbatch_size is not None:
-            return self._accumulated_step(params, idx)
-        if self.grad_mode == "ghost":
-            return self._ghost_step(params, idx)
+        if self.importance_sampling is None:
+            return self._accumulated_step(params, self._draw_indices(n))
         with self._span("sample"):
-            x, y = self.train_data.batch(idx)
-            if self.augment is not None and len(idx):
+            pool_size = min(self.pool_factor * self.batch_size, n)
+            pool_idx = minibatch_indices(n, pool_size, self.rng)
+            x, y = self.train_data.batch(pool_idx)
+            if self.augment is not None:
                 x = self.augment(x)
-        if len(idx):
-            with self._span("forward_backward"):
-                losses, grads = self.model.loss_and_per_sample_gradients(x, y)
-            batch_loss = float(np.mean(losses))
-        else:
-            # Empty Poisson batch: the mechanism still releases pure
-            # noise (sum of zero clipped gradients plus Gaussian).
-            grads = np.zeros((0, self.model.num_params))
-            batch_loss = float("nan")
+        with self._span("forward_backward"):
+            losses, grads = self.model.loss_and_per_sample_gradients(x, y)
+        norms = np.linalg.norm(grads, axis=1)
+        chosen = self.importance_sampling.select(norms, self.batch_size, self.rng)
         with self._span("step"):
-            return self.optimizer.step(params, grads), batch_loss
+            new_params = self.optimizer.step(params, grads[chosen])
+        return new_params, float(np.mean(losses[chosen]))
 
     def _mean_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
         with self._span("sample"):
@@ -549,7 +562,6 @@ class Trainer:
                         history, start_iteration = restore_training_state(
                             self, snapshot_state
                         )
-        per_sample = getattr(self.optimizer, "requires_per_sample", False)
         recorder = self.telemetry
         tracer = self.tracer
         trace_epochs = tracer is not None and tracer.enabled("epoch")
@@ -572,34 +584,7 @@ class Trainer:
                         lot.meta["iteration"] = float(iteration)
                     if recorder is not None:
                         recorder.start_step(iteration)
-                    params = self.model.get_params()
-                    if self.sur is not None:
-                        loss_before = self.model.mean_loss(*self._sur_eval)
-                        # The descent step also advances momentum/Adam
-                        # buffers; a rejected update must roll those back
-                        # too, or the rejected noisy gradient keeps steering
-                        # later accepted steps.
-                        update_state = _capture_update_state(self.optimizer)
-
-                    if per_sample:
-                        new_params, batch_loss = self._per_sample_step(params)
-                    else:
-                        new_params, batch_loss = self._mean_step(params)
-                    self.model.set_params(new_params)
-
-                    if self.sur is not None:
-                        loss_after = self.model.mean_loss(*self._sur_eval)
-                        accepted = self.sur.should_accept(loss_before, loss_after)
-                        if not accepted:
-                            # roll back rejected update
-                            self.model.set_params(params)
-                            _restore_update_state(self.optimizer, update_state)
-                        if recorder is not None:
-                            recorder.record("sur_accepted", float(accepted))
-                            recorder.increment(
-                                "sur_accepted" if accepted else "sur_rejected"
-                            )
-
+                    batch_loss = self._lot()
                     history.losses.append(batch_loss)
                     history.iterations = iteration
                     if (
@@ -655,3 +640,64 @@ class Trainer:
             preds = self.model.predict(x[start : start + chunk])
             correct += int(np.sum(preds == y[start : start + chunk]))
         return correct / len(y)
+
+    # ------------------------------------------------------------ checkpoint
+    def state_dict(self) -> dict:
+        """Everything that evolves during training, for exact resume.
+
+        :func:`repro.checkpoint.capture_training_state` adds the iteration
+        and the history (see ``docs/checkpointing.md``).
+        """
+        optimizer = self.optimizer
+        state = {
+            "optimizer_class": type(optimizer).__name__,
+            "num_params": int(self.model.num_params),
+            "model_params": self.model.get_params().copy(),
+            "trainer_rng": get_rng_state(self.rng),
+            "optimizer": (
+                optimizer.state_dict() if hasattr(optimizer, "state_dict") else {}
+            ),
+            "sur": None if self.sur is None else self.sur.state_dict(),
+            "telemetry": (
+                None if self.telemetry is None else self.telemetry.state_dict()
+            ),
+        }
+        augment_rng = _augment_rng(self.augment)
+        if augment_rng is not None:
+            state["augment_rng"] = get_rng_state(augment_rng)
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Apply a :meth:`state_dict` to a trainer rebuilt like the original.
+
+        A different optimizer class or parameter count, or SUR on one side
+        only, raises :class:`~repro.checkpoint.SnapshotError` rather than
+        silently resuming a different experiment.
+        """
+        optimizer = self.optimizer
+        expected = type(optimizer).__name__
+        if state["optimizer_class"] != expected:
+            raise SnapshotError(
+                f"snapshot was taken with {state['optimizer_class']}, but the "
+                f"trainer uses {expected}"
+            )
+        if int(state["num_params"]) != int(self.model.num_params):
+            raise SnapshotError(
+                f"snapshot has {state['num_params']} model parameters, but the "
+                f"model has {self.model.num_params}"
+            )
+        if (state["sur"] is None) != (self.sur is None):
+            raise SnapshotError(
+                "snapshot and trainer disagree on whether SUR is attached"
+            )
+        self.model.set_params(np.asarray(state["model_params"], dtype=np.float64))
+        set_rng_state(self.rng, state["trainer_rng"])
+        if hasattr(optimizer, "load_state_dict"):
+            optimizer.load_state_dict(state["optimizer"])
+        if self.sur is not None:
+            self.sur.load_state_dict(state["sur"])
+        if self.telemetry is not None and state["telemetry"] is not None:
+            self.telemetry.load_state_dict(state["telemetry"])
+        augment_rng = _augment_rng(self.augment)
+        if augment_rng is not None and "augment_rng" in state:
+            set_rng_state(augment_rng, state["augment_rng"])

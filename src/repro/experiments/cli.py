@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("reference", "fused", "numba", "cext", "auto"),
+        choices=("reference", "fused", "cext", "auto"),
         help=(
             "numeric kernel backend for the hot paths (default: the "
             "REPRO_BACKEND env var, else 'reference'); 'auto' picks the "

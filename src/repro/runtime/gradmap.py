@@ -9,9 +9,10 @@ POSIX shared memory (:mod:`multiprocessing.shared_memory` — one copy of the
 data for any number of workers); each task ships only the flat parameter
 vector and the chunk indices.
 
-Determinism: chunk boundaries are fixed by :func:`repro.runtime.jobs.chunk_ranges`
-and results are reduced in chunk-index order, so the accumulated clipped
-sum is bit-identical to the serial microbatch loop for any worker count.
+Determinism: the workers receive the serial microbatch loop's chunks, whose
+boundaries depend only on the lot size and ``microbatch_size``, and results
+are reduced in chunk-index order, so the accumulated clipped sum is
+bit-identical to the serial loop for any worker count.
 All randomness (noise, sampling, adaptive-clipping updates) stays in the
 parent process.
 

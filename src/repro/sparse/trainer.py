@@ -1,9 +1,9 @@
 """Embedding-scale DP training driver: touched rows only, noise deferred.
 
-The core :class:`repro.core.Trainer` round-trips the *full* flat parameter
-vector every step, which is O(vocab * dim) no matter how few embedding
-rows a lot touches.  :class:`SparseTrainer` instead keeps the table out of
-the optimizer's parameter vector entirely:
+:class:`SparseTrainer` is a :class:`repro.core.Trainer` whose lot step
+never round-trips the *full* flat parameter vector, which is
+O(vocab * dim) no matter how few embedding rows a lot touches.  It keeps
+the table out of the optimizer's parameter vector entirely:
 
 * the **dense block** (every non-embedding parameter) goes through the
   optimizer's ``step_sparse`` exactly like a dense DP step — same noise
@@ -24,6 +24,11 @@ flushes every step) would see.  In ``"replay"`` noise mode the deferred
 values are bit-identical to the eager run's, so lazy and eager trajectories
 match to floating-point summation order.
 
+Everything else — the run/epoch/lot loop, history, ``eval_every``,
+checkpoint/resume (each checkpoint is a flush barrier), per-lot
+``StepTrace`` telemetry and attaching the sinks to the optimizer — is the
+base :class:`~repro.core.Trainer`'s.
+
 Constraints (validated at construction): the clipping strategy must
 support ghost norms and have constant sensitivity — deferred noise drawn
 at step ``t + k`` must use the same ``sigma * C`` the release at step
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.trainer import TrainingHistory
+from repro.core.trainer import Trainer
 from repro.data.sampling import minibatch_indices
 from repro.sparse.noise import LazyRowNoise
 from repro.sparse.pipeline import (
@@ -45,13 +50,11 @@ from repro.sparse.pipeline import (
     sparse_clipped_sums,
 )
 from repro.sparse.release import SparseRelease
-from repro.telemetry.tracing import joint_span
-from repro.utils.rng import as_rng
 
 __all__ = ["SparseTrainer"]
 
 
-class SparseTrainer:
+class SparseTrainer(Trainer):
     """Iteration-driven sparse DP trainer for embedding-scale models.
 
     Parameters
@@ -71,6 +74,9 @@ class SparseTrainer:
     noise_seed:
         Seed of the counter-based row noise streams.  Drawn from ``rng``
         when omitted; must be shared for eager-vs-lazy comparisons.
+
+    ``batch_size``, ``test_data``, ``rng``, ``telemetry`` and ``tracer`` are
+    the base :class:`~repro.core.Trainer`'s.
     """
 
     def __init__(
@@ -88,10 +94,6 @@ class SparseTrainer:
         telemetry=None,
         tracer=None,
     ):
-        if batch_size < 1 or batch_size > len(train_data):
-            raise ValueError(
-                f"batch_size must be in [1, {len(train_data)}], got {batch_size}"
-            )
         if not hasattr(optimizer, "step_sparse"):
             raise ValueError(
                 f"{type(optimizer).__name__} has no step_sparse; sparse training "
@@ -113,14 +115,19 @@ class SparseTrainer:
                 "optimizer has release hooks (e.g. a ScheduledOptimizer); "
                 "deferred row noise requires a constant lr * sigma"
             )
-        self.model = model
-        self.optimizer = optimizer
-        self.train_data = train_data
-        self.test_data = test_data
-        self.batch_size = batch_size
-        self.rng = as_rng(rng)
-        self.telemetry = telemetry
-        self.tracer = tracer
+        # The sparse pass is the ghost pass with the embedding's rows kept
+        # sparse, so the base trainer validates it as ghost.
+        super().__init__(
+            model,
+            optimizer,
+            train_data,
+            batch_size=batch_size,
+            test_data=test_data,
+            rng=rng,
+            telemetry=telemetry,
+            tracer=tracer,
+            grad_mode="ghost",
+        )
         self.emb_index = find_embedding(model)
         self.embedding = model.layers[self.emb_index]
         # The deferred-noise scale must be a per-run constant, so the
@@ -137,7 +144,6 @@ class SparseTrainer:
             seed=noise_seed,
             mode=noise_mode,
         )
-        self.history = TrainingHistory()
 
     # ------------------------------------------------------------------
     # noise plumbing
@@ -190,8 +196,12 @@ class SparseTrainer:
     # ------------------------------------------------------------------
     # training
 
-    def _span(self, name: str):
-        return joint_span(self.telemetry, self.tracer, name)
+    def _lot(self) -> float:
+        """Draw one lot and take one sparse step on its touched rows."""
+        with self._span("sample"):
+            idx = minibatch_indices(len(self.train_data), self.batch_size, self.rng)
+            x, y = self.train_data.x[idx], self.train_data.y[idx]
+        return self._step(x, y)
 
     def _step(self, x, y) -> float:
         rows = self._batch_rows(x)
@@ -215,44 +225,13 @@ class SparseTrainer:
             self.flush()
         return float(np.mean(losses)) if losses.size else float("nan")
 
-    def train(self, num_iterations: int, *, eval_every: int = 0) -> TrainingHistory:
-        """Run ``num_iterations`` sparse DP steps; returns the history.
-
-        Deferred noise is *not* flushed at the end — call :meth:`finalize`
-        (or :meth:`evaluate` / :meth:`state_dict`, which flush first) when
-        the table is about to be read.
-        """
-        if num_iterations < 1:
-            raise ValueError(f"num_iterations must be >= 1, got {num_iterations}")
-        n = len(self.train_data)
-        for _ in range(num_iterations):
-            with self._span("sample"):
-                idx = minibatch_indices(n, self.batch_size, self.rng)
-                x, y = self.train_data.x[idx], self.train_data.y[idx]
-            self.history.losses.append(self._step(x, y))
-            self.history.iterations += 1
-            if eval_every and self.history.iterations % eval_every == 0:
-                self.history.test_accuracy.append(
-                    (self.history.iterations, self.evaluate())
-                )
-        return self.history
-
     # ------------------------------------------------------------------
     # barriers
 
     def evaluate(self, *, max_samples: int | None = None, chunk: int = 512) -> float:
         """Test accuracy on the fully-noised table (flushes first)."""
-        if self.test_data is None:
-            raise ValueError("no test_data attached")
         self.flush()
-        x, y = self.test_data.x, self.test_data.y
-        if max_samples is not None:
-            x, y = x[:max_samples], y[:max_samples]
-        correct = 0
-        for start in range(0, len(y), chunk):
-            preds = self.model.predict(x[start : start + chunk])
-            correct += int(np.sum(preds == y[start : start + chunk]))
-        return correct / len(y)
+        return super().evaluate(max_samples=max_samples, chunk=chunk)
 
     def finalize(self):
         """Flush deferred noise and return the model, ready for release."""
@@ -260,27 +239,14 @@ class SparseTrainer:
         return self.model
 
     def state_dict(self) -> dict:
-        """Checkpoint: flushes first so the snapshot is an eager table."""
-        from repro.utils.rng import get_rng_state
-
+        """Checkpoint: flushes first so the snapshot holds an eager table."""
         self.flush()
-        return {
-            "model": self.model.get_params(),
-            "optimizer": self.optimizer.state_dict(),
-            "lazy": self.lazy_noise.state_dict(),
-            "rng": get_rng_state(self.rng),
-            "iterations": self.history.iterations,
-        }
+        return {**super().state_dict(), "lazy": self.lazy_noise.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot captured by :meth:`state_dict`."""
-        from repro.utils.rng import set_rng_state
-
-        self.model.set_params(np.asarray(state["model"]))
-        self.optimizer.load_state_dict(state["optimizer"])
+        super().load_state_dict(state)
         self.lazy_noise.load_state_dict(state["lazy"])
-        set_rng_state(self.rng, state["rng"])
-        self.history.iterations = int(state["iterations"])
 
     def __repr__(self) -> str:
         return (

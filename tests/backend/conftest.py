@@ -20,7 +20,7 @@ ALWAYS_AVAILABLE = ("reference", "fused")
 def parity_backends() -> list[str]:
     """Non-reference backends available in this environment."""
     avail = available_backends()
-    return [name for name in ("fused", "numba", "cext") if avail[name]]
+    return [name for name in ("fused", "cext") if avail[name]]
 
 
 def require_backend(name: str) -> str:

@@ -1,6 +1,6 @@
 """Fallback-selection smoke tests (tier-1, no optional dependencies).
 
-A numba-less environment must never fail: requesting ``numba`` falls down
+A compiler-less environment must never fail: requesting ``cext`` falls down
 the acceleration chain to the best available numpy backend, the
 substitution is surfaced as exactly one ``backend_fallbacks`` telemetry
 counter, and experiment results are identical to explicitly selecting the
@@ -37,21 +37,21 @@ _MICRO_TABLE2 = {
 
 @pytest.fixture
 def compiled_backends_disabled(monkeypatch):
-    """Simulate a numpy-only environment: no numba, no C compiler."""
-    monkeypatch.setenv(BACKEND_DISABLE_ENV, "numba,cext")
+    """Simulate a numpy-only environment: no C compiler."""
+    monkeypatch.setenv(BACKEND_DISABLE_ENV, "cext")
     yield
 
 
 def test_unavailable_request_falls_back_to_numpy(compiled_backends_disabled):
     avail = available_backends()
-    assert not avail["numba"] and not avail["cext"]
-    backend = set_backend("numba")
+    assert not avail["cext"]
+    backend = set_backend("cext")
     assert backend.name == "fused"  # best numpy backend in the chain
     assert backend_mod._active_fell_back is True
 
 
 def test_fallback_emits_one_counter(compiled_backends_disabled):
-    set_backend("numba")  # falls back to fused
+    set_backend("cext")  # falls back to fused
     recorder = MetricsRecorder()
     opt = DpSgdOptimizer(
         learning_rate=0.1,
@@ -90,7 +90,7 @@ def test_fallback_run_matches_explicit_backend(
     """Table-2-smoke results are identical: fallback fused == explicit fused."""
     monkeypatch.setitem(table2._PRESETS, "smoke", _MICRO_TABLE2)
 
-    set_backend("numba")  # numpy-only env: lands on fused, flagged as fallback
+    set_backend("cext")  # numpy-only env: lands on fused, flagged as fallback
     assert get_backend().name == "fused"
     fallback_result = run_table2("smoke", rng=0)
 

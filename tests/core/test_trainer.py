@@ -11,8 +11,10 @@ from repro.core import (
     SgdOptimizer,
     Trainer,
 )
-from repro.data import make_mnist_like, train_test_split
+from repro.data import make_click_log, make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
+from repro.models.text import build_text_classifier
+from repro.sparse import SparseTrainer
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,20 @@ def small_data():
 
 def lr_model():
     return build_logistic_regression((1, 16, 16), rng=0)
+
+
+def sparse_trainer():
+    """A small click-log SparseTrainer with test data attached."""
+    data = make_click_log(
+        60, rng=np.random.default_rng(1), vocab_size=200, seq_length=4,
+        touch_rate=0.1, padding_idx=0,
+    )
+    train, test = train_test_split(data, rng=np.random.default_rng(2))
+    model = build_text_classifier(
+        200, 2, embedding_dim=4, padding_idx=0, rng=np.random.default_rng(0)
+    )
+    optimizer = DpSgdOptimizer(0.5, 1.0, 0.7, rng=3)
+    return SparseTrainer(model, optimizer, train, test_data=test, batch_size=8, rng=4)
 
 
 class TestTrainerBasics:
@@ -75,11 +91,15 @@ class TestTrainerBasics:
         with pytest.raises(ValueError, match="test_data"):
             trainer.evaluate()
 
-    def test_evaluate_rejects_nonpositive_chunk(self, small_data):
+    @pytest.mark.parametrize("kind", ["Trainer", "SparseTrainer"])
+    def test_evaluate_rejects_nonpositive_chunk(self, small_data, kind):
         train, test = small_data
-        trainer = Trainer(
-            lr_model(), SgdOptimizer(1.0), train, test_data=test, batch_size=32
-        )
+        if kind == "Trainer":
+            trainer = Trainer(
+                lr_model(), SgdOptimizer(1.0), train, test_data=test, batch_size=32
+            )
+        else:
+            trainer = sparse_trainer()
         with pytest.raises(ValueError, match="chunk"):
             trainer.evaluate(chunk=0)
         with pytest.raises(ValueError, match="chunk"):

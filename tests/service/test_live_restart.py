@@ -24,7 +24,7 @@ import pytest
 from repro.privacy.ledger import verify_ledger
 from repro.service import BudgetServer, JobSpec, write_submission
 from repro.service.persist import ServiceStore
-from tests.service.test_restart import child_env, done_count, wait_for_done
+from tests.service.test_restart import child_env, done_count
 
 pytestmark = pytest.mark.service
 
@@ -112,9 +112,13 @@ def test_sigkill_live_metrics_and_alert_acceptance(tmp_path):
                 write_submission(
                     store.spool_dir, spec("steady", seed=100 + i)
                 )
+            # Wait on the burner's own jobs: a count over both tenants can
+            # pass before the last burner job is on disk, and a scrape
+            # between its admission and its snapshot would show ε that
+            # the kill then drops.
             _wait_for(
-                lambda want=i + 1: done_count(state_dir) >= want,
-                proc, log_path, message=f"{i + 1} finished jobs",
+                lambda want=i + 1: done_count(state_dir, "burner") >= want,
+                proc, log_path, message=f"{i + 1} finished burner jobs",
             )
 
         # The over-burn-rate tenant's alert fires on the live endpoint.

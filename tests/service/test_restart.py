@@ -44,15 +44,19 @@ def child_env():
     return env
 
 
-def done_count(state_dir) -> int:
-    """Finished jobs according to the newest on-disk snapshot."""
+def done_count(state_dir, tenant=None) -> int:
+    """Finished jobs (of ``tenant``, if given) in the newest on-disk snapshot."""
     try:
         state = ServiceStore(state_dir).load()
     except Exception:
         return 0  # snapshot mid-rotation; poll again
     if state is None:
         return 0
-    return sum(1 for r in state["queue"]["records"] if r["status"] == "done")
+    return sum(
+        1
+        for r in state["queue"]["records"]
+        if r["status"] == "done" and tenant in (None, r["spec"]["tenant"])
+    )
 
 
 def wait_for_done(state_dir, minimum, proc, log_path, *, timeout=120.0):

@@ -13,6 +13,7 @@ from repro.privacy.accountant import RdpAccountant
 from repro.privacy.clipping import AdaptiveQuantileClipping
 from repro.privacy.ledger import ReleaseLedger, verify_ledger
 from repro.sparse import SparseTrainer, find_embedding
+from repro.telemetry import MetricsRecorder, Tracer
 
 pytestmark = pytest.mark.sparse
 
@@ -151,6 +152,79 @@ class TestTraining:
         np.testing.assert_allclose(
             trainer.model.get_params(), resumed.model.get_params(), atol=1e-12
         )
+
+
+def _audited_trainer(data, scheme, **kwargs):
+    """A sparse trainer whose optimizer keeps an accountant and a ledger."""
+    accountant, ledger = RdpAccountant(), ReleaseLedger()
+    opt = _optimizer(
+        scheme,
+        accountant=accountant,
+        sample_rate=BATCH / len(data[0]),
+        ledger=ledger,
+    )
+    return _sparse_trainer(data, opt, **kwargs), accountant, ledger
+
+
+class TestSharedLoop:
+    """What SparseTrainer inherits from the base Trainer's lot loop."""
+
+    @pytest.mark.parametrize("noise_mode", ["replay", "aggregate"])
+    @pytest.mark.parametrize("scheme", ["dp", "geodp"])
+    def test_resume_is_bit_identical(self, click_data, tmp_path, scheme, noise_mode):
+        """A run stopped after 9 lots and resumed from its snapshot at 8
+        matches an uninterrupted run.  A checkpoint flushes deferred noise,
+        so the reference checkpoints at the same iterations."""
+        schedule = dict(eval_every=7, checkpoint_every=4)
+
+        def run(num_iterations, directory):
+            trainer, accountant, ledger = _audited_trainer(
+                click_data, scheme, test_data=click_data[1], noise_mode=noise_mode
+            )
+            history = trainer.train(
+                num_iterations, checkpoint_dir=directory, **schedule
+            )
+            trainer.finalize()
+            return trainer.model.get_params(), history, accountant, ledger
+
+        params_a, history_a, accountant_a, ledger_a = run(14, tmp_path / "a")
+        run(9, tmp_path / "b")
+        params_b, history_b, accountant_b, ledger_b = run(14, tmp_path / "b")
+
+        assert np.array_equal(params_b, params_a)
+        assert history_b.losses == history_a.losses
+        assert history_b.test_accuracy == history_a.test_accuracy
+        assert [it for it, _ in history_b.test_accuracy] == [7, 14]
+        assert ledger_b.head == ledger_a.head
+        assert accountant_b.history == accountant_a.history
+
+    def test_telemetry_from_the_loop(self, click_data):
+        """Sinks given only to the trainer reach the optimizer, every lot
+        emits a StepTrace, and observing changes no output bit."""
+
+        def run(instrumented):
+            recorder = MetricsRecorder() if instrumented else None
+            tracer = Tracer() if instrumented else None
+            trainer, accountant, ledger = _audited_trainer(
+                click_data, "geodp", telemetry=recorder, tracer=tracer
+            )
+            trainer.train(4)
+            trainer.finalize()
+            outputs = (trainer.model.get_params(), ledger.head, accountant.history)
+            return outputs, recorder, tracer
+
+        plain, _, _ = run(False)
+        observed, recorder, tracer = run(True)
+        assert len(recorder.events) == 4
+        for event in recorder.events:
+            assert {"loss", "pre_clip_norm_mean", "clipped_fraction"} <= set(
+                event.metrics
+            )
+        assert recorder.counters["releases_geodp"] == 4
+        assert {"run", "lot"} <= {span.name for span in tracer.spans}
+        assert np.array_equal(observed[0], plain[0])
+        assert observed[1] == plain[1]
+        assert observed[2] == plain[2]
 
 
 class TestValidation:
