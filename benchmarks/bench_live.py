@@ -1,13 +1,15 @@
 """Live observability overhead benchmarks.
 
-The live layer (registry mirroring + per-step HealthMonitor evaluation)
+The live layer (the bound recorder pushing each new point into a
+:class:`MetricsRegistry`, plus per-step HealthMonitor evaluation)
 attaches to an already-instrumented run, so its budget is measured
 *relative to a recorder-only run*: the same interleaved-chunk protocol as
 ``bench_telemetry`` (two robust, differently-biased estimators; overhead
 checked against the smaller) trains the paper's MNIST-like workload with
 a plain recorder vs a recorder bound to a :class:`MetricsRegistry` with
 the default alert rules evaluated every step, and asserts the live run
-is less than 5% slower in steady state.
+is less than 5% slower in steady state.  Binding is forward-only: nothing
+the recorder held before the bind is published.
 
 ``live_section()`` packages the overhead plus scrape/evaluation latency
 micro-numbers for ``run_all.py``'s ``BENCH_<n>.json`` archives, where

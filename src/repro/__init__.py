@@ -14,7 +14,7 @@ The package is organised as:
   gradient dataset.
 * :mod:`repro.experiments` — one module per paper table/figure.
 * :mod:`repro.telemetry` — opt-in per-step metrics/tracing for training
-  runs (gradient geometry diagnostics, timers, JSONL traces).
+  runs (gradient geometry diagnostics, phase spans, JSONL traces).
 * :mod:`repro.checkpoint` — fault-tolerant training: atomic snapshots of
   complete training state with bit-identical resume.
 * :mod:`repro.runtime` — parallel execution: fault-tolerant process-pool

@@ -29,9 +29,9 @@ apply the update rule to it; the federated server applies it itself.
 
 Telemetry observes instead of forking: instrumented and uninstrumented
 runs execute the same arithmetic on the same workspace buffers and draw
-the same random numbers.  Spans come from
-:func:`~repro.telemetry.tracing.joint_span` (a shared no-op context when
-both sinks are off), and release diagnostics read the buffers the release
+the same random numbers.  Phase spans come from
+:func:`~repro.telemetry.tracing.maybe_span` (a shared no-op context when no
+tracer is attached), and release diagnostics read the buffers the release
 itself used, under ``if self.recorder is not None``, before those buffers
 return to the arena.
 """
@@ -50,7 +50,7 @@ from repro.geometry.bounding import (
 )
 from repro.privacy.clipping import ClippingStrategy, FlatClipping
 from repro.telemetry.diagnostics import record_clipping, record_release
-from repro.telemetry.tracing import joint_span
+from repro.telemetry.tracing import maybe_span
 from repro.utils.rng import as_rng, get_rng_state, set_rng_state
 from repro.utils.validation import check_matrix, check_positive, check_probability
 
@@ -153,7 +153,7 @@ class DpOptimizer:
         grads = check_matrix("per_sample_grads", per_sample_grads)
         if grads.shape[0] == 0:
             return np.zeros(grads.shape[1])
-        with joint_span(self.recorder, self.tracer, "clip"):
+        with maybe_span(self.tracer, "clip"):
             clipped, norms = self.clipping.clip_with_norms(grads)
             summed = clipped.sum(axis=0)
         if self.recorder is not None:
@@ -171,7 +171,7 @@ class DpOptimizer:
         trajectory), and an attached recorder gets the same clipping
         diagnostics plus ``ghost_clipped_sums`` / ``ghost_samples`` counters.
         """
-        with joint_span(self.recorder, self.tracer, "ghost"):
+        with maybe_span(self.tracer, "ghost"):
             losses, summed, norms = model.loss_and_clipped_grad_sum(
                 x, y, self.clipping
             )
@@ -327,7 +327,7 @@ class GaussianMechanism:
 
     def _perturb(self, clipped_sum: np.ndarray, denominator: int) -> np.ndarray:
         scale = self.noise_multiplier * self.clipping.sensitivity()
-        with joint_span(self.recorder, self.tracer, "noise"):
+        with maybe_span(self.tracer, "noise"):
             if scale == 0:
                 noisy = (clipped_sum + 0.0) / denominator
             else:
@@ -411,7 +411,7 @@ class GeoDpMechanism:
         # denominator``), recycled once the diagnostics have read it.
         avg = workspace.take(clipped_sum.shape)
         np.divide(clipped_sum, denominator, out=avg)
-        with joint_span(self.recorder, self.tracer, "noise"):
+        with maybe_span(self.tracer, "noise"):
             noisy = perturb_geodp(
                 avg,
                 self.clipping.sensitivity(),

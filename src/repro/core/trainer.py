@@ -20,7 +20,7 @@ from repro.core.ghost import check_grad_mode
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.data.sampling import minibatch_indices
 from repro.telemetry.diagnostics import record_clipping
-from repro.telemetry.tracing import joint_span, maybe_span
+from repro.telemetry.tracing import maybe_span
 from repro.utils.rng import as_rng, get_rng_state, set_rng_state
 
 __all__ = ["Trainer", "TrainingHistory"]
@@ -147,12 +147,11 @@ class Trainer:
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  When given,
         every iteration emits a :class:`~repro.telemetry.StepTrace` with the
-        phase timings (``sample`` / ``forward_backward`` / ``step``, plus the
-        optimizer's nested ``clip`` / ``noise`` spans) and the step's scalar
-        diagnostics.  If the optimizer has a ``recorder`` slot that is still
-        unset, the trainer attaches this recorder to it so DP release
-        geometry (noise-to-signal, angular deviation, ...) lands in the same
-        trace.  Telemetry never consumes randomness: instrumented runs are
+        step's scalar diagnostics (phase times come from ``tracer``).  If
+        the optimizer has a ``recorder`` slot that is still unset, the
+        trainer attaches this recorder to it so DP release geometry
+        (noise-to-signal, angular deviation, ...) lands in the same trace.
+        Telemetry never consumes randomness: instrumented runs are
         bit-identical to uninstrumented ones.
     tracer:
         Optional :class:`~repro.telemetry.Tracer`.  When given, every
@@ -161,11 +160,12 @@ class Trainer:
         ``lot`` spans containing the phase spans (``sample`` /
         ``forward_backward`` / ``step`` plus the optimizer's ``clip`` /
         ``spherical`` / ``noise`` and the ``ghost`` / ``checkpoint``
-        phases) — exportable to Chrome trace-event JSON.  Like the
-        recorder, the tracer is attached to the optimizer's ``tracer`` slot
-        if still unset, and never consumes randomness.  The tracer's
-        ``granularity`` bounds the recorded depth (``"lot"`` skips the
-        per-phase spans — the cheap setting; see ``docs/observability.md``).
+        phases) — exportable to Chrome trace-event JSON; it is the only
+        store of phase time.  Like the recorder, the tracer is attached to
+        the optimizer's ``tracer`` slot if still unset, and never consumes
+        randomness.  The tracer's ``granularity`` bounds the recorded depth
+        (``"lot"`` skips the per-phase spans — the cheap setting; see
+        ``docs/observability.md``).
     """
 
     def __init__(
@@ -330,10 +330,6 @@ class Trainer:
         return False
 
     # ------------------------------------------------------------------ steps
-    def _span(self, name: str):
-        """Joint recorder + tracer span for one phase (no-op when both off)."""
-        return joint_span(self.telemetry, self.tracer, name)
-
     def _lot(self) -> float:
         """Draw one lot and descend on it; returns the lot's mean loss.
 
@@ -395,7 +391,7 @@ class Trainer:
         try:
             outs = None
             if self._gradmap is not None and self._gradmap.available and clipping is not None:
-                with self._span("parallel_grad"):
+                with maybe_span(self.tracer, "parallel_grad"):
                     outs = self._gradmap.map_chunks(params, chunks, clipping)
             if outs is not None:
                 # The workers clipped against pickled copies; replaying the
@@ -426,22 +422,22 @@ class Trainer:
                 clipping.end_lot()
         if total is None:
             total = np.zeros(self.model.num_params)
-        with self._span("step"):
+        with maybe_span(self.tracer, "step"):
             new_params = self.optimizer.step_presummed(params, total, len(idx))
         batch_loss = float(np.mean(np.concatenate(losses))) if losses else float("nan")
         return new_params, batch_loss
 
     def _clipped_chunk(self, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(clipped gradient sum, per-sample losses)`` of one chunk of a lot."""
-        with self._span("sample"):
+        with maybe_span(self.tracer, "sample"):
             x, y = self.train_data.batch(chunk)
             if self.augment is not None:
                 x = self.augment(x)
         if self.grad_mode == "ghost":
-            with self._span("forward_backward"):
+            with maybe_span(self.tracer, "forward_backward"):
                 losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
             return clipped_sum, losses
-        with self._span("forward_backward"):
+        with maybe_span(self.tracer, "forward_backward"):
             losses, grads = self.model.loss_and_per_sample_gradients(x, y)
         return self.optimizer.clipped_sum(grads), losses
 
@@ -449,29 +445,29 @@ class Trainer:
         n = len(self.train_data)
         if self.importance_sampling is None:
             return self._accumulated_step(params, self._draw_indices(n))
-        with self._span("sample"):
+        with maybe_span(self.tracer, "sample"):
             pool_size = min(self.pool_factor * self.batch_size, n)
             pool_idx = minibatch_indices(n, pool_size, self.rng)
             x, y = self.train_data.batch(pool_idx)
             if self.augment is not None:
                 x = self.augment(x)
-        with self._span("forward_backward"):
+        with maybe_span(self.tracer, "forward_backward"):
             losses, grads = self.model.loss_and_per_sample_gradients(x, y)
         norms = np.linalg.norm(grads, axis=1)
         chosen = self.importance_sampling.select(norms, self.batch_size, self.rng)
-        with self._span("step"):
+        with maybe_span(self.tracer, "step"):
             new_params = self.optimizer.step(params, grads[chosen])
         return new_params, float(np.mean(losses[chosen]))
 
     def _mean_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
-        with self._span("sample"):
+        with maybe_span(self.tracer, "sample"):
             idx = minibatch_indices(len(self.train_data), self.batch_size, self.rng)
             x, y = self.train_data.batch(idx)
             if self.augment is not None:
                 x = self.augment(x)
-        with self._span("forward_backward"):
+        with maybe_span(self.tracer, "forward_backward"):
             loss, grad = self.model.loss_and_gradient(x, y)
-        with self._span("step"):
+        with maybe_span(self.tracer, "step"):
             new_params = self.optimizer.step(params, grad)
         return new_params, loss
 
@@ -556,8 +552,6 @@ class Trainer:
                 )
                 if found is not None:
                     _, snapshot_state = found
-                    # Tracer-only span: the recorder's own state is being
-                    # replaced by the snapshot here, so it cannot time this.
                     with maybe_span(self.tracer, "checkpoint"):
                         history, start_iteration = restore_training_state(
                             self, snapshot_state
@@ -592,7 +586,7 @@ class Trainer:
                         and self.test_data is not None
                         and iteration % eval_every == 0
                     ):
-                        with self._span("eval"):
+                        with maybe_span(tracer, "eval"):
                             history.test_accuracy.append(
                                 (iteration, self.evaluate())
                             )
@@ -605,7 +599,7 @@ class Trainer:
                         recorder.increment("iterations")
                         recorder.end_step()
                 if checkpoint_every and iteration % checkpoint_every == 0:
-                    with self._span("checkpoint"):
+                    with maybe_span(tracer, "checkpoint"):
                         save_snapshot(
                             snapshot_path(checkpoint_dir, iteration),
                             capture_training_state(self, history, iteration),

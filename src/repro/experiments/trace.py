@@ -149,7 +149,7 @@ def run_trace(scale: str = "smoke", rng=None, telemetry=None) -> dict:
 
 
 def format_trace(result: dict) -> str:
-    """Comparison table plus one telemetry summary per scheme."""
+    """Comparison table, then each scheme's telemetry summary and phase time."""
     recorders = result["recorders"]
     rows = []
     for name, recorder in recorders.items():
@@ -192,4 +192,12 @@ def format_trace(result: dict) -> str:
         sections.append(f"JSONL trace written to {result['telemetry_path']}")
     for name, recorder in recorders.items():
         sections.append(summarize(recorder, title=f"[{name}] telemetry summary"))
+        phases = result["bundles"][name].tracer.phase_totals(level="phase")
+        sections.append(
+            format_table(
+                ["phase", "seconds"],
+                sorted(phases.items(), key=lambda kv: -kv[1]),
+                title=f"[{name}] phase time",
+            )
+        )
     return "\n\n".join(sections)

@@ -37,18 +37,6 @@ from repro.privacy.curves import (
     find_noise_multiplier,
     steps_until_budget,
 )
-from repro.privacy.local import (
-    DuchiMechanism,
-    HybridMechanism,
-    PiecewiseMechanism,
-    RandomizedResponse,
-    perturb_vector,
-)
-from repro.privacy.selection import (
-    ExponentialMechanism,
-    SparseVectorTechnique,
-    report_noisy_max,
-)
 from repro.privacy.clipping import (
     ClippingStrategy,
     FlatClipping,
@@ -92,14 +80,6 @@ __all__ = [
     "epsilon_curve",
     "find_noise_multiplier",
     "steps_until_budget",
-    "DuchiMechanism",
-    "HybridMechanism",
-    "PiecewiseMechanism",
-    "RandomizedResponse",
-    "perturb_vector",
-    "ExponentialMechanism",
-    "SparseVectorTechnique",
-    "report_noisy_max",
     "ClippingStrategy",
     "FlatClipping",
     "AutoSClipping",

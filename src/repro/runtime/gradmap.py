@@ -32,7 +32,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.runtime.pool import START_METHOD, resolve_workers
+from repro.runtime.pool import START_METHOD, exit_with_parent, resolve_workers
 
 __all__ = ["ParallelGradientMap"]
 
@@ -44,6 +44,7 @@ _WORKER_STATE = None
 
 def _init_worker(model, x_meta, y_meta):
     global _WORKER_STATE
+    exit_with_parent()
     x_name, x_shape, x_dtype = x_meta
     y_name, y_shape, y_dtype = y_meta
     shm_x = shared_memory.SharedMemory(name=x_name)

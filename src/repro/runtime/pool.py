@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -46,6 +47,9 @@ START_METHOD = "fork"
 #: Installed by :func:`run_jobs` immediately before the pool forks; workers
 #: inherit it through fork and look it up in :func:`_invoke`.
 _WORKER_FN = None
+
+#: Seconds between a pool worker's checks that its parent is still alive.
+PARENT_POLL_SECONDS = 0.2
 
 
 def parallel_available() -> bool:
@@ -64,6 +68,23 @@ def resolve_workers(workers) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
+
+
+def exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the parent process is gone.
+
+    A parent killed by SIGKILL never shuts its pool down, and its workers
+    would wait on the call queue for good, re-parented to init.  A daemon
+    thread polls ``os.getppid()`` and calls ``os._exit`` once it changes.
+    """
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def _invoke(task):
@@ -237,7 +258,9 @@ class _ParallelRunner:
 
     def _start_pool(self) -> None:
         ctx = mp.get_context(START_METHOD)
-        self.executor = ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
+        self.executor = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=ctx, initializer=exit_with_parent
+        )
 
     def _stop_pool(self, *, kill: bool) -> None:
         if self.executor is None:

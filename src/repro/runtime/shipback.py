@@ -13,8 +13,9 @@ giving up determinism:
 * :func:`merge_shipped` unwraps a list of shipped results **in job-index
   order** and merges every state into the parent's recorder and tracer.
   Job order is fixed before anything runs, so the merged telemetry is
-  identical for any worker count (modulo wall-clock timings — compare
-  via :meth:`~repro.telemetry.MetricsRecorder.deterministic_state`).
+  identical for any worker count except for wall-clock quantities: span
+  times and ``*_seconds`` series (compare recorders via
+  :meth:`~repro.telemetry.MetricsRecorder.deterministic_state`).
 
 The same wrapper runs on the serial path (``workers=1``), so a serial run
 and an 8-worker run ship byte-identical deterministic projections.

@@ -406,6 +406,9 @@ class BudgetServer:
     def _collect_service_metrics(self, registry) -> None:
         """Registry collector: queue depths, per-tenant ε, phase times.
 
+        Phase times are the attached tracer's ``phase`` span totals (none
+        without a tracer).
+
         The ε gauges read each tenant's *live* accountant, which is
         always replay-derived from its hash-chained ledger (construction
         and restore both go through ``replay_accountant``), so a scrape
@@ -437,10 +440,11 @@ class BudgetServer:
                 step=self.seq,
                 labels=labels,
             )
-        for phase, seconds in self.telemetry.timers.items():
-            registry.set_gauge(
-                "service_phase_seconds", seconds, labels={"phase": phase}
-            )
+        if self.tracer is not None:
+            for phase, seconds in self.tracer.phase_totals(level="phase").items():
+                registry.set_gauge(
+                    "service_phase_seconds", seconds, labels={"phase": phase}
+                )
 
     def _snapshot_extra(self) -> dict:
         """Service context appended to ``/state.json`` snapshots."""

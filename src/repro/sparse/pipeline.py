@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.nn.embedding import Embedding
 from repro.telemetry.diagnostics import record_clipping
-from repro.telemetry.tracing import joint_span
+from repro.telemetry.tracing import maybe_span
 
 __all__ = [
     "find_embedding",
@@ -144,7 +144,7 @@ def sparse_clipped_sums(optimizer, model, emb_index: int, x, y):
     counters.
     """
     recorder = optimizer.recorder
-    with joint_span(recorder, optimizer.tracer, "sparse_clip"):
+    with maybe_span(optimizer.tracer, "sparse_clip"):
         losses, dense_sum, rows, row_sum, norms = sparse_loss_and_clipped_grads(
             model, emb_index, x, y, optimizer.clipping
         )

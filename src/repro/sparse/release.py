@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.perturbation import perturb_geodp_active
 from repro.sparse.noise import LazyRowNoise
 from repro.telemetry.diagnostics import record_release
-from repro.telemetry.tracing import joint_span
+from repro.telemetry.tracing import maybe_span
 
 __all__ = ["SparseRelease", "gaussian_sparse_release", "geodp_sparse_release"]
 
@@ -90,7 +90,7 @@ def geodp_sparse_release(
     dense_avg = dense_sum / denominator
     row_avg = sparse.row_sum / denominator
     recorder, tracer = optimizer.recorder, optimizer.tracer
-    with joint_span(recorder, tracer, "noise"):
+    with maybe_span(tracer, "noise"):
         noisy_dense, noisy_rows = perturb_geodp_active(
             dense_avg,
             row_avg,

@@ -50,6 +50,7 @@ from repro.sparse.pipeline import (
     sparse_clipped_sums,
 )
 from repro.sparse.release import SparseRelease
+from repro.telemetry.tracing import maybe_span
 
 __all__ = ["SparseTrainer"]
 
@@ -198,7 +199,7 @@ class SparseTrainer(Trainer):
 
     def _lot(self) -> float:
         """Draw one lot and take one sparse step on its touched rows."""
-        with self._span("sample"):
+        with maybe_span(self.tracer, "sample"):
             idx = minibatch_indices(len(self.train_data), self.batch_size, self.rng)
             x, y = self.train_data.x[idx], self.train_data.y[idx]
         return self._step(x, y)
@@ -215,7 +216,7 @@ class SparseTrainer(Trainer):
             lazy=self.lazy_noise,
             table=self.embedding.weight,
         )
-        with self._span("step"):
+        with maybe_span(self.tracer, "step"):
             dense = get_dense_params(self.model, self.emb_index)
             new_dense = self.optimizer.step_sparse(
                 dense, dense_sum, len(losses), release

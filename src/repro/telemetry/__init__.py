@@ -48,14 +48,13 @@ from repro.telemetry.report import (
     render_report,
     summarize,
 )
-from repro.telemetry.tracing import Span, Tracer, joint_span, maybe_span
+from repro.telemetry.tracing import Span, Tracer, maybe_span
 
 __all__ = [
     "MetricsRecorder",
     "StepTrace",
     "Span",
     "Tracer",
-    "joint_span",
     "maybe_span",
     "clip_diagnostics",
     "release_diagnostics",

@@ -2,10 +2,10 @@
 
 A :class:`StepTrace` is one training iteration's worth of telemetry: the
 scalar diagnostics recorded while the step was open (loss, gradient norms,
-noise-to-signal ratio, angular deviation, ...) and the wall-clock timings of
-the step's phases (sample / forward_backward / clip / noise / step).  Traces
-serialise to plain dicts so they can travel through the JSONL exporter
-without any custom encoding.
+noise-to-signal ratio, angular deviation, ...).  The step's phase times are
+``lot``/``phase`` spans of a :class:`~repro.telemetry.tracing.Tracer`.
+Traces serialise to plain dicts so they can travel through the JSONL
+exporter without any custom encoding.
 """
 
 from __future__ import annotations
@@ -25,29 +25,26 @@ class StepTrace:
         1-based iteration index (matches ``TrainingHistory.iterations``).
     metrics:
         Scalar diagnostics recorded during this step, keyed by metric name.
-    timings:
-        Accumulated wall-clock seconds per span name.  Spans nest, so e.g.
-        ``timings["step"]`` includes the time of the inner ``clip`` and
-        ``noise`` spans.
     """
 
     iteration: int
     metrics: dict[str, float] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Plain-dict form used by the JSONL exporter."""
         return {
             "iteration": int(self.iteration),
             "metrics": {k: float(v) for k, v in self.metrics.items()},
-            "timings": {k: float(v) for k, v in self.timings.items()},
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StepTrace":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Other keys are ignored, e.g. the ``timings`` of traces and
+        checkpoints written while steps still carried phase times.
+        """
         return cls(
             iteration=int(payload["iteration"]),
             metrics={k: float(v) for k, v in payload.get("metrics", {}).items()},
-            timings={k: float(v) for k, v in payload.get("timings", {}).items()},
         )

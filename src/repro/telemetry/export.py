@@ -7,14 +7,15 @@ and a GeoDP training at equal budget — can share one file):
 ``{"kind": "meta", "version": 2, "run": "dpsgd", ...}``
     header of one run's block; carries the tracer's configuration when the
     run was traced;
-``{"kind": "step", "run": ..., "iteration": ..., "metrics": {...}, "timings": {...}}``
+``{"kind": "step", "run": ..., "iteration": ..., "metrics": {...}}``
     one :class:`~repro.telemetry.events.StepTrace` per training iteration;
 ``{"kind": "series", "run": ..., "name": ..., "points": [[step, value], ...]}``
     one line per scalar series;
-``{"kind": "counters"|"timers", "run": ..., "values": {...}}``
-    the run's counters and accumulated span times;
+``{"kind": "counters", "run": ..., "values": {...}}``
+    the run's counters;
 ``{"kind": "span", "run": ..., ...}``
-    one line per :class:`~repro.telemetry.tracing.Span` (format version 2);
+    one line per :class:`~repro.telemetry.tracing.Span` (format version 2),
+    the run's only record of phase time;
 ``{"kind": "ledger", "run": ..., "state": {...}}``
     the run's DP release ledger (format version 2).
 
@@ -25,7 +26,9 @@ and ledger lines, for backward compatibility), while
 :func:`load_run_bundles` returns a :class:`RunBundle` per run with the
 recorder, the rebuilt :class:`~repro.telemetry.tracing.Tracer`, and the
 rebuilt :class:`~repro.privacy.ledger.ReleaseLedger` — everything the
-``repro report`` subcommand needs.
+``repro report`` subcommand needs.  Files written while the recorder still
+timed phases also carry a ``timers`` line and per-step ``timings``; the
+loaders skip both.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ def _lines(recorder: MetricsRecorder, run: str, tracer, ledger):
             "points": [[int(s), float(v)] for s, v in points],
         }
     yield {"kind": "counters", "run": run, "values": dict(recorder.counters)}
-    yield {"kind": "timers", "run": run, "values": dict(recorder.timers)}
     if tracer is not None:
         for span in tracer.spans:
             yield {"kind": "span", "run": run, **span.to_dict()}
@@ -148,9 +150,7 @@ def load_run_bundles(path) -> dict[str, RunBundle]:
         elif kind == "counters":
             recorder.counters.update(record["values"])
         elif kind == "timers":
-            recorder.timers.update(
-                {k: float(v) for k, v in record["values"].items()}
-            )
+            pass  # older files; the span lines hold phase time
         elif kind == "span":
             if bundle.tracer is None:
                 config = meta.get("tracer", {})

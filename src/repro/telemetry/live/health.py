@@ -324,7 +324,8 @@ class HealthMonitor:
         """Evaluate after every closed step of ``recorder``.
 
         Binds the registry to the recorder if not already bound, so a
-        single call wires a Trainer run for live monitoring.
+        single call wires a Trainer run for live monitoring; the binding
+        publishes what the recorder records from now on.
         """
         if getattr(recorder, "_registry", None) is not self.registry:
             recorder.bind_registry(self.registry)

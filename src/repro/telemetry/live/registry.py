@@ -8,17 +8,19 @@ observability layer scrapes.  It holds three metric kinds:
   window so alert rules can evaluate sliding-window statistics;
 * **histograms** — value distributions over **fixed bucket
   boundaries**.  Because the boundaries are fixed per metric name (not
-  derived from observed data), bucket counts are plain sums and merging
-  per-worker registries is commutative and associative: applied in job
-  index order the merged output is independent of worker count, exactly
-  like :meth:`repro.telemetry.MetricsRecorder.merge_state`.
+  derived from observed data), bucket counts are plain sums, so the
+  counts of merged worker shards do not depend on the order they
+  arrive in.
 
 Publishers do not talk to the registry directly; they publish through a
 :class:`~repro.telemetry.MetricsRecorder` bound with
 ``recorder.bind_registry(registry)`` (optimizers, trainer, runtime
-shipback) or through registered *collectors* — callbacks invoked at
-scrape/evaluation time that read live subsystem state (backend arena,
-thread pool, service queues) and set gauges.
+shipback), which pushes each point forward as it is recorded, or through
+registered *collectors* — callbacks invoked at scrape/evaluation time
+that read live subsystem state (backend arena, thread pool, service
+queues, tenant ledgers) and set gauges.  The registry has no snapshot,
+restore or merge API: it is never checkpointed, never crosses a process
+boundary, and counts only what this process published since binding.
 
 Everything here is pure stdlib and never touches random state: binding
 a registry to an instrumented run keeps the run bit-identical.
@@ -295,10 +297,9 @@ class MetricsRegistry:
             fn(self)
 
     # ------------------------------------------------------------- snapshot
-    def collect(self, *, run_collectors: bool = True) -> dict:
-        """A JSON-safe snapshot of every metric, deterministically sorted."""
-        if run_collectors:
-            self.run_collectors()
+    def collect(self) -> dict:
+        """Run the collectors, then snapshot every metric (JSON-safe, sorted)."""
+        self.run_collectors()
         with self._lock:
             counters = [
                 {"name": m.name, "labels": dict(m.labels), "value": m.value}
@@ -327,57 +328,6 @@ class MetricsRegistry:
                 for _, m in sorted(self._histograms.items())
             ]
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    # -------------------------------------------------------- merge/restore
-    def state_dict(self) -> dict:
-        """Mergeable registry contents (collectors are not run)."""
-        return self.collect(run_collectors=False)
-
-    def load_state_dict(self, state: dict) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-        self.merge_state(state)
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another registry's snapshot into this one.
-
-        Counter values and histogram bucket counts are summed (both
-        commutative); gauge windows merge by step (out-of-order points
-        are inserted in place), so the merged snapshot is independent of
-        worker count and of the order worker states arrive in.
-        """
-        for entry in state.get("counters", ()):
-            self.inc(entry["name"], entry["value"], labels=entry.get("labels"))
-        for entry in state.get("gauges", ()):
-            gauge = self.gauge(entry["name"], entry.get("labels"))
-            for step, value in entry.get("window", ()):
-                gauge.set(value, step=step)
-            if entry.get("value") is not None and not entry.get("window"):
-                gauge.set(entry["value"], step=entry.get("step"))
-        for entry in state.get("histograms", ()):
-            hist = self.histogram(entry["name"], entry["bounds"], entry.get("labels"))
-            with hist._lock:
-                for i, c in enumerate(entry["bucket_counts"]):
-                    hist.bucket_counts[i] += int(c)
-                hist.sum += float(entry["sum"])
-                hist.count += int(entry["count"])
-
-    def deterministic_state(self) -> dict:
-        """Snapshot with wall-clock metrics removed (cf. recorder).
-
-        Drops ``*_seconds`` gauges/histograms so the projection is
-        bit-identical across reruns and worker counts.
-        """
-        state = self.collect(run_collectors=False)
-        for kind in ("gauges", "histograms"):
-            state[kind] = [
-                entry
-                for entry in state[kind]
-                if not entry["name"].endswith("_seconds")
-            ]
-        return state
 
     def __repr__(self) -> str:
         with self._lock:

@@ -1,15 +1,16 @@
 """Lightweight metrics recorder for training runs.
 
-A :class:`MetricsRecorder` collects three kinds of telemetry:
+A :class:`MetricsRecorder` collects two kinds of telemetry:
 
 * **scalar series** — ``record(name, value)`` appends ``(step, value)``
   points, e.g. per-iteration loss or noise-to-signal ratio;
-* **counters** — ``increment(name)`` for monotone event counts;
-* **timers** — ``with recorder.span(name):`` accumulates wall-clock seconds
-  per phase; spans may nest (outer spans include inner time).
+* **counters** — ``increment(name)`` for monotone event counts.
+
+Phase wall-clock time is not kept here: it lives in the span tree of a
+:class:`~repro.telemetry.tracing.Tracer`, its one store.
 
 While a step is open (:meth:`start_step` / :meth:`end_step`) every recorded
-scalar and span is additionally attached to that step's
+scalar is additionally attached to that step's
 :class:`~repro.telemetry.events.StepTrace`, giving a per-iteration event
 stream alongside the flat series.
 
@@ -19,9 +20,6 @@ is explicitly passed to the trainer/optimizers.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 from repro.telemetry.events import StepTrace
 
@@ -36,8 +34,6 @@ class MetricsRecorder:
         self.series: dict[str, list[tuple[int, float]]] = {}
         #: ``name -> count`` monotone counters.
         self.counters: dict[str, float] = {}
-        #: ``name -> accumulated seconds`` wall-clock timers.
-        self.timers: dict[str, float] = {}
         #: Closed per-iteration events, in order.
         self.events: list[StepTrace] = []
         self._open_step: StepTrace | None = None
@@ -50,23 +46,17 @@ class MetricsRecorder:
 
     # ------------------------------------------------------------- registry
     def bind_registry(self, registry) -> None:
-        """Mirror this recorder into a live ``MetricsRegistry``.
+        """Push into a live ``MetricsRegistry`` from now on (``None`` unbinds).
 
-        Existing contents are replayed into the registry so binding after
-        a partial run (or a checkpoint restore) is safe; afterwards every
-        :meth:`record`, :meth:`increment`, and :meth:`merge_state` is
-        mirrored incrementally.  The registry is deliberately excluded
-        from :meth:`state_dict` — it is process-local scrape state, not
-        run telemetry.
+        Every later :meth:`record`, :meth:`increment` and :meth:`merge_state`
+        is mirrored into the registry; what the recorder already holds is
+        not, so the registry counts what this process recorded after
+        binding, as a Prometheus counter does.  A checkpoint restore
+        (:meth:`load_state_dict`) leaves the registry untouched.  The
+        registry is deliberately excluded from :meth:`state_dict` — it is
+        process-local scrape state, not run telemetry.
         """
         self._registry = registry
-        if registry is None:
-            return
-        for name, points in self.series.items():
-            for step, value in points:
-                registry.observe_series(name, value, step=step)
-        for name, value in self.counters.items():
-            registry.inc(name, value)
 
     def add_end_step_hook(self, hook) -> None:
         """Call ``hook(step_trace)`` after every :meth:`end_step`."""
@@ -101,20 +91,6 @@ class MetricsRecorder:
         self.counters[name] = self.counters.get(name, 0) + amount
         if self._registry is not None:
             self._registry.inc(name, amount)
-
-    # -------------------------------------------------------------- timers
-    @contextmanager
-    def span(self, name: str):
-        """Context manager timing one phase; accumulates into ``timers``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.timers[name] = self.timers.get(name, 0.0) + elapsed
-            if self._open_step is not None:
-                step = self._open_step
-                step.timings[name] = step.timings.get(name, 0.0) + elapsed
 
     # --------------------------------------------------------------- steps
     def start_step(self, iteration: int) -> StepTrace:
@@ -151,31 +127,31 @@ class MetricsRecorder:
                 for name, points in self.series.items()
             },
             "counters": {k: float(v) for k, v in self.counters.items()},
-            "timers": {k: float(v) for k, v in self.timers.items()},
             "events": [event.to_dict() for event in self.events],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore recorder contents captured by :meth:`state_dict`."""
+        """Restore recorder contents captured by :meth:`state_dict`.
+
+        A bound registry is left as it is: it counts what this process
+        published, and restoring older history publishes nothing again.
+        """
         self.series = {
             name: [(int(s), float(v)) for s, v in points]
             for name, points in state["series"].items()
         }
         self.counters = {k: float(v) for k, v in state["counters"].items()}
-        self.timers = {k: float(v) for k, v in state["timers"].items()}
         self.events = [StepTrace.from_dict(payload) for payload in state["events"]]
         self._open_step = None
-        if self._registry is not None:
-            self.bind_registry(self._registry)
 
     # -------------------------------------------------------------- merging
     def merge_state(self, state: dict) -> None:
         """Fold another recorder's captured state into this one.
 
-        Series points and step events are appended, counters and timers are
-        summed.  Applied in a fixed order (job index, regardless of which
-        worker ran which job — see :mod:`repro.runtime.shipback`) the merged
-        recorder is independent of worker count.
+        Series points and step events are appended, counters are summed.
+        Applied in a fixed order (job index, regardless of which worker ran
+        which job — see :mod:`repro.runtime.shipback`) the merged recorder
+        is independent of worker count.
         """
         for name, points in state["series"].items():
             series = self.series.setdefault(name, [])
@@ -187,34 +163,28 @@ class MetricsRecorder:
             self.counters[name] = self.counters.get(name, 0) + float(value)
             if self._registry is not None:
                 self._registry.inc(name, float(value))
-        for name, value in state["timers"].items():
-            self.timers[name] = self.timers.get(name, 0.0) + float(value)
         self.events.extend(StepTrace.from_dict(payload) for payload in state["events"])
 
     def deterministic_state(self) -> dict:
         """The recorder's contents with every wall-clock quantity removed.
 
-        Timers, per-step ``timings``, and series whose names end in
-        ``_seconds`` (the project convention for wall-clock series, e.g.
-        ``runtime_job_seconds``) measure elapsed time and legitimately vary
-        between runs.  Everything else — metric series, counters, per-step
-        metrics — is a pure function of the computation, so this projection
-        is bit-identical across reruns and across worker counts.
+        Series whose names end in ``_seconds`` (the project convention for
+        wall-clock series, e.g. ``runtime_job_seconds``) measure elapsed
+        time and legitimately vary between runs.  Everything else — metric
+        series, counters, per-step metrics — is a pure function of the
+        computation, so this projection is bit-identical across reruns and
+        across worker counts.
         """
         state = self.state_dict()
-        state.pop("timers")
         state["series"] = {
             name: points
             for name, points in state["series"].items()
             if not name.endswith("_seconds")
         }
-        for event in state["events"]:
-            event.pop("timings", None)
         return state
 
     def __repr__(self) -> str:
         return (
             f"MetricsRecorder(series={len(self.series)}, "
-            f"counters={len(self.counters)}, timers={len(self.timers)}, "
-            f"events={len(self.events)})"
+            f"counters={len(self.counters)}, events={len(self.events)})"
         )

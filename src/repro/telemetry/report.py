@@ -49,7 +49,7 @@ def metric_summary(recorder, name: str) -> dict[str, float]:
 
 
 def summarize(recorder, *, title: str | None = None) -> str:
-    """Render a recorder's series, timers and counters as text tables."""
+    """Render a recorder's series and counters as text tables."""
     sections: list[str] = []
     if recorder.series:
         rows = []
@@ -63,17 +63,6 @@ def summarize(recorder, *, title: str | None = None) -> str:
                 ["metric", "n", "mean", "min", "max", "last"], rows, title=title
             )
         )
-    if recorder.timers:
-        # Only top-level shares are meaningful (spans nest), so report raw
-        # totals and the share of the largest accumulated span.
-        largest = max(recorder.timers.values())
-        rows = [
-            [name, total, (total / largest if largest > 0 else 0.0)]
-            for name, total in sorted(
-                recorder.timers.items(), key=lambda kv: -kv[1]
-            )
-        ]
-        sections.append(format_table(["span", "seconds", "vs longest"], rows))
     if recorder.counters:
         rows = [[name, value] for name, value in sorted(recorder.counters.items())]
         sections.append(format_table(["counter", "total"], rows))
@@ -206,7 +195,6 @@ def build_report(bundles: dict) -> dict:
             "iterations": len(recorder.events),
             "tracing": _tracing_section(bundle.tracer),
             "diagnostics": diagnostics,
-            "timers": {k: float(v) for k, v in sorted(recorder.timers.items())},
             "counters": {k: float(v) for k, v in sorted(recorder.counters.items())},
             "ledger": _ledger_section(bundle.ledger),
             "alerts": alerts_from_ledger(bundle.ledger),

@@ -3,10 +3,13 @@
 A :class:`Tracer` records a tree of timed *spans* — run → epoch → lot →
 phase (``forward_backward`` / ``clip`` / ``spherical`` / ``noise`` /
 ``step``, plus ``ghost`` and ``checkpoint``) — so a training run's time can
-be broken down structurally ("where did this lot's milliseconds go?")
-instead of only as flat per-phase totals.  Each span captures wall-clock
-duration and, optionally, the ``tracemalloc`` peak allocation inside the
-span.  Spans nest through an ordinary context-manager stack::
+be broken down structurally ("where did this lot's milliseconds go?") as
+well as into flat per-phase totals (:meth:`Tracer.phase_totals`).  It is
+the only store of phase time: the trainer, the DP optimizers and the
+sparse path open every phase through :func:`maybe_span`.  Each span
+captures wall-clock duration and, optionally, the ``tracemalloc`` peak
+allocation inside the span.  Spans nest through an ordinary
+context-manager stack::
 
     tracer = Tracer()
     with tracer.span("run", level="run"):
@@ -41,7 +44,6 @@ __all__ = [
     "SPAN_LEVELS",
     "Span",
     "Tracer",
-    "joint_span",
     "maybe_span",
 ]
 
@@ -326,24 +328,3 @@ def maybe_span(tracer: Tracer | None, name: str, level: str = "phase"):
     if tracer is None:
         return _NO_SPAN
     return tracer.span(name, level)
-
-
-@contextmanager
-def _nested(outer, inner):
-    with outer, inner:
-        yield
-
-
-def joint_span(recorder, tracer: Tracer | None, name: str, level: str = "phase"):
-    """One context manager timing a phase into both telemetry sinks.
-
-    ``recorder`` is a :class:`~repro.telemetry.MetricsRecorder` (flat timer
-    accumulation + per-step timings) and ``tracer`` a :class:`Tracer`
-    (hierarchical span); either may be ``None``.  With both absent this is a
-    shared ``nullcontext`` — the disabled hot path allocates nothing.
-    """
-    if recorder is None:
-        return maybe_span(tracer, name, level)
-    if tracer is None:
-        return recorder.span(name)
-    return _nested(recorder.span(name), tracer.span(name, level))

@@ -1,6 +1,12 @@
 """Tests for the fault-tolerant process-pool job runner."""
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +219,59 @@ class TestCrashRecovery:
         finally:
             del os.environ["_REPRO_IN_PARENT2"]
         assert result == ["a", "hang", "b"]
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_parent_is_killed(tmp_path):
+    """SIGKILL the parent mid-job: no pool worker outlives it."""
+    script = tmp_path / "parent.py"
+    script.write_text(
+        textwrap.dedent(
+            f"""
+            import os, time
+            from repro.runtime import run_jobs
+
+            def job(spec):
+                open(os.path.join({str(tmp_path)!r}, f"worker-{{os.getpid()}}"), "w").close()
+                time.sleep(60)
+
+            run_jobs(job, [0, 1], workers=2)
+            """
+        )
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env)
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2:
+            assert proc.poll() is None, "parent exited before its jobs started"
+            assert time.monotonic() < deadline, "jobs never started"
+            time.sleep(0.05)
+            pids = [int(p.name.split("-")[1]) for p in tmp_path.glob("worker-*")]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -1,10 +1,9 @@
-"""MetricsRegistry: metric kinds, series routing, merge invariance.
+"""MetricsRegistry: metric kinds, series routing, the recorder mirror.
 
-The load-bearing property is the satellite requirement: histogram
-merging over fixed bucket boundaries is **worker-count invariant** —
-partitioning one observation stream across {1, 2, 4} workers and merging
-the per-worker registries in job-index order yields bit-identical
-deterministic projections.
+Two load-bearing properties: histograms over fixed bucket boundaries
+count a stream the same however it was sharded across workers and merged
+through the recorder, and a bound recorder publishes forward only, so a
+checkpoint restore or a late bind never publishes the same step twice.
 """
 
 from __future__ import annotations
@@ -13,6 +12,9 @@ import threading
 
 import pytest
 
+from repro.core import DpSgdOptimizer, Trainer
+from repro.data import make_mnist_like
+from repro.models import build_logistic_regression
 from repro.telemetry import MetricsRecorder
 from repro.telemetry.live import (
     DEFAULT_LATENCY_BUCKETS,
@@ -97,42 +99,9 @@ class TestSeriesRouting:
         assert not reg._histograms
 
 
-def _observe_stream(reg: MetricsRegistry, points):
-    for step, value in points:
-        reg.observe_series("clipped_fraction", value, step=step)
-        reg.observe_series("runtime_job_seconds", value / 10.0, step=step)
-        reg.inc("releases")
-
-
 class TestMergeInvariance:
     #: One deterministic observation stream of 24 "jobs".
     POINTS = [(i, 0.05 * (i % 19)) for i in range(24)]
-
-    def _merged_for_workers(self, workers: int) -> dict:
-        """Partition the stream round-robin over ``workers`` registries
-        (completion order deliberately scrambled), merge in job-index
-        order, and return the deterministic projection."""
-        shards = [MetricsRegistry() for _ in range(workers)]
-        for i, point in enumerate(self.POINTS):
-            _observe_stream(shards[i % workers], [point])
-        parent = MetricsRegistry()
-        # Job-index order == round-robin interleave of the shards'
-        # states; the shards themselves are merged in shard order, which
-        # preserves job order within each shard (exactly what
-        # merge_shipped does for recorders).
-        for shard in shards:
-            parent.merge_state(shard.state_dict())
-        return parent.deterministic_state()
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_histogram_merge_is_worker_count_invariant(self, workers):
-        assert self._merged_for_workers(workers) == self._merged_for_workers(1)
-
-    def test_deterministic_projection_drops_wall_clock(self):
-        state = self._merged_for_workers(1)
-        names = {e["name"] for kind in state.values() for e in kind}
-        assert "runtime_job_seconds" not in names
-        assert "clipped_fraction" in names
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_recorder_mirror_matches_direct_observation(self, workers):
@@ -155,9 +124,9 @@ class TestMergeInvariance:
             for step, value in self.POINTS:
                 direct.observe_series("clipped_fraction", value, step=step)
                 direct.inc("releases")
-            assert reg.deterministic_state() == direct.deterministic_state()
+            assert reg.collect() == direct.collect()
         # Histogram counts are permutation-invariant: identical for all
-        # worker counts even though gauge window order may differ.
+        # worker counts even though the shards arrive out of step order.
         hist = reg._histograms[("clipped_fraction", ())]
         assert hist.count == len(self.POINTS)
         assert reg.counter("releases").value == len(self.POINTS)
@@ -188,9 +157,46 @@ class TestThreadSafetyAndCollectors:
         assert calls == [1]
         assert any(g["name"] == "live" and g["value"] == 7.0 for g in snapshot["gauges"])
 
-    def test_state_dict_round_trip(self):
-        reg = MetricsRegistry()
-        _observe_stream(reg, [(0, 0.2), (1, 0.6)])
-        clone = MetricsRegistry()
-        clone.load_state_dict(reg.state_dict())
-        assert clone.state_dict() == reg.state_dict()
+
+def _trainer(recorder: MetricsRecorder) -> Trainer:
+    data = make_mnist_like(256, rng=0, size=8)
+    model = build_logistic_regression((1, 8, 8), rng=0)
+    optimizer = DpSgdOptimizer(1.0, 0.1, 1.0, rng=2)
+    return Trainer(model, optimizer, data, batch_size=32, rng=1, telemetry=recorder)
+
+
+def _published(reg: MetricsRegistry) -> tuple[float, float, int]:
+    """The registry's ``iterations``/``releases`` counters and the
+    ``clipped_fraction`` histogram count (0 when never published)."""
+    hist = reg._histograms.get(("clipped_fraction", ()))
+    return (
+        reg.counter("iterations").value,
+        reg.counter("releases").value,
+        0 if hist is None else hist.count,
+    )
+
+
+class TestForwardOnlyBinding:
+    def test_restore_does_not_republish(self, tmp_path):
+        """Train to 9, then resume from the iteration-8 snapshot to 14 in
+        the same process: the registry counts the 9 + 6 lots this process
+        ran, the recorder the run's own 14."""
+        rec, reg = MetricsRecorder(), MetricsRegistry()
+        rec.bind_registry(reg)
+        trainer = _trainer(rec)
+        trainer.train(9, checkpoint_every=4, checkpoint_dir=tmp_path)
+        assert _published(reg) == (9, 9, 9)
+        trainer.train(14, checkpoint_every=4, checkpoint_dir=tmp_path)
+        assert rec.counters["iterations"] == 14
+        assert len(rec.events) == 14
+        assert _published(reg) == (15, 15, 15)
+
+    def test_late_bind_publishes_nothing_retroactively(self):
+        rec, reg = MetricsRecorder(), MetricsRegistry()
+        trainer = _trainer(rec)
+        trainer.train(5)
+        rec.bind_registry(reg)
+        assert _published(reg) == (0, 0, 0)
+        trainer.train(3)
+        assert rec.counters["iterations"] == 8
+        assert _published(reg) == (3, 3, 3)

@@ -13,8 +13,6 @@ def make_recorder(offset: float = 0.0) -> MetricsRecorder:
     for i in range(1, 4):
         rec.start_step(i)
         rec.record("loss", offset + 1.0 / i)
-        with rec.span("clip"):
-            pass
         rec.end_step()
     rec.record("global", offset + 42.0, step=99)
     rec.increment("releases", 3)
@@ -25,7 +23,6 @@ def assert_recorders_equal(a: MetricsRecorder, b: MetricsRecorder) -> None:
     assert [e.to_dict() for e in a.events] == [e.to_dict() for e in b.events]
     assert a.series == b.series
     assert a.counters == b.counters
-    assert a.timers == b.timers
 
 
 class TestJsonlHelpers:
@@ -59,6 +56,37 @@ class TestTraceRoundTrip:
         rec = make_recorder()
         export_trace(path, rec)
         assert_recorders_equal(load_trace(path), rec)
+        # Phase time is exported only as span lines (from a tracer).
+        records = load_jsonl(path)
+        assert [r["kind"] for r in records if r["kind"] == "timers"] == []
+        assert all("timings" not in r for r in records)
+
+    def test_file_with_recorder_timers_still_loads(self, tmp_path):
+        """Files written while the recorder timed phases carry a ``timers``
+        line and per-step ``timings``; the loader skips both."""
+        path = tmp_path / "trace.jsonl"
+        save_jsonl(
+            path,
+            [
+                {"kind": "meta", "version": 2, "run": "old"},
+                {
+                    "kind": "step",
+                    "run": "old",
+                    "iteration": 1,
+                    "metrics": {"loss": 0.5},
+                    "timings": {"clip": 0.25},
+                },
+                {"kind": "series", "run": "old", "name": "loss", "points": [[1, 0.5]]},
+                {"kind": "counters", "run": "old", "values": {"iterations": 1.0}},
+                {"kind": "timers", "run": "old", "values": {"clip": 0.25}},
+            ],
+        )
+        rec = load_trace(path)
+        assert [e.to_dict() for e in rec.events] == [
+            {"iteration": 1, "metrics": {"loss": 0.5}}
+        ]
+        assert rec.series == {"loss": [(1, 0.5)]}
+        assert rec.counters == {"iterations": 1.0}
 
     def test_multi_run(self, tmp_path):
         path = tmp_path / "trace.jsonl"

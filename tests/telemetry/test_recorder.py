@@ -1,7 +1,5 @@
 """Tests for MetricsRecorder, StepTrace and the summary reporter."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -38,41 +36,14 @@ class TestCounters:
         assert rec.counters["steps"] == 3
 
 
-class TestSpans:
-    def test_span_accumulates(self):
-        rec = MetricsRecorder()
-        with rec.span("phase"):
-            time.sleep(0.01)
-        with rec.span("phase"):
-            pass
-        assert rec.timers["phase"] >= 0.01
-
-    def test_nested_spans_both_counted(self):
-        rec = MetricsRecorder()
-        with rec.span("outer"):
-            with rec.span("inner"):
-                time.sleep(0.005)
-        assert rec.timers["outer"] >= rec.timers["inner"] >= 0.005
-
-    def test_span_records_on_exception(self):
-        rec = MetricsRecorder()
-        with pytest.raises(RuntimeError):
-            with rec.span("boom"):
-                raise RuntimeError("x")
-        assert "boom" in rec.timers
-
-
 class TestSteps:
-    def test_step_captures_metrics_and_timings(self):
+    def test_step_captures_metrics(self):
         rec = MetricsRecorder()
         rec.start_step(1)
         rec.record("loss", 3.0)
-        with rec.span("clip"):
-            pass
         step = rec.end_step()
         assert step.iteration == 1
         assert step.metrics == {"loss": 3.0}
-        assert "clip" in step.timings
         assert rec.events == [step]
         # The flat series got the same point, keyed by the iteration.
         assert rec.series["loss"] == [(1, 3.0)]
@@ -99,7 +70,7 @@ class TestSteps:
 
 class TestStepTrace:
     def test_round_trip_dict(self):
-        step = StepTrace(3, metrics={"loss": 1.0}, timings={"clip": 0.5})
+        step = StepTrace(3, metrics={"loss": 1.0})
         assert StepTrace.from_dict(step.to_dict()) == step
 
     def test_from_dict_defaults(self):
@@ -133,11 +104,9 @@ class TestReport:
         rec = MetricsRecorder()
         rec.record("loss", 1.0)
         rec.increment("steps")
-        with rec.span("clip"):
-            pass
         text = summarize(rec, title="demo")
         assert "demo" in text
-        assert "loss" in text and "clip" in text and "steps" in text
+        assert "loss" in text and "steps" in text
 
     def test_summarize_empty(self):
         assert "no telemetry" in summarize(MetricsRecorder())

@@ -7,7 +7,7 @@ import pytest
 
 from repro.telemetry import MetricsRecorder, RunBundle, Tracer, export_trace
 from repro.telemetry.export import load_run_bundles
-from repro.telemetry.tracing import SPAN_LEVELS, Span, joint_span, maybe_span
+from repro.telemetry.tracing import SPAN_LEVELS, Span, maybe_span
 
 
 def _sample_tracer() -> Tracer:
@@ -73,6 +73,21 @@ class TestSpanTree:
 
     def test_levels_are_the_documented_hierarchy(self):
         assert SPAN_LEVELS == ("run", "epoch", "lot", "phase")
+
+    def test_span_closes_when_body_raises(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError, match="boom"):
+            with tracer.span("lot", level="lot"):
+                with tracer.span("clip"):
+                    raise RuntimeError("boom")
+        lot, clip = tracer.spans
+        assert lot.duration >= clip.duration > 0.0
+        # Both spans left the open stack: the next span is a new root and
+        # the tracer serialises (it refuses while a span is open).
+        with tracer.span("noise"):
+            pass
+        assert tracer.spans[-1].parent is None
+        assert len(tracer.state_dict()["spans"]) == 3
 
 
 class TestMemoryTracing:
@@ -180,22 +195,3 @@ class TestHelpers:
     def test_maybe_span_none_is_noop(self):
         with maybe_span(None, "clip") as span:
             assert span is None
-
-    def test_joint_span_feeds_both_sinks(self):
-        recorder, tracer = MetricsRecorder(), Tracer()
-        with joint_span(recorder, tracer, "clip"):
-            pass
-        assert "clip" in recorder.timers
-        assert [s.name for s in tracer.spans] == ["clip"]
-
-    def test_joint_span_single_sink_and_disabled(self):
-        recorder = MetricsRecorder()
-        with joint_span(recorder, None, "noise"):
-            pass
-        assert "noise" in recorder.timers
-        tracer = Tracer()
-        with joint_span(None, tracer, "noise"):
-            pass
-        assert [s.name for s in tracer.spans] == ["noise"]
-        with joint_span(None, None, "noise"):  # shared nullcontext
-            pass

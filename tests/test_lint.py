@@ -118,7 +118,7 @@ def test_telemetry_never_forks_the_release():
             violations.extend(_telemetry_forks(path.read_text(), relative))
     assert violations == [], (
         "an `if` tests recorder and tracer against None — telemetry must "
-        "observe the one release path (joint_span + `if recorder is not "
+        "observe the one release path (maybe_span + `if recorder is not "
         "None` diagnostics), not fork it:\n  " + "\n  ".join(violations)
     )
 
