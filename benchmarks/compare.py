@@ -45,19 +45,6 @@ MAX_MEM_REGRESSION = 0.50
 #: fast kernels still trip the gate once they cost real time.
 MIN_TIME_SECONDS = 1e-3
 
-#: Thread-scaling gate (see ``bench_threads.threads_section``): with at
-#: least this many CPUs, the headline kernels must reach this speedup at
-#: min(4, cpu_count) threads over 1 thread.  Byte equality across thread
-#: counts is gated unconditionally, whatever the core count.
-MIN_THREAD_GATE_CPUS = 4
-MIN_THREAD_SPEEDUP = 1.8
-
-#: Ceiling on the steady-state (arena-warm) allocation peak of one
-#: ``perturb_geodp_batch`` release.  BENCH_1 measured 23 041 638 peak
-#: bytes for the same release before the workspace arena existed; the
-#: issue requires at least a 5x reduction.
-RELEASE_STEADY_PEAK_CEILING = 23_041_638 // 5
-
 #: Kernels an accelerated backend must run strictly faster than reference.
 HEADLINE_BENCHMARKS = ("perturb_geodp_batch", "ghost_clipped_sum")
 
@@ -121,10 +108,11 @@ def load_backend_sections(path) -> dict:
 def describe_env(path) -> str:
     """One-line machine context from an archive's header fields.
 
-    Archives written since the threading work record ``cpu_count``, the
-    ``REPRO_THREADS`` setting and backend availability; older archives
-    yield an empty string.  Regression ratios are only meaningful between
-    comparable machines, so the report surfaces the context.
+    Archives record ``cpu_count`` and backend availability; those written
+    while the library had a kernel thread pool also carry ``num_threads``
+    and ``threads_env``; older archives yield an empty string.  Regression
+    ratios are only meaningful between comparable machines, so the report
+    surfaces the context.
     """
     payload = json.loads(Path(path).read_text())
     bits = []
@@ -333,92 +321,6 @@ def gate_sparse_file(path, **kwargs) -> tuple[str, bool]:
     return "\n".join(header + lines + footer), not failures
 
 
-def gate_threads(
-    section: dict | None,
-    *,
-    min_speedup: float = MIN_THREAD_SPEEDUP,
-    min_cpus: int = MIN_THREAD_GATE_CPUS,
-    max_steady_peak: int = RELEASE_STEADY_PEAK_CEILING,
-) -> tuple[list[str], list[str]]:
-    """Within-run gate: threading must be deterministic, scaling, and lean.
-
-    ``section`` is an archive's ``"threads"`` mapping (see
-    ``bench_threads.threads_section``); archives without one pass
-    trivially.  Three checks:
-
-    * ``byte_equal`` must be true — outputs identical across thread
-      counts.  Gated unconditionally; a machine's core count cannot
-      excuse a determinism break.
-    * Each recorded headline speedup must reach ``min_speedup`` — but
-      only when the archived run had at least ``min_cpus`` CPUs, since a
-      smaller machine physically cannot scale.
-    * ``release_steady_peak_bytes`` must not exceed ``max_steady_peak``
-      (the pre-arena allocation peak divided by the required reduction).
-    """
-    if not section:
-        return ["(no threads section; thread gate skipped)"], []
-    lines: list[str] = []
-    failures: list[str] = []
-    cpu_count = int(section.get("cpu_count", 1))
-
-    byte_equal = section.get("byte_equal")
-    ok = byte_equal is True
-    lines.append(
-        f"byte equality across thread counts: {byte_equal}   "
-        f"{'ok' if ok else 'FAIL'}"
-    )
-    if not ok:
-        failures.append(
-            "threads: outputs differ across thread counts (determinism break)"
-        )
-
-    for name, entry in sorted(section.get("speedup", {}).items()):
-        speedup = float(entry.get("speedup", 0.0))
-        threads = entry.get("threads", "?")
-        line = (
-            f"{name:28s} {speedup:5.2f}x at {threads} threads "
-            f"(floor {min_speedup:.1f}x with >= {min_cpus} CPUs)"
-        )
-        if cpu_count < min_cpus:
-            lines.append(line + f"   (only {cpu_count} CPUs; speedup gate skipped)")
-        elif speedup >= min_speedup:
-            lines.append(line + "   ok")
-        else:
-            lines.append(line + "   FAIL")
-            failures.append(
-                f"threads: {name} speedup {speedup:.2f}x at {threads} threads "
-                f"(must be >= {min_speedup:.1f}x with {cpu_count} CPUs)"
-            )
-
-    steady = section.get("release_steady_peak_bytes")
-    if steady is not None:
-        steady = int(steady)
-        ok = steady <= max_steady_peak
-        lines.append(
-            f"steady-state release peak {steady / 2**20:8.2f} MiB "
-            f"(ceiling {max_steady_peak / 2**20:.2f} MiB)   {'ok' if ok else 'FAIL'}"
-        )
-        if not ok:
-            failures.append(
-                f"threads: steady-state release peak {steady} bytes "
-                f"(must be <= {max_steady_peak})"
-            )
-    return lines, failures
-
-
-def gate_threads_file(path, **kwargs) -> tuple[str, bool]:
-    """Run :func:`gate_threads` on one archive; returns ``(report, ok)``."""
-    payload = json.loads(Path(path).read_text())
-    lines, failures = gate_threads(payload.get("threads"), **kwargs)
-    header = [f"thread-determinism/scaling gate: {path}", ""]
-    footer = (
-        ["", "PASS: threading is deterministic and within its floors"]
-        if not failures
-        else ["", "FAIL:"] + [f"  - {failure}" for failure in failures]
-    )
-    return "\n".join(header + lines + footer), not failures
-
-
 def gate_service(
     section: dict | None,
     *,
@@ -590,13 +492,9 @@ def main(argv=None) -> int:
     print(f"\n{sparse_report}")
     service_report, service_ok = gate_service_file(candidate)
     print(f"\n{service_report}")
-    threads_report, threads_ok = gate_threads_file(candidate)
-    print(f"\n{threads_report}")
     live_report, live_ok = gate_live_file(candidate)
     print(f"\n{live_report}")
-    return 0 if (
-        ok and gate_ok and sparse_ok and service_ok and threads_ok and live_ok
-    ) else 1
+    return 0 if ok and gate_ok and sparse_ok and service_ok and live_ok else 1
 
 
 if __name__ == "__main__":

@@ -38,15 +38,9 @@ two-tenant stream; ``compare.gate_service`` enforces >= 200 decisions/s
 and a 50ms p95 ceiling.  A ``live`` section (``bench_live.live_section``) measures the live
 observability layer (registry mirroring + per-step alert evaluation)
 against a recorder-only run plus scrape/evaluate p95 latency;
-``compare.gate_live`` enforces a 5% overhead ceiling.  A ``threads`` section
-(``bench_threads.threads_section``) checks byte-identical outputs across
-thread counts, headline-kernel speedup at min(4, cpu_count) threads, and
-the steady-state (workspace-arena-warm) allocation peak of one GeoDP
-release; ``compare.gate_threads`` enforces determinism unconditionally,
-the 1.8x speedup floor only on machines with >= 4 CPUs, and the
-allocation ceiling always.  The archive header records ``cpu_count``,
-the ``REPRO_THREADS`` setting and backend availability so regression
-comparisons carry their machine context.
+``compare.gate_live`` enforces a 5% overhead ceiling.  The archive header
+records ``cpu_count`` and backend availability so regression comparisons
+carry their machine context.
 """
 
 from __future__ import annotations
@@ -142,7 +136,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    from repro.backend import THREADS_ENV, available_backends, get_num_threads, use_backend
+    from repro.backend import available_backends, use_backend
 
     backends = [name for name, ok in available_backends().items() if ok]
     sections: dict[str, dict] = {}
@@ -186,20 +180,6 @@ def main(argv=None) -> int:
     for name, entry in live["benchmarks"].items():
         print(f"  {name:28s} {entry['seconds'] * 1e3:9.3f} ms")
 
-    print("[threads]")
-    from bench_threads import threads_section
-
-    threads = threads_section(repeats=args.repeats)
-    print(f"  byte_equal: {threads['byte_equal']}")
-    for name, entry in threads["speedup"].items():
-        print(
-            f"  {name:28s} {entry['speedup']:5.2f}x at {entry['threads']} threads"
-        )
-    print(
-        f"  {'release_steady_peak':28s} "
-        f"{threads['release_steady_peak_bytes'] / 2**20:8.2f} MiB"
-    )
-
     path = next_output_path(Path(args.out))
     path.write_text(
         json.dumps(
@@ -208,11 +188,8 @@ def main(argv=None) -> int:
                 "numpy": np.__version__,
                 "repeats": args.repeats,
                 # Machine context: regression ratios only mean something
-                # between comparable machines, and the thread gate needs
-                # to know how many CPUs the archived run actually had.
+                # between comparable machines.
                 "cpu_count": os.cpu_count() or 1,
-                "num_threads": get_num_threads(),
-                "threads_env": os.environ.get(THREADS_ENV),
                 "backends_available": available_backends(),
                 # Top-level mapping stays the reference backend so old
                 # archives (which predate the backend layer) remain
@@ -221,7 +198,6 @@ def main(argv=None) -> int:
                 "backends": sections,
                 "sparse": sparse,
                 "service": service,
-                "threads": threads,
                 "live": live,
             },
             indent=2,
@@ -237,7 +213,6 @@ def main(argv=None) -> int:
         gate_live_file,
         gate_service_file,
         gate_sparse_file,
-        gate_threads_file,
     )
 
     ok = True
@@ -251,13 +226,9 @@ def main(argv=None) -> int:
     print(f"\n{sparse_report}")
     service_report, service_ok = gate_service_file(path)
     print(f"\n{service_report}")
-    threads_report, threads_ok = gate_threads_file(path)
-    print(f"\n{threads_report}")
     live_report, live_ok = gate_live_file(path)
     print(f"\n{live_report}")
-    return 0 if (
-        ok and gate_ok and sparse_ok and service_ok and threads_ok and live_ok
-    ) else 1
+    return 0 if ok and gate_ok and sparse_ok and service_ok and live_ok else 1
 
 
 if __name__ == "__main__":

@@ -5,9 +5,8 @@ training history, and — crucially — the privacy spent so far, so the
 resumed run keeps accounting from where it left off rather than resetting
 epsilon to zero.
 
-Two levels are shown: portable parameter checkpoints with a manually
-replayed accountant (phases 1-2), and the ``repro.checkpoint`` subsystem
-(phase 3), which snapshots the *complete* training state automatically and
+The ``repro.checkpoint`` subsystem snapshots the *complete* training state
+(parameters, optimizer and clipping state, accountant, RNG streams) and
 resumes a killed run bit-identically to one that was never interrupted.
 
 Usage::
@@ -21,7 +20,6 @@ from pathlib import Path
 from repro import DpSgdOptimizer, RdpAccountant, Trainer
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
-from repro.utils import load_checkpoint, load_history, save_checkpoint, save_history
 
 SIGMA, CLIP, BATCH = 1.0, 0.1, 128
 PHASE_ITERS = 100
@@ -38,58 +36,7 @@ def main():
     data = make_mnist_like(2000, rng=0, size=16)
     train, test = train_test_split(data, rng=0)
     sample_rate = BATCH / len(train)
-    workdir = Path(tempfile.mkdtemp(prefix="repro_ckpt_"))
-
-    # ---- Phase 1: train, then checkpoint everything. -----------------------
-    model = build_logistic_regression((1, 16, 16), rng=0)
-    accountant = RdpAccountant()
-    history = make_trainer(model, accountant, train, test, sample_rate, seed=1).train(
-        PHASE_ITERS, eval_every=PHASE_ITERS
-    )
-    save_checkpoint(
-        workdir / "model.npz",
-        model,
-        metadata={
-            "iterations": history.iterations,
-            "noise_multiplier": SIGMA,
-            "accountant_steps": accountant.total_steps,
-            "sample_rate": sample_rate,
-        },
-    )
-    save_history(workdir / "history.json", history)
-    print(
-        f"phase 1: acc {history.final_accuracy:.3f}, "
-        f"epsilon {accountant.get_epsilon(1e-5):.3f} "
-        f"-> checkpointed to {workdir}"
-    )
-
-    # ---- Phase 2: fresh process simulation — restore and continue. ---------
-    restored = build_logistic_regression((1, 16, 16), rng=99)  # different init
-    _, meta = load_checkpoint(workdir / "model.npz", restored)
-    old_history = load_history(workdir / "history.json")
-
-    resumed_accountant = RdpAccountant()
-    resumed_accountant.step(  # replay the privacy already spent
-        meta["noise_multiplier"], meta["sample_rate"], num_steps=meta["accountant_steps"]
-    )
-    trainer = make_trainer(restored, resumed_accountant, train, test, sample_rate, seed=2)
-    more = trainer.train(PHASE_ITERS, eval_every=PHASE_ITERS)
-
-    total_iters = old_history.iterations + more.iterations
-    print(
-        f"phase 2: acc {more.final_accuracy:.3f} after {total_iters} total "
-        f"iterations, cumulative epsilon {resumed_accountant.get_epsilon(1e-5):.3f}"
-    )
-    print(
-        "\nThe resumed accountant includes phase 1's steps, so the reported "
-        "epsilon covers the whole training history."
-    )
-
-    # ---- Phase 3: automatic full-state snapshots (repro.checkpoint). -------
-    # The manual route above carries parameters + replayed privacy spend, but
-    # the resumed run is a *different* run (fresh RNG streams, reset momentum).
-    # The checkpoint subsystem snapshots everything and resumes bit-identically.
-    ckpt_dir = workdir / "snapshots"
+    ckpt_dir = Path(tempfile.mkdtemp(prefix="repro_ckpt_")) / "snapshots"
 
     def fresh_run():
         model = build_logistic_regression((1, 16, 16), rng=0)
@@ -115,9 +62,10 @@ def main():
         and acc_c.get_epsilon(1e-5) == acc_a.get_epsilon(1e-5)
     )
     print(
-        f"\nphase 3: killed at iteration {PHASE_ITERS + 30}, resumed from "
-        f"snapshot, finished {resumed.iterations} iterations; bit-identical "
-        f"to the uninterrupted run: {identical}"
+        f"killed at iteration {PHASE_ITERS + 30}, resumed from snapshot, "
+        f"finished {resumed.iterations} iterations at epsilon "
+        f"{acc_c.get_epsilon(1e-5):.3f}; bit-identical to the uninterrupted "
+        f"run: {identical}"
     )
 
 

@@ -17,8 +17,8 @@ The package is organised as:
   runs (gradient geometry diagnostics, phase spans, JSONL traces).
 * :mod:`repro.checkpoint` — fault-tolerant training: atomic snapshots of
   complete training state with bit-identical resume.
-* :mod:`repro.runtime` — parallel execution: fault-tolerant process-pool
-  job runner, concurrent experiment scheduler, and a shared-memory
+* :mod:`repro.runtime` — parallel execution over forked worker processes:
+  fault-tolerant job runner, concurrent experiment scheduler, and a
   parallel per-sample gradient map — all bit-identical to serial runs.
 
 Quickstart::

@@ -38,12 +38,9 @@ random numbers a DP release consumes — noise is drawn by the callers, in a
 fixed order, and handed to the kernels — so accounting and ledger replay
 are bit-identical across backends (``tests/backend/`` enforces this).
 
-The accelerated backends additionally run their kernels across an
-intra-kernel thread pool (:func:`set_num_threads` / ``REPRO_THREADS`` /
-``--threads``; default 1) with the same guarantee in the other direction:
-the thread count never changes a single output bit (see
-:mod:`repro.backend.threads` and ``docs/parallelism.md``).  Hot-path
-buffers come from the :mod:`repro.backend.workspace` arena so
+Kernels run on the calling thread.  Per-sample work spreads over cores
+through forked worker processes instead (see ``docs/parallelism.md``).
+Hot-path buffers come from the :mod:`repro.backend.workspace` arena so
 steady-state release allocation is near zero.
 
 See ``docs/backends.md`` for the full contract.
@@ -57,12 +54,6 @@ import weakref
 from repro.backend.cext import CExtBackend, compiler_available
 from repro.backend.fused import FusedBackend
 from repro.backend.reference import ReferenceBackend
-from repro.backend.threads import (
-    THREADS_ENV,
-    get_num_threads,
-    set_num_threads,
-    use_num_threads,
-)
 
 __all__ = [
     "available_backends",
@@ -71,13 +62,10 @@ __all__ = [
     "use_backend",
     "note_backend",
     "publish_metrics",
-    "set_num_threads",
     "get_num_threads",
-    "use_num_threads",
     "BACKEND_NAMES",
     "BACKEND_ENV",
     "BACKEND_DISABLE_ENV",
-    "THREADS_ENV",
 ]
 
 #: Selectable names, in documentation order ("auto" resolves to one of them).
@@ -192,6 +180,14 @@ class use_backend:
         return False
 
 
+def get_num_threads() -> int:
+    """Threads a kernel call runs on: always 1, the calling thread.
+
+    Kept for callers that report it, such as the step benchmark's header.
+    """
+    return 1
+
+
 def note_backend(recorder) -> None:
     """Record the active backend on a telemetry recorder, once per recorder.
 
@@ -219,11 +215,9 @@ def publish_metrics(registry) -> None:
 
     Designed as a registry *collector* (``registry.register_collector(
     publish_metrics)``), invoked at scrape/evaluation time: active
-    backend (``backend_active{backend=...}`` one-hot), fallback state,
-    workspace-arena hit/miss/bytes/keys, configured kernel thread count,
-    and current intra-kernel thread-pool occupancy.  Read-only.
+    backend (``backend_active{backend=...}`` one-hot), fallback state and
+    workspace-arena hit/miss/bytes/keys.  Read-only.
     """
-    from repro.backend import threads as _threads
     from repro.backend import workspace as _workspace
 
     backend = get_backend()
@@ -236,12 +230,3 @@ def publish_metrics(registry) -> None:
     registry.set_gauge("backend_fell_back", 1.0 if _active_fell_back else 0.0)
     for name, value in _workspace.stats().items():
         registry.set_gauge(f"backend_{name}", float(value))
-    registry.set_gauge("backend_threads_configured", float(get_num_threads()))
-    executor = _threads._executor
-    pool_size = float(_threads._executor_size if executor is not None else 0)
-    occupancy = 0.0
-    if executor is not None:
-        # Threads exist lazily; count the ones actually alive right now.
-        occupancy = float(sum(1 for t in executor._threads if t.is_alive()))
-    registry.set_gauge("backend_thread_pool_size", pool_size)
-    registry.set_gauge("backend_thread_pool_occupancy", occupancy)

@@ -1,29 +1,26 @@
-"""C-accelerated backend: fused geometry kernels on a persistent pthread pool.
+"""C-accelerated backend: the geometry kernels compiled from embedded C.
 
 The fused-numpy backend still makes ~10 memory-bound passes over the
 ``(m, d)`` arrays; the only way to collapse them into one register-resident
 pass per row is compiled code.  This backend embeds a small C kernel
 family, compiles it with the system C compiler on first use
-(``-O3 -march=native -pthread``) and loads it through ``ctypes``.
+(``-O3 -march=native``) and loads it through ``ctypes``.
 Compilation failures of any kind mark the backend unavailable, and the
 dispatch layer falls back to the fused-numpy backend — so environments
 without a toolchain lose speed, never correctness.
 
 Four kernels run in C: the fused GeoDP perturbation, the spherical
-decompose/compose pair, and the canonical-angle fold.  Each is
-row-parallel over a persistent pthread worker pool with the determinism
-contract of :mod:`repro.backend.threads`: chunk boundaries come from the
-caller as a pure function of the input shape, every chunk writes a
-disjoint row span, and no kernel here reduces across rows — so outputs
-are byte-identical for any thread count.  The ghost-norm family stays on
-the inherited fused-numpy implementations on purpose: those kernels are
-BLAS-bound, and a naive C loop loses to BLAS (measured), so threading
-them happens at the numpy-chunk level in :class:`FusedBackend`.
+decompose/compose pair, and the canonical-angle fold.  Each is one loop
+over rows on the calling thread, and no kernel reduces across rows.  The
+ghost-norm family stays on the inherited fused-numpy implementations on
+purpose: those kernels are BLAS-bound, and a naive C loop loses to BLAS
+(measured).
 
-The kernels avoid per-row scratch entirely (a requirement for threading —
-the old single-thread kernel shared one scratch row): the backward
+The kernels keep no per-row scratch and no global state: the backward
 suffix-sum pass stores into the *output* row and the forward pass reads
-each slot just before overwriting it.
+each slot just before overwriting it.  So a call touches only the
+buffers it is handed, and concurrent calls from several Python threads
+(ctypes releases the GIL) cannot interfere.
 
 The perturbation kernel mirrors the fused-numpy algorithm exactly (same
 reversed suffix-sum order, same zero-denominator convention, angle
@@ -33,9 +30,7 @@ noise uses a Taylor polynomial on ``|x| <= 0.5`` (error < 1e-16,
 auto-vectorizable) and libm elsewhere.
 
 Output buffers come from the :mod:`repro.backend.workspace` arena, so the
-steady-state hot path allocates nothing.  The worker pool is reset in
-forked children (``pool_reset`` via ``os.register_at_fork``) so
-:mod:`repro.runtime`'s fork-based workers never inherit dead threads.
+steady-state hot path allocates nothing.
 
 Compiled artifacts are cached next to this module (``_build/``, keyed by
 source hash) so the cost is one compile per source change per machine; a
@@ -50,166 +45,37 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from repro.backend import workspace
-from repro.backend.fused import FusedBackend, _row_block
-from repro.backend.threads import get_num_threads
+from repro.backend.fused import FusedBackend
 
 __all__ = ["CExtBackend", "compiler_available"]
 
 _C_SOURCE = r"""
 #include <math.h>
-#include <pthread.h>
-#include <stdint.h>
 
 static const double PI = 3.14159265358979323846;
 static const double TWO_PI = 6.28318530717958647692;
-
-/* ------------------------------------------------------------------ pool
- * Persistent worker pool.  parallel_for(fn, ctx, total, chunk, nthreads)
- * splits [0, total) into fixed spans of `chunk` rows (the boundaries are
- * chosen by the *caller* from the input shape, never from nthreads) and
- * lets `nthreads - 1` workers plus the calling thread claim spans.  Which
- * thread runs which span is scheduling, not arithmetic: every kernel
- * below writes disjoint row spans, so outputs are byte-identical for any
- * thread count.  Workers are spawned lazily, parked on a condvar between
- * kernels, and never torn down (pool_reset reinitializes after fork).
- */
-
-#define MAX_POOL_WORKERS 63
-
-typedef void (*chunk_fn)(void *ctx, long start, long stop);
-
-static struct {
-    pthread_mutex_t mu;
-    pthread_cond_t work_cv;  /* wakes workers on a new epoch */
-    pthread_cond_t done_cv;  /* wakes the caller when all chunks finish */
-    long nworkers;           /* spawned worker threads */
-    long active;             /* workers allowed to join the current epoch */
-    unsigned long epoch;
-    chunk_fn fn;
-    void *ctx;
-    long total, chunk, next, remaining;
-} pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
-          PTHREAD_COND_INITIALIZER, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-
-static void run_span_locked(chunk_fn fn, void *ctx) {
-    /* Claim and run spans until none remain; called with pool.mu held,
-     * returns with pool.mu held. */
-    while (pool.next < pool.total) {
-        long start = pool.next;
-        long stop = start + pool.chunk;
-        if (stop > pool.total) stop = pool.total;
-        pool.next = stop;
-        pthread_mutex_unlock(&pool.mu);
-        fn(ctx, start, stop);
-        pthread_mutex_lock(&pool.mu);
-        if (--pool.remaining == 0)
-            pthread_cond_signal(&pool.done_cv);
-    }
-}
-
-static void *worker_main(void *arg) {
-    long wid = (long)(intptr_t)arg;
-    unsigned long seen = 0;
-    pthread_mutex_lock(&pool.mu);
-    for (;;) {
-        while (pool.epoch == seen)
-            pthread_cond_wait(&pool.work_cv, &pool.mu);
-        seen = pool.epoch;
-        if (wid >= pool.active)
-            continue; /* more workers exist than this epoch asked for */
-        run_span_locked(pool.fn, pool.ctx);
-    }
-    return (void *)0; /* unreachable */
-}
-
-static void parallel_for(chunk_fn fn, void *ctx, long total, long chunk,
-                         long nthreads) {
-    if (total <= 0)
-        return;
-    if (chunk < 1)
-        chunk = total;
-    long nchunks = (total + chunk - 1) / chunk;
-    if (nthreads <= 1 || nchunks <= 1) {
-        for (long s = 0; s < total; s += chunk) {
-            long e = s + chunk;
-            if (e > total) e = total;
-            fn(ctx, s, e);
-        }
-        return;
-    }
-    long want = nthreads - 1; /* the calling thread participates */
-    if (want > nchunks - 1) want = nchunks - 1;
-    if (want > MAX_POOL_WORKERS) want = MAX_POOL_WORKERS;
-    pthread_mutex_lock(&pool.mu);
-    while (pool.nworkers < want) {
-        pthread_t t;
-        if (pthread_create(&t, 0, worker_main,
-                           (void *)(intptr_t)pool.nworkers) != 0)
-            break; /* fewer workers: slower, never wrong */
-        pthread_detach(t);
-        pool.nworkers++;
-    }
-    pool.fn = fn;
-    pool.ctx = ctx;
-    pool.total = total;
-    pool.chunk = chunk;
-    pool.next = 0;
-    pool.remaining = nchunks;
-    pool.active = want;
-    pool.epoch++;
-    pthread_cond_broadcast(&pool.work_cv);
-    run_span_locked(fn, ctx);
-    while (pool.remaining > 0)
-        pthread_cond_wait(&pool.done_cv, &pool.mu);
-    pool.fn = 0;
-    pool.ctx = 0;
-    pthread_mutex_unlock(&pool.mu);
-}
-
-/* Reinitialize after fork: the child inherits the pool state but none of
- * the worker threads, so drop both (workers respawn lazily). */
-void pool_reset(void) {
-    pthread_mutex_t mu = PTHREAD_MUTEX_INITIALIZER;
-    pthread_cond_t cv = PTHREAD_COND_INITIALIZER;
-    pool.mu = mu;
-    pool.work_cv = cv;
-    pool.done_cv = cv;
-    pool.nworkers = 0;
-    pool.active = 0;
-    pool.epoch = 0;
-    pool.fn = 0;
-    pool.ctx = 0;
-    pool.total = pool.chunk = pool.next = pool.remaining = 0;
-}
 
 /* ------------------------------------------------- fused GeoDP perturb
  * Fused to_spherical -> perturb -> to_cartesian, one pass per row.  The
  * backward pass parks the suffix sums of squares in the output row; the
  * forward pass reads each slot immediately before overwriting it, so the
- * kernel needs no scratch (which is what makes it trivially parallel).
+ * kernel needs no scratch.
+ *
+ * g: (m, d) clipped gradients; mag_noise: (m,) and dir_noise: (m, d-1)
+ * pre-scaled noise; out: (m, d).
  */
 
-typedef struct {
-    const double *g;         /* (m, d) clipped gradients */
-    const double *mag_noise; /* (m,)   pre-scaled magnitude noise */
-    const double *dir_noise; /* (m, d-1) pre-scaled direction noise */
-    double *out;             /* (m, d) */
-    long d;
-} perturb_ctx;
-
-static void perturb_chunk(void *vctx, long start, long stop) {
-    const perturb_ctx *c = (const perturb_ctx *)vctx;
-    long d = c->d;
-    for (long i = start; i < stop; i++) {
-        const double *gi = c->g + i * d;
-        const double *ni = c->dir_noise + i * (d - 1);
-        double *oi = c->out + i * d;
+void geodp_perturb(const double *g, const double *mag_noise,
+                   const double *dir_noise, double *out, long m, long d) {
+    for (long i = 0; i < m; i++) {
+        const double *gi = g + i * d;
+        const double *ni = dir_noise + i * (d - 1);
+        double *oi = out + i * d;
 
         /* Suffix sums of squares, accumulated from the end in the same
          * sequential order as the reversed-cumsum reference, stored in
@@ -220,7 +86,7 @@ static void perturb_chunk(void *vctx, long start, long stop) {
             oi[z] = acc;
         }
         double total = gi[0] * gi[0] + acc;
-        double noisy_mag = sqrt(total) + c->mag_noise[i];
+        double noisy_mag = sqrt(total) + mag_noise[i];
 
         /* Each iteration's sqrt(tail) is the next iteration's
          * denominator, so carry it over and spend one sqrt and one
@@ -263,65 +129,36 @@ static void perturb_chunk(void *vctx, long start, long stop) {
     }
 }
 
-void geodp_perturb(const double *g, const double *mag_noise,
-                   const double *dir_noise, double *out, long m, long d,
-                   long chunk, long nthreads) {
-    perturb_ctx ctx = {g, mag_noise, dir_noise, out, d};
-    parallel_for(perturb_chunk, &ctx, m, chunk, nthreads);
-}
-
 /* ------------------------------------------------- spherical decompose
  * (m, d) -> magnitudes (m,), angles (m, d-1).  Suffix sums park in the
  * angle row (read-before-write, as above).
  */
 
-typedef struct {
-    const double *g;
-    double *mag;
-    double *theta;
-    long d;
-} decompose_ctx;
-
-static void decompose_chunk(void *vctx, long start, long stop) {
-    const decompose_ctx *c = (const decompose_ctx *)vctx;
-    long d = c->d;
-    for (long i = start; i < stop; i++) {
-        const double *gi = c->g + i * d;
-        double *ti = c->theta + i * (d - 1);
+void spherical_decompose(const double *g, double *mag, double *theta, long m,
+                         long d) {
+    for (long i = 0; i < m; i++) {
+        const double *gi = g + i * d;
+        double *ti = theta + i * (d - 1);
         double acc = 0.0;
         for (long z = d - 2; z >= 0; z--) {
             acc += gi[z + 1] * gi[z + 1];
             ti[z] = acc;
         }
-        c->mag[i] = sqrt(gi[0] * gi[0] + acc);
+        mag[i] = sqrt(gi[0] * gi[0] + acc);
         for (long z = 0; z < d - 2; z++)
             ti[z] = atan2(sqrt(ti[z]), gi[z]);
         ti[d - 2] = atan2(gi[d - 1], gi[d - 2]);
     }
 }
 
-void spherical_decompose(const double *g, double *mag, double *theta, long m,
-                         long d, long chunk, long nthreads) {
-    decompose_ctx ctx = {g, mag, theta, d};
-    parallel_for(decompose_chunk, &ctx, m, chunk, nthreads);
-}
-
 /* -------------------------------------------------- spherical compose */
 
-typedef struct {
-    const double *mag;
-    const double *theta;
-    double *out;
-    long d;
-} compose_ctx;
-
-static void compose_chunk(void *vctx, long start, long stop) {
-    const compose_ctx *c = (const compose_ctx *)vctx;
-    long d = c->d;
-    for (long i = start; i < stop; i++) {
-        const double *ti = c->theta + i * (d - 1);
-        double *oi = c->out + i * d;
-        double mi = c->mag[i];
+void spherical_compose(const double *mag, const double *theta, double *out,
+                       long m, long d) {
+    for (long i = 0; i < m; i++) {
+        const double *ti = theta + i * (d - 1);
+        double *oi = out + i * d;
+        double mi = mag[i];
         double sinprod = 1.0;
         for (long z = 0; z < d - 1; z++) {
             double st = sin(ti[z]);
@@ -333,12 +170,6 @@ static void compose_chunk(void *vctx, long start, long stop) {
     }
 }
 
-void spherical_compose(const double *mag, const double *theta, double *out,
-                       long m, long d, long chunk, long nthreads) {
-    compose_ctx ctx = {mag, theta, out, d};
-    parallel_for(compose_chunk, &ctx, m, chunk, nthreads);
-}
-
 /* ---------------------------------------------- canonical angle fold
  * Mirrors the vectorized reference: whether a polar angle folds is
  * independent of pending negations, so the negation flag at position z
@@ -346,18 +177,10 @@ void spherical_compose(const double *mag, const double *theta, double *out,
  * columns: w - 1 polar angles then one azimuth.
  */
 
-typedef struct {
-    const double *theta;
-    double *out;
-    long w;
-} canon_ctx;
-
-static void canon_chunk(void *vctx, long start, long stop) {
-    const canon_ctx *c = (const canon_ctx *)vctx;
-    long w = c->w;
-    for (long i = start; i < stop; i++) {
-        const double *ti = c->theta + i * w;
-        double *oi = c->out + i * w;
+void canonicalize_angles(const double *theta, double *out, long m, long w) {
+    for (long i = 0; i < m; i++) {
+        const double *ti = theta + i * w;
+        double *oi = out + i * w;
         int parity = 0;
         for (long j = 0; j < w - 1; j++) {
             /* np.mod: fmod with the sign folded positive. */
@@ -377,20 +200,10 @@ static void canon_chunk(void *vctx, long start, long stop) {
         oi[w - 1] = r;
     }
 }
-
-void canonicalize_angles(const double *theta, double *out, long m, long w,
-                         long chunk, long nthreads) {
-    canon_ctx ctx = {theta, out, w};
-    parallel_for(canon_chunk, &ctx, m, chunk, nthreads);
-}
 """
 
 _LIB = None
 _PROBED = False
-
-#: ctypes releases the GIL during foreign calls, and the C worker pool
-#: serves one parallel_for at a time — serialize entry from Python.
-_call_lock = threading.Lock()
 
 
 def _build_dirs() -> list[Path]:
@@ -417,8 +230,8 @@ def _compile() -> ctypes.CDLL | None:
             c_path = build_dir / f"geodp_{digest}.c"
             c_path.write_text(_C_SOURCE)
             for cc in ("cc", "gcc", "clang"):
-                cmd = [cc, "-O3", "-march=native", "-pthread", "-shared",
-                       "-fPIC", "-o", str(so_path) + ".tmp", str(c_path), "-lm"]
+                cmd = [cc, "-O3", "-march=native", "-shared", "-fPIC",
+                       "-o", str(so_path) + ".tmp", str(c_path), "-lm"]
                 try:
                     proc = subprocess.run(
                         cmd, capture_output=True, timeout=120, check=False
@@ -435,12 +248,6 @@ def _compile() -> ctypes.CDLL | None:
     return None
 
 
-def _reset_pool_after_fork() -> None:
-    """Forked children inherit pool state but no worker threads; reset both."""
-    if _LIB is not None:
-        _LIB.pool_reset()
-
-
 def _load() -> ctypes.CDLL | None:
     global _LIB, _PROBED
     if not _PROBED:
@@ -450,29 +257,15 @@ def _load() -> ctypes.CDLL | None:
             ptr = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
             c_long = ctypes.c_long
             lib.geodp_perturb.restype = None
-            lib.geodp_perturb.argtypes = [
-                ptr, ptr, ptr, ptr, c_long, c_long, c_long, c_long
-            ]
+            lib.geodp_perturb.argtypes = [ptr, ptr, ptr, ptr, c_long, c_long]
             lib.spherical_decompose.restype = None
-            lib.spherical_decompose.argtypes = [
-                ptr, ptr, ptr, c_long, c_long, c_long, c_long
-            ]
+            lib.spherical_decompose.argtypes = [ptr, ptr, ptr, c_long, c_long]
             lib.spherical_compose.restype = None
-            lib.spherical_compose.argtypes = [
-                ptr, ptr, ptr, c_long, c_long, c_long, c_long
-            ]
+            lib.spherical_compose.argtypes = [ptr, ptr, ptr, c_long, c_long]
             lib.canonicalize_angles.restype = None
-            lib.canonicalize_angles.argtypes = [
-                ptr, ptr, c_long, c_long, c_long, c_long
-            ]
-            lib.pool_reset.restype = None
-            lib.pool_reset.argtypes = []
+            lib.canonicalize_angles.argtypes = [ptr, ptr, c_long, c_long]
         _LIB = lib
     return _LIB
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch
-    os.register_at_fork(after_in_child=_reset_pool_after_fork)
 
 
 def compiler_available() -> bool:
@@ -500,11 +293,7 @@ class CExtBackend(FusedBackend):
         theta_noise = np.ascontiguousarray(theta_noise, dtype=np.float64)
         m, d = clipped.shape
         out = workspace.take((m, d))
-        with _call_lock:
-            self._lib.geodp_perturb(
-                clipped, mag_noise, theta_noise, out,
-                m, d, _row_block(m, d), get_num_threads(),
-            )
+        self._lib.geodp_perturb(clipped, mag_noise, theta_noise, out, m, d)
         return out
 
     def spherical_decompose(self, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,10 +301,7 @@ class CExtBackend(FusedBackend):
         m, d = grads.shape
         magnitudes = workspace.take(m)
         thetas = workspace.take((m, d - 1))
-        with _call_lock:
-            self._lib.spherical_decompose(
-                grads, magnitudes, thetas, m, d, _row_block(m, d), get_num_threads()
-            )
+        self._lib.spherical_decompose(grads, magnitudes, thetas, m, d)
         return magnitudes, thetas
 
     def spherical_compose(self, magnitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -524,18 +310,12 @@ class CExtBackend(FusedBackend):
         m, d_minus_1 = thetas.shape
         d = d_minus_1 + 1
         out = workspace.take((m, d))
-        with _call_lock:
-            self._lib.spherical_compose(
-                magnitudes, thetas, out, m, d, _row_block(m, d), get_num_threads()
-            )
+        self._lib.spherical_compose(magnitudes, thetas, out, m, d)
         return out
 
     def canonicalize_angles(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.ascontiguousarray(thetas, dtype=np.float64)
         m, w = thetas.shape
         out = workspace.take((m, w))
-        with _call_lock:
-            self._lib.canonicalize_angles(
-                thetas, out, m, w, _row_block(m, w + 1), get_num_threads()
-            )
+        self._lib.canonicalize_angles(thetas, out, m, w)
         return out

@@ -1,7 +1,7 @@
 """Optimized pure-numpy backend: cache-blocked geometry, BLAS-routed
-ghost kernels, blocked conv Grams — all chunk-parallel.
+ghost kernels, blocked conv Grams.
 
-Three ideas carry the speedups:
+Two ideas carry the speedups:
 
 * **Row blocking** (geometry kernels): the spherical round trip streams
   ~10 distinct ``(m, d)`` temporaries; at benchmark sizes those fall out
@@ -16,12 +16,10 @@ Three ideas carry the speedups:
 * **BLAS routing**: the batched Gram/contract einsums of the ghost norms
   become ``matmul`` calls, which dispatch to BLAS instead of einsum's
   generic loops.
-* **Chunk parallelism**: the row blocks above double as the unit of
-  thread scheduling (:mod:`repro.backend.threads`).  Chunk boundaries are
-  derived from the input *shape* alone and partial reductions are summed
-  in chunk-index order, so the thread count never changes a single output
-  bit — only which thread computes which block.  Numpy's ufunc and BLAS
-  inner loops release the GIL, so a plain ``ThreadPoolExecutor`` scales.
+
+Block boundaries are derived from the input *shape* alone, and the
+accumulate kernels add each block's partial sum to the running total in
+block order, so a given shape always runs the same arithmetic.
 
 Temporaries and outputs come from the :mod:`repro.backend.workspace`
 arena instead of fresh allocation, so the steady-state hot path allocates
@@ -39,7 +37,6 @@ import numpy as np
 
 from repro.backend import workspace
 from repro.backend.reference import ReferenceBackend
-from repro.backend.threads import chunk_spans, run_chunks
 
 __all__ = ["FusedBackend"]
 
@@ -55,12 +52,7 @@ _GRAM_BLOCK_DOUBLES = 1 << 19
 
 
 def _row_block(m: int, d: int) -> int:
-    """Rows per block for an ``(m, d)`` geometry kernel (``m`` = no blocking).
-
-    Depends only on the shape — never on the thread count — so chunk
-    boundaries (and therefore every output bit) are identical whether the
-    chunks run serially or across the pool.
-    """
+    """Rows per block for an ``(m, d)`` geometry kernel (``m`` = no blocking)."""
     if m * d <= _BLOCK_THRESHOLD:
         return m
     return max(1, _BLOCK_DOUBLES // max(1, d))
@@ -87,13 +79,8 @@ class FusedBackend(ReferenceBackend):
             return super().spherical_decompose(grads)
         magnitudes = workspace.take(m)
         thetas = workspace.take((m, d - 1))
-
-        def chunk(start, stop):
-            magnitudes[start:stop], thetas[start:stop] = ReferenceBackend.spherical_decompose(
-                self, grads[start:stop]
-            )
-
-        run_chunks(chunk, chunk_spans(m, block))
+        for rows in _blocks(m, block):
+            magnitudes[rows], thetas[rows] = super().spherical_decompose(grads[rows])
         return magnitudes, thetas
 
     def spherical_compose(self, magnitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -102,13 +89,8 @@ class FusedBackend(ReferenceBackend):
         if block >= m:
             return super().spherical_compose(magnitudes, thetas)
         g = workspace.take((m, d_minus_1 + 1))
-
-        def chunk(start, stop):
-            g[start:stop] = ReferenceBackend.spherical_compose(
-                self, magnitudes[start:stop], thetas[start:stop]
-            )
-
-        run_chunks(chunk, chunk_spans(m, block))
+        for rows in _blocks(m, block):
+            g[rows] = super().spherical_compose(magnitudes[rows], thetas[rows])
         return g
 
     def geodp_perturb(
@@ -119,16 +101,10 @@ class FusedBackend(ReferenceBackend):
         if block >= m:
             return super().geodp_perturb(clipped, mag_noise, theta_noise)
         out = workspace.take((m, d))
-
-        def chunk(start, stop):
-            out[start:stop] = ReferenceBackend.geodp_perturb(
-                self,
-                clipped[start:stop],
-                mag_noise[start:stop],
-                theta_noise[start:stop],
+        for rows in _blocks(m, block):
+            out[rows] = super().geodp_perturb(
+                clipped[rows], mag_noise[rows], theta_noise[rows]
             )
-
-        run_chunks(chunk, chunk_spans(m, block))
         return out
 
     def canonicalize_angles(self, thetas: np.ndarray) -> np.ndarray:
@@ -137,13 +113,8 @@ class FusedBackend(ReferenceBackend):
         if block >= m:
             return super().canonicalize_angles(thetas)
         out = workspace.take((m, d_minus_1))
-
-        def chunk(start, stop):
-            out[start:stop] = ReferenceBackend.canonicalize_angles(
-                self, thetas[start:stop]
-            )
-
-        run_chunks(chunk, chunk_spans(m, block))
+        for rows in _blocks(m, block):
+            out[rows] = super().canonicalize_angles(thetas[rows])
         return out
 
     # ---------------------------------------------------------- ghost norms
@@ -155,13 +126,8 @@ class FusedBackend(ReferenceBackend):
         if block >= batch:
             return super().linear_norm_sq(x, grad_out, bias)
         norm_sq = workspace.take(batch)
-
-        def chunk(start, stop):
-            norm_sq[start:stop] = ReferenceBackend.linear_norm_sq(
-                self, x[start:stop], grad_out[start:stop], bias
-            )
-
-        run_chunks(chunk, chunk_spans(batch, block))
+        for rows in _blocks(batch, block):
+            norm_sq[rows] = super().linear_norm_sq(x[rows], grad_out[rows], bias)
         return norm_sq
 
     def conv_norm_sq(self, cols: np.ndarray, dy: np.ndarray, bias: bool) -> np.ndarray:
@@ -170,20 +136,16 @@ class FusedBackend(ReferenceBackend):
         k_dim, length = cols.shape[1], cols.shape[2]
         if length * length <= out_channels * k_dim:
             # Blocked Gram trick: per-block (block, L, L) intermediates via
-            # batched BLAS matmul, freed before the next block.  The blocks
-            # are the thread-scheduling unit; each writes a disjoint slice.
+            # batched BLAS matmul, freed before the next block.
             block = max(1, _GRAM_BLOCK_DOUBLES // max(1, length * length))
             norm_sq = workspace.take(batch)
-
-            def chunk(start, stop):
-                c = cols[start:stop]
-                e = dy[start:stop]
+            for rows in _blocks(batch, block):
+                c = cols[rows]
+                e = dy[rows]
                 ga = np.matmul(c.transpose(0, 2, 1), c)
                 ge = np.matmul(e.transpose(0, 2, 1), e)
                 ga *= ge
-                norm_sq[start:stop] = ga.sum(axis=(1, 2))
-
-            run_chunks(chunk, chunk_spans(batch, block))
+                norm_sq[rows] = ga.sum(axis=(1, 2))
         else:
             dw = np.matmul(dy, cols.transpose(0, 2, 1))  # (B, O, K) via BLAS
             norm_sq = np.einsum("bok,bok->b", dw, dw)
@@ -201,41 +163,29 @@ class FusedBackend(ReferenceBackend):
             gram *= tokens[:, :, None] == tokens[:, None, :]
             return gram.sum(axis=(1, 2))
         norm_sq = workspace.take(batch)
-
-        def chunk(start, stop):
-            gram = np.matmul(
-                grad_out[start:stop], grad_out[start:stop].transpose(0, 2, 1)
-            )
-            gram *= tokens[start:stop, :, None] == tokens[start:stop, None, :]
-            norm_sq[start:stop] = gram.sum(axis=(1, 2))
-
-        run_chunks(chunk, chunk_spans(batch, block))
+        for rows in _blocks(batch, block):
+            gram = np.matmul(grad_out[rows], grad_out[rows].transpose(0, 2, 1))
+            gram *= tokens[rows, :, None] == tokens[rows, None, :]
+            norm_sq[rows] = gram.sum(axis=(1, 2))
         return norm_sq
 
     # ------------------------------------------------- clipped accumulation
-    # The accumulate kernels reduce over the batch, so parallel chunks
-    # produce *partial* sums.  Chunk boundaries come from the shape and the
-    # partials are summed in chunk-index order on the calling thread, so
-    # the result is byte-identical for every thread count (including 1 —
-    # a single chunk degenerates to the unchunked formulation).
-
     def linear_clip_accumulate(
         self, x: np.ndarray, grad_out: np.ndarray, factors: np.ndarray, bias: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         batch = x.shape[0]
         block = _batch_block(batch, x.shape[1] + grad_out.shape[1])
-        spans = chunk_spans(batch, block)
-        if len(spans) <= 1:
+        if block >= batch:
             return super().linear_clip_accumulate(x, grad_out, factors, bias)
-        partials: list = [None] * len(spans)
-
-        def chunk(start, stop):
-            partials[start // block] = ReferenceBackend.linear_clip_accumulate(
-                self, x[start:stop], grad_out[start:stop], factors[start:stop], bias
-            )
-
-        run_chunks(chunk, spans)
-        return _reduce_pairs(partials, bias)
+        # Bound here: zero-argument super() fails inside a generator expression.
+        reference = super().linear_clip_accumulate
+        return _sum_blocks(
+            (
+                reference(x[rows], grad_out[rows], factors[rows], bias)
+                for rows in _blocks(batch, block)
+            ),
+            bias,
+        )
 
     def conv_clip_accumulate(
         self, cols: np.ndarray, dy: np.ndarray, factors: np.ndarray, bias: bool
@@ -244,28 +194,15 @@ class FusedBackend(ReferenceBackend):
         k_dim, length = cols.shape[1], cols.shape[2]
         out_channels = dy.shape[1]
         block = _batch_block(batch, (k_dim + out_channels) * length)
-        spans = chunk_spans(batch, block)
-        if len(spans) <= 1:
-            with workspace.scratch(dy.shape) as scaled:
-                np.multiply(dy, factors[:, None, None], out=scaled)
-                # Per-sample (O, L) @ (L, K) BLAS GEMMs on the transposed view,
-                # then a batch sum: tensordot would first copy cols into a
-                # (B*L, K) array, and einsum's generic 3-index loop is an
-                # order of magnitude slower.
-                dw = np.matmul(scaled, cols.transpose(0, 2, 1)).sum(axis=0)
-                db = scaled.sum(axis=(0, 2)) if bias else None
-            return dw, db
-        partials: list = [None] * len(spans)
-
-        def chunk(start, stop):
-            with workspace.scratch((stop - start,) + dy.shape[1:]) as scaled:
-                np.multiply(dy[start:stop], factors[start:stop, None, None], out=scaled)
-                dw = np.matmul(scaled, cols[start:stop].transpose(0, 2, 1)).sum(axis=0)
-                db = scaled.sum(axis=(0, 2)) if bias else None
-            partials[start // block] = (dw, db)
-
-        run_chunks(chunk, spans)
-        return _reduce_pairs(partials, bias)
+        if block >= batch:
+            return _scaled_conv_sums(cols, dy, factors, bias)
+        return _sum_blocks(
+            (
+                _scaled_conv_sums(cols[rows], dy[rows], factors[rows], bias)
+                for rows in _blocks(batch, block)
+            ),
+            bias,
+        )
 
     # ------------------------------------------------- sparse embedding path
     def embedding_sparse_grads(
@@ -309,11 +246,33 @@ class FusedBackend(ReferenceBackend):
         return uniq_rows, out
 
 
-def _reduce_pairs(partials, bias: bool):
-    """Sum ``(dw, db)`` chunk partials in chunk-index order, in place."""
-    dw, db = partials[0]
-    for part_dw, part_db in partials[1:]:
+def _blocks(rows: int, block: int):
+    """Slices of ``block`` rows covering ``range(rows)`` in order."""
+    return (slice(start, start + block) for start in range(0, rows, block))
+
+
+def _scaled_conv_sums(cols, dy, factors, bias: bool):
+    """``(dw, db)`` of the factor-scaled per-sample conv gradients, summed."""
+    with workspace.scratch(dy.shape) as scaled:
+        np.multiply(dy, factors[:, None, None], out=scaled)
+        # Per-sample (O, L) @ (L, K) BLAS GEMMs on the transposed view,
+        # then a batch sum: tensordot would first copy cols into a
+        # (B*L, K) array, and einsum's generic 3-index loop is an
+        # order of magnitude slower.
+        dw = np.matmul(scaled, cols.transpose(0, 2, 1)).sum(axis=0)
+        db = scaled.sum(axis=(0, 2)) if bias else None
+    return dw, db
+
+
+def _sum_blocks(partials, bias: bool):
+    """Add each block's ``(dw, db)`` into the first, in block order.
+
+    ``partials`` is a generator, so each block's sum is folded in as soon
+    as it is computed and at most one partial is alive at a time.
+    """
+    dw, db = next(partials)
+    for part_dw, part_db in partials:
         dw += part_dw
         if bias:
             db += part_db
-    return dw, (db if bias else None)
+    return dw, db

@@ -18,14 +18,15 @@ and hands them back out instead of allocating:
 * :func:`zeros` — ``take`` + zero fill, for accumulators.
 
 The pool is bounded (per-key and global byte caps, oldest-first
-eviction) and thread-safe: concurrent kernel chunks each ``take``
-distinct buffers.  :func:`invalidate` drops every pooled buffer — call
+eviction) and guarded by a lock: the live metrics exporter's scrape
+thread reads :func:`stats` while training runs.  :func:`invalidate`
+drops every pooled buffer — call
 it when the parameter shape changes in a long-lived process (the DP
 optimizers do this automatically) so stale shapes cannot pin memory.
 
 Telemetry: the module counts ``workspace_hits`` / ``workspace_misses``
 / ``workspace_bytes`` (bytes currently pooled), exposed by
-:func:`stats` and surfaced in the ``threads`` benchmark section.
+:func:`stats` and published as ``backend_workspace_*`` live gauges.
 
 The tier-1 lint (``tests/test_lint.py``) forbids direct ``np.empty`` /
 ``np.zeros`` in the release hot-path modules; all hot-path allocation is

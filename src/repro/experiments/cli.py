@@ -56,6 +56,7 @@ from repro.experiments import (
     run_theory_validation,
     run_trace,
 )
+from repro.utils.validation import check_output_path
 
 EXPERIMENTS = {
     "fig1": (run_fig1, format_fig1, "Figure 1: MSEs vs noise multiplier"),
@@ -209,18 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "intra-kernel thread count for the accelerated backends "
-            "(default: the REPRO_THREADS env var, else 1); outputs are "
-            "bit-identical for any N — chunking is derived from input "
-            "shapes, never from the thread count (see docs/parallelism.md)"
-        ),
-    )
-    parser.add_argument(
         "--grad-mode",
         default=None,
         choices=("materialize", "ghost"),
@@ -340,6 +329,18 @@ def main(argv=None) -> int:
 
         return monitor_main(argv[1:])
     args = build_parser().parse_args(argv)
+    outputs = {
+        "--telemetry": args.telemetry,
+        "--profile": args.profile,
+        "--chrome": args.chrome,
+    }
+    try:
+        for flag, path in outputs.items():
+            if path is not None:
+                check_output_path(flag, path)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.experiment == "list":
         for name, (_, _, description) in sorted(EXPERIMENTS.items()):
             print(f"{name:8s} {description}")
@@ -373,13 +374,6 @@ def main(argv=None) -> int:
         active = get_backend().name
         if args.backend != "auto" and active != args.backend:
             print(f"[backend {args.backend!r} unavailable; using {active!r}]")
-    if args.threads is not None:
-        from repro.backend import set_num_threads
-
-        if args.threads < 1:
-            print("--threads must be >= 1", file=sys.stderr)
-            return 2
-        set_num_threads(args.threads)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     profiler = None
     if args.profile is not None:

@@ -1,6 +1,6 @@
 """``repro.runtime`` — parallel execution subsystem.
 
-Three layers, each usable on its own:
+Four layers, each usable on its own:
 
 * :mod:`repro.runtime.pool` — fault-tolerant process-pool **job runner**
   (:func:`run_jobs`): forked workers, per-job retry with capped backoff,
@@ -11,7 +11,7 @@ Three layers, each usable on its own:
   seed assignment, so results are bit-identical for any worker count.
 * :mod:`repro.runtime.gradmap` — **parallel per-sample gradient map**
   (:class:`ParallelGradientMap`): shards a lot's microbatch chunks across
-  workers over a shared-memory dataset snapshot; opt-in through
+  forked workers that inherit the model and dataset; opt-in through
   ``Trainer(parallel_grad_workers=...)``.
 * :mod:`repro.runtime.shipback` — **worker telemetry ship-back**
   (:func:`instrument` / :func:`merge_shipped`): per-job recorders and

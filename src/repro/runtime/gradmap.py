@@ -4,9 +4,9 @@ DP-SGD's per-sample gradient pass is embarrassingly parallel: the clipped
 sum of a lot is the sum of the clipped sums of its microbatch chunks, and
 each chunk depends only on the current parameters, the chunk's sample
 indices and the (lot-frozen) clipping strategy.  :class:`ParallelGradientMap`
-keeps a persistent pool of workers that attach to the training set through
-POSIX shared memory (:mod:`multiprocessing.shared_memory` — one copy of the
-data for any number of workers); each task ships only the flat parameter
+keeps a persistent pool of forked workers that inherit the model and the
+training set copy-on-write, as :func:`repro.runtime.run_jobs`' workers
+inherit their job function; each task ships only the flat parameter
 vector and the chunk indices.
 
 Determinism: the workers receive the serial microbatch loop's chunks, whose
@@ -19,39 +19,37 @@ parent process.
 Fault tolerance: a crashed, hung or unpicklable lot falls back to ``None``,
 telling the trainer to run that lot through its ordinary serial loop (same
 numbers, just slower); after ``max_pool_failures`` consecutive failures the
-map disables itself for the rest of the run.
+map disables itself for the rest of the run.  Where fork is unavailable the
+map is never available, and every lot runs serially.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.runtime.pool import START_METHOD, exit_with_parent, resolve_workers
+from repro.nn.activations import Dropout
+from repro.runtime.pool import (
+    START_METHOD,
+    exit_with_parent,
+    parallel_available,
+    resolve_workers,
+)
 
 __all__ = ["ParallelGradientMap"]
 
-#: Worker-side state installed by :func:`_init_worker`:
-#: ``(model, x, y, shm_x, shm_y)`` — the shared-memory handles are kept
-#: alive here so the array views stay valid for the worker's lifetime.
+#: Worker-side ``(model, dataset)``, installed by :func:`_init_worker` from
+#: the objects the worker inherited through fork.
 _WORKER_STATE = None
 
 
-def _init_worker(model, x_meta, y_meta):
+def _init_worker(model, dataset):
     global _WORKER_STATE
     exit_with_parent()
-    x_name, x_shape, x_dtype = x_meta
-    y_name, y_shape, y_dtype = y_meta
-    shm_x = shared_memory.SharedMemory(name=x_name)
-    shm_y = shared_memory.SharedMemory(name=y_name)
-    x = np.ndarray(x_shape, dtype=np.dtype(x_dtype), buffer=shm_x.buf)
-    y = np.ndarray(y_shape, dtype=np.dtype(y_dtype), buffer=shm_y.buf)
-    _WORKER_STATE = (model, x, y, shm_x, shm_y)
+    _WORKER_STATE = (model, dataset)
 
 
 def _grad_chunk(task):
@@ -62,19 +60,32 @@ def _grad_chunk(task):
     gradient matrix ever leaving the worker.
     """
     params, indices, clipping = task
-    model, x, y, _, _ = _WORKER_STATE
+    model, dataset = _WORKER_STATE
     model.set_params(params)
-    losses, grads = model.loss_and_per_sample_gradients(x[indices], y[indices])
+    losses, grads = model.loss_and_per_sample_gradients(
+        dataset.x[indices], dataset.y[indices]
+    )
     clipped, norms = clipping.clip_with_norms(grads)
     return clipped.sum(axis=0), losses, norms
 
 
-def _share_array(array: np.ndarray) -> tuple[shared_memory.SharedMemory, tuple]:
-    array = np.ascontiguousarray(array)
-    shm = shared_memory.SharedMemory(create=True, size=array.nbytes)
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-    view[...] = array
-    return shm, (shm.name, array.shape, array.dtype.str)
+def _check_shardable(model) -> None:
+    """Reject layers whose forward pass depends on the serial chunk order."""
+    for layer in getattr(model, "layers", []):
+        name = type(layer).__name__
+        if hasattr(layer, "running_mean") or hasattr(layer, "running_var"):
+            raise ValueError(
+                f"{name} keeps running statistics across steps; the parallel "
+                "gradient map cannot reproduce the serial chunk order for "
+                "such models"
+            )
+        if isinstance(layer, Dropout) and layer.rate > 0:
+            raise ValueError(
+                f"{name}(rate={layer.rate}) draws its masks from its own "
+                "generator in every forward pass; forked workers would each "
+                "draw from a copy of it, so the parallel gradient map cannot "
+                "reproduce the serial masks"
+            )
 
 
 class ParallelGradientMap:
@@ -83,14 +94,13 @@ class ParallelGradientMap:
     Parameters
     ----------
     model:
-        The model whose per-sample gradients are computed.  A copy is
-        shipped to each worker once; the current parameters travel with
-        every task.  Models with cross-step forward state (e.g. BatchNorm
-        running statistics) are rejected — their serial chunk loop is
-        order-dependent, so sharding it would change results.
+        The model whose per-sample gradients are computed.  Workers inherit
+        it through fork when the pool starts; the current parameters
+        travel with every task.  Models whose forward pass depends on the
+        serial chunk order are rejected: layers with running statistics
+        (e.g. BatchNorm) and ``Dropout`` with a positive rate.
     dataset:
-        :class:`repro.data.Dataset`; its arrays are snapshotted into shared
-        memory at construction.
+        :class:`repro.data.Dataset`; workers inherit it through fork.
     workers:
         Worker-process count (``None``/``"auto"``: one per CPU).
     timeout:
@@ -110,26 +120,16 @@ class ParallelGradientMap:
         telemetry=None,
         max_pool_failures: int = 2,
     ):
-        for layer in getattr(model, "layers", []):
-            if hasattr(layer, "running_mean") or hasattr(layer, "running_var"):
-                raise ValueError(
-                    f"{type(layer).__name__} keeps running statistics across "
-                    "steps; the parallel gradient map cannot reproduce the "
-                    "serial chunk order for such models"
-                )
+        _check_shardable(model)
         self.workers = resolve_workers(workers)
         self.timeout = timeout
         self.telemetry = telemetry
         self.max_pool_failures = max_pool_failures
         self._model = model
-        self._failures = 0
-        self._disabled = self.workers <= 1
-        self._executor: ProcessPoolExecutor | None = None
-        self._shm: list[shared_memory.SharedMemory] = []
-        self._x_meta = None
-        self._y_meta = None
         self._dataset = dataset
-        self._finalizer = weakref.finalize(self, _release, self._shm)
+        self._failures = 0
+        self._disabled = self.workers <= 1 or not parallel_available()
+        self._executor: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -143,18 +143,11 @@ class ParallelGradientMap:
         if self._executor is not None:
             return True
         try:
-            if not self._shm:
-                shm_x, self._x_meta = _share_array(self._dataset.x)
-                self._shm.append(shm_x)
-                shm_y, self._y_meta = _share_array(self._dataset.y)
-                self._shm.append(shm_y)
-            method = START_METHOD if START_METHOD in mp.get_all_start_methods() else None
-            ctx = mp.get_context(method)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=ctx,
+                mp_context=mp.get_context(START_METHOD),
                 initializer=_init_worker,
-                initargs=(self._model, self._x_meta, self._y_meta),
+                initargs=(self._model, self._dataset),
             )
         except Exception:
             self._record_failure()
@@ -179,16 +172,14 @@ class ParallelGradientMap:
             self.telemetry.increment("gradmap_fallbacks")
         self._kill_pool()
         if self._failures >= self.max_pool_failures:
-            self._disabled = True
             self.close()
 
     def close(self) -> None:
-        """Shut the pool down and release the shared-memory snapshot."""
+        """Shut the pool down; the map stays unavailable afterwards."""
         self._disabled = True
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        _release(self._shm)
 
     # ------------------------------------------------------------- mapping
     def map_chunks(self, params: np.ndarray, chunks, clipping) -> list | None:
@@ -220,13 +211,3 @@ class ParallelGradientMap:
         if self.telemetry is not None:
             self.telemetry.increment("gradmap_lots_parallel")
         return results
-
-
-def _release(shm_blocks: list) -> None:
-    while shm_blocks:
-        shm = shm_blocks.pop()
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass

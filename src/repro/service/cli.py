@@ -123,6 +123,14 @@ def _load_alert_rules(path):
 
 
 def _cmd_serve(args) -> int:
+    if args.profile:
+        from repro.utils.validation import check_output_path
+
+        try:
+            check_output_path("--profile", args.profile)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     alert_rules = _load_alert_rules(args.alert_rules) if args.alert_rules else None
     server = _open_server(
         args.state_dir,

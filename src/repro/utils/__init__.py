@@ -8,12 +8,6 @@ from repro.utils.validation import (
     check_vector,
 )
 from repro.utils.tables import format_table
-from repro.utils.serialization import (
-    load_checkpoint,
-    load_history,
-    save_checkpoint,
-    save_history,
-)
 
 __all__ = [
     "as_rng",
@@ -23,8 +17,4 @@ __all__ = [
     "check_probability",
     "check_vector",
     "format_table",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_history",
-    "load_history",
 ]

@@ -1,38 +1,20 @@
-"""Model/parameter persistence helpers.
+"""File-writing helpers shared by the persistence layers.
 
-Parameters are the model's flat vector (``Sequential.get_params``), so a
-checkpoint is portable across any code that can rebuild the same
-architecture.  Files are plain ``.npz`` archives with a metadata channel.
-
-:func:`save_checkpoint` persists *parameters only* — for full training
-state (optimizer internals, accountant, RNG streams) with exact resume
-guarantees, use :mod:`repro.checkpoint` instead.
-
-All savers here go through :func:`atomic_write_bytes` (write to a
-temporary file in the destination directory, fsync, rename), so a crash
-mid-write never leaves a truncated file under the final name.
+:func:`atomic_write_bytes` writes to a temporary file in the destination
+directory, fsyncs and renames, so a crash mid-write never leaves a
+truncated file under the final name; checkpoint snapshots
+(:mod:`repro.checkpoint`), service state and trace files all go through
+it.  :func:`save_jsonl` / :func:`load_jsonl` are the telemetry
+subsystem's one-object-per-line interchange format.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from pathlib import Path
 
-import numpy as np
-
-__all__ = [
-    "atomic_write_bytes",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_history",
-    "load_history",
-    "save_jsonl",
-    "load_jsonl",
-]
-
-_FORMAT_VERSION = 1
+__all__ = ["atomic_write_bytes", "save_jsonl", "load_jsonl"]
 
 
 def atomic_write_bytes(path, payload: bytes) -> Path:
@@ -53,86 +35,6 @@ def atomic_write_bytes(path, payload: bytes) -> Path:
         if tmp.exists():
             tmp.unlink()
     return path
-
-
-def save_checkpoint(path, model, *, metadata: dict | None = None) -> None:
-    """Save a model's parameters (and optional metadata) to ``path``.
-
-    Parameters
-    ----------
-    path:
-        Destination file; ``.npz`` is appended if missing.
-    model:
-        Any object with ``get_params()`` returning a flat vector.
-    metadata:
-        JSON-serialisable dict stored alongside the parameters (e.g.
-        iteration count, sigma, epsilon spent).
-
-    For complete training state (optimizer, accountant, RNG) see
-    :func:`repro.checkpoint.save_snapshot`.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    meta = dict(metadata or {})
-    meta["_format_version"] = _FORMAT_VERSION
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        params=model.get_params(),
-        metadata=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    )
-    atomic_write_bytes(path, buffer.getvalue())
-
-
-def load_checkpoint(path, model=None) -> tuple[np.ndarray, dict]:
-    """Load parameters (and metadata) from ``path``.
-
-    When ``model`` is given, its parameters are set in place (shape checked
-    by ``set_params``).  Returns ``(params, metadata)`` either way.
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(".npz").exists():
-        path = path.with_suffix(".npz")
-    with np.load(path) as archive:
-        params = archive["params"]
-        meta = json.loads(bytes(archive["metadata"].tobytes()).decode())
-    version = meta.pop("_format_version", None)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version!r}")
-    if model is not None:
-        model.set_params(params)
-    return params, meta
-
-
-def save_history(path, history) -> None:
-    """Save a :class:`~repro.core.trainer.TrainingHistory` to JSON."""
-    path = Path(path)
-    payload = {
-        "losses": list(map(float, history.losses)),
-        "test_accuracy": [[int(i), float(a)] for i, a in history.test_accuracy],
-        "iterations": int(history.iterations),
-        "sur_acceptance_rate": (
-            None
-            if history.sur_acceptance_rate is None
-            else float(history.sur_acceptance_rate)
-        ),
-    }
-    atomic_write_bytes(path, json.dumps(payload, indent=2).encode("utf-8"))
-
-
-def load_history(path):
-    """Load a :class:`~repro.core.trainer.TrainingHistory` from JSON."""
-    from repro.core.trainer import TrainingHistory
-
-    payload = json.loads(Path(path).read_text())
-    history = TrainingHistory(
-        losses=payload["losses"],
-        test_accuracy=[(int(i), float(a)) for i, a in payload["test_accuracy"]],
-        iterations=payload["iterations"],
-        sur_acceptance_rate=payload["sur_acceptance_rate"],
-    )
-    return history
 
 
 def save_jsonl(path, records, *, append: bool = False) -> None:

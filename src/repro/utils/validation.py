@@ -6,6 +6,8 @@ can assert on error behaviour and users get consistent diagnostics.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -73,3 +75,11 @@ def check_matrix(name: str, value, *, ncols: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def check_output_path(name: str, path) -> Path:
+    """Validate that a file can be created at ``path``: its directory exists."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ValueError(f"{name}: directory {str(path.parent)!r} does not exist")
+    return path

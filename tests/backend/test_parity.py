@@ -15,6 +15,7 @@ import pytest
 
 from repro.backend import get_backend, use_backend
 from repro.backend.reference import ReferenceBackend
+from repro.geometry import canonicalize_angles
 
 from tests.backend.conftest import parity_backends
 
@@ -25,7 +26,9 @@ REFERENCE = ReferenceBackend()
 #: rtol/atol of the cross-backend contract (documented in docs/backends.md).
 PARITY = dict(rtol=1e-10, atol=1e-10)
 
-GEOMETRY_SHAPES = [(1, 2), (3, 2), (4, 3), (17, 33), (9, 128), (64, 257)]
+#: The last shape crosses the fused backend's blocking threshold (2^17
+#: doubles): it runs as 12 row blocks of 4.
+GEOMETRY_SHAPES = [(1, 2), (3, 2), (4, 3), (17, 33), (9, 128), (64, 257), (48, 4096)]
 SEEDS = [0, 1]
 DTYPES = [np.float64, np.float32]
 
@@ -84,6 +87,18 @@ def test_geodp_perturb_parity(backend_name, shape, seed, dtype):
     np.testing.assert_allclose(out, ref, **PARITY)
 
 
+@pytest.mark.parametrize("shape", GEOMETRY_SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_canonicalize_angles_parity(backend_name, shape, seed):
+    """Through the public entry point, which dispatches to the backend."""
+    m, d = shape
+    noised = np.random.default_rng(seed + 250).normal(0.0, 4.0, size=(m, d - 1))
+    ref = REFERENCE.canonicalize_angles(noised)
+    with use_backend(backend_name):
+        out = canonicalize_angles(noised)
+    np.testing.assert_allclose(out, ref, **PARITY)
+
+
 EDGE_ROWS = [
     np.zeros(5),                                   # zero vector: all angles 0
     np.array([1.0, 0.0, 0.0, 0.0, 0.0]),           # on the pole
@@ -116,7 +131,8 @@ def test_decompose_edge_rows_parity(backend_name):
 
 
 # ------------------------------------------------------------ ghost kernels
-LINEAR_SHAPES = [(1, 3, 2), (8, 16, 10), (64, 120, 33)]  # (B, in, out)
+# (B, in, out); the last shape is blocked into 2 batch spans.
+LINEAR_SHAPES = [(1, 3, 2), (8, 16, 10), (64, 120, 33), (64, 8192, 256)]
 
 
 @pytest.mark.parametrize("shape", LINEAR_SHAPES)
@@ -143,13 +159,15 @@ def test_linear_kernels_parity(backend_name, shape, seed, dtype, bias):
 
 
 # Both Gram-crossover branches: L^2 <= O*K (small maps) and L^2 > O*K.  The
-# last shape is a ResNet 32x32 convolution: above the fused backend's block
-# threshold, so its clipped accumulate sums three batch spans.
+# last two shapes are above the fused backend's block threshold, so their
+# clipped accumulates sum three and two batch spans; (16, 72, 8, 1024) is a
+# ResNet 32x32 convolution.
 CONV_SHAPES = [  # (B, K, O, L)
     (2, 12, 4, 9),
     (6, 27, 8, 49),
     (4, 18, 3, 100),
     (16, 72, 8, 1024),
+    (32, 64, 32, 256),
 ]
 
 

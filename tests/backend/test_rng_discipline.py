@@ -49,6 +49,26 @@ def test_perturb_consumes_identical_stream_across_backends():
         np.testing.assert_allclose(out, outputs[0], rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("backend_name", parity_backends())
+def test_public_perturbation_rng_stream_and_output(backend_name):
+    """A blocked release draws the reference's stream and matches its output.
+
+    (48, 4096) crosses the fused backend's blocking threshold (12 row
+    blocks of 4), so the blocked kernels run, not the small-input path.
+    """
+    grads = np.random.default_rng(6).normal(size=(48, 4096)) * 0.01
+    results = {}
+    for name in ("reference", backend_name):
+        rng = np.random.default_rng(123)
+        with use_backend(name):
+            out = perturb_geodp_batch(grads, 1.0, 0.8, 32, 0.2, rng)
+        results[name] = (out, _rng_state(rng))
+    ref_out, ref_state = results["reference"]
+    out, state = results[backend_name]
+    assert state == ref_state, f"{backend_name} changed the RNG stream"
+    np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
+
+
 def test_sigma_zero_consumes_no_randomness():
     grads = np.random.default_rng(4).normal(size=(5, 24))
     for name in ALL_BACKENDS:

@@ -5,19 +5,29 @@ pooled buffers keyed by ``(shape, dtype)`` and transfers ownership,
 ``give`` donates them back, the pool is bounded, and counters track
 hits/misses/pooled bytes.  The payoff — a near-zero-allocation
 steady-state release — is asserted directly with ``tracemalloc`` against
-the same ceiling ``benchmarks/compare.gate_threads`` enforces.
+:data:`RELEASE_STEADY_PEAK_CEILING`.
 """
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.backend import use_backend, workspace
 
+from tests.backend.conftest import parity_backends
+
 pytestmark = pytest.mark.backend
+
+#: Ceiling on the steady-state (arena-warm) allocation peak of one
+#: ``perturb_geodp_batch`` release at (64, 5000).  BENCH_1 measured
+#: 23 041 638 peak bytes for the same release before the workspace arena
+#: existed; the arena must cut that at least 5x.
+RELEASE_STEADY_PEAK_CEILING = 23_041_638 // 5
 
 
 @pytest.fixture(autouse=True)
@@ -122,14 +132,10 @@ class TestNoteReleaseShape:
         assert workspace.stats()["workspace_bytes"] > 0
 
 
-def test_steady_state_release_allocation_is_bounded():
-    """An arena-warm GeoDP release allocates far less than the pre-arena 23 MB.
+def _steady_release_peak(backend_name: str) -> int:
+    """tracemalloc peak of one arena-warm ``perturb_geodp_batch`` at (64, 5000).
 
-    Mirrors ``benchmarks/compare.gate_threads``: after two warm-up calls
-    populate every ``(shape, dtype)`` key, the tracemalloc peak of one
-    more release must sit under the gate's ceiling (pre-arena peak / 5).
-    The only steady-state allocation left is the output buffer the caller
-    keeps.
+    Two warm-up calls populate every ``(shape, dtype)`` key first.
     """
     from repro.core.perturbation import perturb_geodp_batch
 
@@ -138,14 +144,43 @@ def test_steady_state_release_allocation_is_bounded():
     def release():
         return perturb_geodp_batch(grads, 0.1, 1.0, 1024, 0.1, np.random.default_rng(7))
 
-    with use_backend("auto"):
+    with use_backend(backend_name):
         release()
         release()
         tracemalloc.start()
         release()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    assert peak <= 23_041_638 // 5, (
+    return peak
+
+
+def test_steady_state_release_allocation_is_bounded():
+    """An arena-warm GeoDP release allocates far less than the pre-arena 23 MB.
+
+    After two warm-up calls populate every ``(shape, dtype)`` key, the
+    tracemalloc peak of one more release must sit under
+    :data:`RELEASE_STEADY_PEAK_CEILING`.  The only steady-state allocation
+    left is the output buffer the caller keeps.
+    """
+    peak = _steady_release_peak("auto")
+    assert peak <= RELEASE_STEADY_PEAK_CEILING, (
         f"steady-state release peak {peak} bytes; arena should keep it "
-        f"under {23_041_638 // 5}"
+        f"under {RELEASE_STEADY_PEAK_CEILING}"
     )
+
+
+@pytest.mark.parametrize("backend_name", parity_backends())
+def test_steady_peak_ceiling(backend_name):
+    """Every arena-backed backend meets the ceiling, not just ``auto``'s pick."""
+    peak = _steady_release_peak(backend_name)
+    assert peak <= RELEASE_STEADY_PEAK_CEILING, (
+        f"{backend_name}: steady-state release peak {peak} bytes; arena should "
+        f"keep it under {RELEASE_STEADY_PEAK_CEILING}"
+    )
+
+
+def test_ceiling_is_5x_under_the_pre_arena_peak():
+    """The ceiling is one fifth of the pre-arena peak archived in BENCH_1."""
+    archive = Path(__file__).resolve().parents[2] / "BENCH_1.json"
+    pre_arena = json.loads(archive.read_text())["benchmarks"]["perturb_geodp_batch"]
+    assert RELEASE_STEADY_PEAK_CEILING == pre_arena["peak_bytes"] // 5

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import (
     EXPERIMENTS,
     build_parser,
@@ -9,6 +10,7 @@ from repro.experiments.cli import (
     run_one,
     supports_workers,
 )
+from repro.service import cli as service_cli
 
 
 class TestParser:
@@ -24,6 +26,11 @@ class TestParser:
     def test_rejects_unknown_scale(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig1", "--scale", "giant"])
+
+    def test_rejects_threads(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig1", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestExecution:
@@ -62,3 +69,33 @@ class TestExecution:
             "fig1", "fig3", "fig4", "fig5", "fig6", "table2", "table3",
             "theory", "frontier", "mia", "concentration", "trace", "sparse",
         }
+
+
+class TestOutputPaths:
+    """An output flag into a missing directory fails before any work runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran despite an unwritable output path")
+
+        monkeypatch.setattr(cli, "run_one", fail)
+        monkeypatch.setattr(cli, "run_report", fail)
+        monkeypatch.setattr(service_cli, "_open_server", fail)
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--telemetry", ["trace"]),
+            ("--profile", ["fig1"]),
+            ("--chrome", ["report", "t.jsonl"]),
+            ("--profile", ["serve", "--state-dir", "{tmp}/state"]),
+        ],
+        ids=["telemetry", "profile", "chrome", "serve-profile"],
+    )
+    def test_missing_directory_exits_2(self, tmp_path, capsys, flag, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv + [flag, str(tmp_path / "missing" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(flag) and err.count("\n") == 1
+        assert not (tmp_path / "state").exists()

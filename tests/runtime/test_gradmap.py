@@ -1,11 +1,12 @@
-"""Tests for the shared-memory parallel per-sample gradient map."""
+"""Tests for the forked parallel per-sample gradient map."""
 
 import numpy as np
 import pytest
 
 from repro.core import DpSgdOptimizer, SgdOptimizer, Trainer
 from repro.data import make_mnist_like
-from repro.models import build_logistic_regression
+from repro.models import build_logistic_regression, build_mlp
+from repro.nn import Dropout
 from repro.privacy.clipping import (
     AdaptiveQuantileClipping,
     AutoSClipping,
@@ -162,6 +163,15 @@ class TestValidation:
 
         with pytest.raises(ValueError, match="running statistics"):
             ParallelGradientMap(FakeModel(), tiny_data, workers=2)
+
+    def test_rejects_dropout_with_positive_rate(self, tiny_data):
+        model = build_mlp((1, 8, 8), [16], dropout=0.3, rng=0)
+        with pytest.raises(ValueError, match=r"Dropout\(rate=0.3\)"):
+            ParallelGradientMap(model, tiny_data, workers=2)
+        for layer in model.layers:
+            if isinstance(layer, Dropout):
+                layer.rate = 0.0  # draws no masks, so the serial order is moot
+        ParallelGradientMap(model, tiny_data, workers=2).close()
 
     def test_single_worker_map_is_disabled(self, tiny_data):
         gradmap = ParallelGradientMap(tiny_model(), tiny_data, workers=1)

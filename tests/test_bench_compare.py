@@ -229,87 +229,6 @@ class TestMinTimeFloor:
         assert failures == ["slow: time 1.30x baseline"]
 
 
-def _threads_section(
-    byte_equal=True, cpu_count=8, speedup=2.5, steady_peak=1_000_000
-) -> dict:
-    return {
-        "cpu_count": cpu_count,
-        "backend": "cext",
-        "byte_equal": byte_equal,
-        "speedup": {
-            "perturb_geodp_batch": {
-                "t1_seconds": 0.01,
-                "tn_seconds": 0.01 / speedup,
-                "threads": 4,
-                "speedup": speedup,
-            }
-        },
-        "release_steady_peak_bytes": steady_peak,
-    }
-
-
-class TestGateThreads:
-    def test_healthy_section_passes(self, compare_mod):
-        lines, failures = compare_mod.gate_threads(_threads_section())
-        assert failures == []
-        assert all("FAIL" not in line for line in lines)
-
-    def test_determinism_break_fails_on_any_machine(self, compare_mod):
-        for cpus in (1, 8):
-            _, failures = compare_mod.gate_threads(
-                _threads_section(byte_equal=False, cpu_count=cpus)
-            )
-            assert len(failures) == 1
-            assert "determinism" in failures[0]
-
-    def test_low_speedup_fails_with_enough_cpus(self, compare_mod):
-        _, failures = compare_mod.gate_threads(
-            _threads_section(speedup=1.2, cpu_count=8)
-        )
-        assert len(failures) == 1
-        assert "speedup" in failures[0]
-
-    def test_speedup_gate_skipped_on_small_machines(self, compare_mod):
-        # A 1-CPU box physically cannot scale; only the speedup check is
-        # waived — determinism and allocation still gate.
-        lines, failures = compare_mod.gate_threads(
-            _threads_section(speedup=1.0, cpu_count=1)
-        )
-        assert failures == []
-        assert any("speedup gate skipped" in line for line in lines)
-
-    def test_steady_peak_ceiling(self, compare_mod):
-        ceiling = compare_mod.RELEASE_STEADY_PEAK_CEILING
-        _, failures = compare_mod.gate_threads(
-            _threads_section(steady_peak=ceiling + 1)
-        )
-        assert len(failures) == 1
-        assert "steady-state" in failures[0]
-        _, failures = compare_mod.gate_threads(_threads_section(steady_peak=ceiling))
-        assert failures == []
-
-    def test_ceiling_is_5x_under_the_pre_arena_peak(self, compare_mod):
-        assert compare_mod.RELEASE_STEADY_PEAK_CEILING == 23_041_638 // 5
-
-    def test_missing_section_skips_gate(self, compare_mod):
-        lines, failures = compare_mod.gate_threads(None)
-        assert failures == []
-        assert any("skipped" in line for line in lines)
-
-    def test_gate_threads_file(self, compare_mod, tmp_path):
-        path = tmp_path / "BENCH_0.json"
-        path.write_text(json.dumps({"benchmarks": BASE, "threads": _threads_section()}))
-        report, ok = compare_mod.gate_threads_file(path)
-        assert ok and "PASS" in report
-        path.write_text(
-            json.dumps(
-                {"benchmarks": BASE, "threads": _threads_section(byte_equal=False)}
-            )
-        )
-        report, ok = compare_mod.gate_threads_file(path)
-        assert not ok and "FAIL" in report
-
-
 class TestDescribeEnv:
     def test_new_archives_surface_machine_context(self, compare_mod, tmp_path):
         path = tmp_path / "BENCH_0.json"

@@ -33,7 +33,6 @@ HOT_PATH_MODULES = (
     "src/repro/core/perturbation.py",
     "src/repro/backend/fused.py",
     "src/repro/backend/cext.py",
-    "src/repro/backend/threads.py",
 )
 
 #: ``np.<name>`` calls that allocate fresh buffers.
