@@ -13,8 +13,8 @@ the recorder held before the bind is published.
 
 ``live_section()`` packages the overhead plus scrape/evaluation latency
 micro-numbers for ``run_all.py``'s ``BENCH_<n>.json`` archives, where
-``compare.gate_live`` enforces the overhead ceiling on every archived
-run.
+rows of ``compare.py``'s table enforce the overhead and latency ceilings
+on every archived run.
 """
 
 from __future__ import annotations
@@ -115,21 +115,15 @@ def _p95(samples: list[float]) -> float:
 
 
 def live_section(*, iterations: int = 100) -> dict:
-    """Live-layer numbers for ``BENCH_<n>.json`` archives."""
+    """Live-layer numbers, as a ``BENCH_<n>.json`` section."""
     detail = live_overhead(iterations=iterations, train=_workload(2000))
     registry, monitor = _populated_registry()
     evaluate_times = [_timed(lambda: monitor.evaluate(step=0)) for _ in range(50)]
     render_times = [_timed(lambda: render_prometheus(registry)) for _ in range(50)]
     return {
-        "overhead_fraction": detail["overhead_fraction"],
-        "overhead_by_minima": detail["overhead_by_minima"],
-        "overhead_by_median": detail["overhead_by_median"],
-        "evaluate_p95_seconds": _p95(evaluate_times),
-        "render_p95_seconds": _p95(render_times),
-        "benchmarks": {
-            "monitor_evaluate_p95": {"seconds": _p95(evaluate_times)},
-            "prometheus_render_p95": {"seconds": _p95(render_times)},
-        },
+        "overhead": {"value": detail["overhead_fraction"], "unit": "ratio"},
+        "evaluate_p95_s": {"value": _p95(evaluate_times), "unit": "s"},
+        "render_p95_s": {"value": _p95(render_times), "unit": "s"},
     }
 
 

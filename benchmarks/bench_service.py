@@ -11,8 +11,8 @@ real tenant traffic — which exercises the memoized RDP curve cache in
 warm-up pass so the timed region measures the sustained rate.
 
 ``service_section()`` packages the numbers for ``run_all.py``'s
-``BENCH_<n>.json`` archives, where ``compare.gate_service`` enforces both
-floors on every archived run.
+``BENCH_<n>.json`` archives, where two rows of ``compare.py``'s table
+enforce both floors on every archived run.
 """
 
 from __future__ import annotations
@@ -68,27 +68,24 @@ def service_section(*, decisions: int = 500) -> dict:
     latencies.sort()
     p50 = latencies[len(latencies) // 2]
     p95 = latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))]
-    refused = server.queue.counts()["refused"]
     return {
-        "decisions": decisions,
-        "refused": refused,
-        "decisions_per_second": decisions / elapsed,
-        "p95_latency_seconds": p95,
-        "benchmarks": {
-            "admission_decision_p50": {"seconds": p50},
-            "admission_decision_p95": {"seconds": p95},
-        },
+        "decisions": {"value": decisions, "unit": "count"},
+        "refused": {"value": server.queue.counts()["refused"], "unit": "count"},
+        "decisions_per_s": {"value": decisions / elapsed, "unit": "1/s"},
+        "admission_p50_s": {"value": p50, "unit": "s"},
+        "admission_p95_s": {"value": p95, "unit": "s"},
     }
 
 
 def test_admission_throughput_floor(report):
     section = service_section()
-    per_second = section["decisions_per_second"]
-    p95 = section["p95_latency_seconds"]
+    per_second = section["decisions_per_s"]["value"]
+    p95 = section["admission_p95_s"]["value"]
     report(
         "bench_service",
         f"budget-server admission over a mixed 2-tenant stream "
-        f"({section['decisions']} decisions, {section['refused']} refused)\n"
+        f"({section['decisions']['value']} decisions, "
+        f"{section['refused']['value']} refused)\n"
         f"throughput {per_second:10.0f} decisions/s (floor "
         f"{MIN_DECISIONS_PER_SECOND:.0f}/s)\n"
         f"p95        {p95 * 1e3:10.3f} ms/decision (ceiling "
@@ -107,7 +104,7 @@ def test_admission_throughput_floor(report):
 def test_every_decision_stays_audited():
     """Speed may not cost auditability: the whole stream replays exactly."""
     section = service_section(decisions=50)
-    assert section["refused"] > 0
+    assert section["refused"]["value"] > 0
     server = BudgetServer()
     server.add_tenant("bulk", epsilon_budget=1e9)
     server.add_tenant("capped", epsilon_budget=1e-4)

@@ -18,8 +18,8 @@ lazy run's finalized parameters match the eager (flush-every-step)
 reference to 1e-8 in ``"replay"`` noise mode.
 
 ``sparse_section()`` packages the dense/sparse step timings for
-``run_all.py``'s ``BENCH_<n>.json`` archives, where
-``compare.gate_sparse`` enforces the sparse-beats-dense invariant on
+``run_all.py``'s ``BENCH_<n>.json`` archives, where a row of
+``compare.py``'s table requires the sparse step to beat the dense one on
 every archived run at touch rates up to 10%.
 """
 
@@ -112,28 +112,24 @@ def sparse_section(
     *, vocab: int = VOCAB, dim: int = DIM, touch_rate: float = TOUCH_RATE,
     steps: int = 10,
 ) -> dict:
-    """Dense vs sparse step timings for ``BENCH_<n>.json`` archives."""
+    """Dense vs sparse step timings, as a ``BENCH_<n>.json`` section."""
     train, _ = _data(vocab, touch_rate)
     dense, _ = _trainer(False, train, vocab, dim=dim)
     sparse, _ = _trainer(True, train, vocab, dim=dim)
-    dense_seconds = _step_seconds(dense, steps)
-    sparse_seconds = _step_seconds(sparse, steps)
     return {
-        "vocab_size": vocab,
-        "dim": dim,
-        "touch_rate": touch_rate,
-        "benchmarks": {
-            "dense_step": {"seconds": dense_seconds},
-            "sparse_step": {"seconds": sparse_seconds},
-        },
+        "vocab_size": {"value": vocab, "unit": "count"},
+        "dim": {"value": dim, "unit": "count"},
+        "touch_rate": {"value": touch_rate, "unit": "ratio"},
+        "dense_step_s": {"value": _step_seconds(dense, steps), "unit": "s"},
+        "sparse_step_s": {"value": _step_seconds(sparse, steps), "unit": "s"},
     }
 
 
 def test_sparse_beats_dense(report):
     """At a 1% touch rate on 100k rows the sparse step wins >= 5x."""
     section = sparse_section()
-    dense = section["benchmarks"]["dense_step"]["seconds"]
-    sparse = section["benchmarks"]["sparse_step"]["seconds"]
+    dense = section["dense_step_s"]["value"]
+    sparse = section["sparse_step_s"]["value"]
     speedup = dense / sparse
     report(
         "bench_sparse",

@@ -1,46 +1,31 @@
-"""Run the library's core micro-benchmarks and archive a perf baseline.
+"""Archive one benchmark run as the next ``BENCH_<n>.json`` and gate it.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--repeats N] [--out DIR]
+    python3 benchmarks/run_all.py [--repeats N] [--out DIR]
 
-Each benchmark is measured for wall time (median of ``--repeats`` runs
-after one warm-up) and allocation peak (``tracemalloc``), and the results
-are written to ``BENCH_<n>.json`` in the repo root — ``n`` is the first
-unused integer, so successive runs accumulate a comparable history.  When
-a history exists, the new run is diffed against the oldest archive through
-``benchmarks/compare.py`` and regressions (>25% time, >50% peak memory)
-fail the run with a nonzero exit::
+The archive is written to ``DIR`` (default: the repo root) as
+``BENCH_<n>.json``, ``n`` the first unused integer.  Every section is a
+``{metric: {"value", "unit"}}`` mapping, each value stored once:
 
-    {
-      "benchmarks": {
-        "ghost_clipped_sum": {"seconds": 0.0123, "peak_bytes": 1234567},
-        ...
-      },
-      "backends": {
-        "reference": { ... same shape as "benchmarks" ... },
-        "fused": { ... },
-        "cext": { ... }
-      }
-    }
+- ``step``: each workload of ``BENCHMARK.json``, run in its own process
+  through the declared command with ``--workload W --seconds
+  <run_seconds>``.  A workload keeps the command's final JSON line
+  (``correct``, ``attempted``, ``failed`` and the end-to-end ``metrics``)
+  and ``round_step_s_p50``, the per-round medians from its report file.
+  The command exits nonzero unless every correctness check passed; that
+  stops the run before anything is written.
+- ``kernels``: per available :mod:`repro.backend`, seven hot-path kernels
+  at (64, 5000), as the median wall seconds of ``--repeats`` runs after a
+  warm-up (``<kernel>_s``) and the ``tracemalloc`` peak of one more run
+  (``<kernel>_peak_bytes``).
+- ``sparse``, ``service`` and ``live``: what the step workloads do not
+  measure, from ``bench_sparse.sparse_section``,
+  ``bench_service.service_section`` and ``bench_live.live_section``.
 
-The top-level ``benchmarks`` mapping is always the *reference* backend
-(back-compatible with pre-backend archives); ``backends`` holds one
-section per available :mod:`repro.backend` so each backend is gated
-against its own history, and accelerated backends are additionally gated
-against the reference section of the same run (see ``compare.py``).  A
-``sparse`` section (``bench_sparse.sparse_section``) times the sparse
-embedding-scale training step against the dense ghost step; the sparse
-step must beat dense at touch rates up to 10% (``compare.gate_sparse``).
-A ``service`` section (``bench_service.service_section``) measures
-budget-server admission throughput and p95 latency over a mixed
-two-tenant stream; ``compare.gate_service`` enforces >= 200 decisions/s
-and a 50ms p95 ceiling.  A ``live`` section (``bench_live.live_section``) measures the live
-observability layer (registry mirroring + per-step alert evaluation)
-against a recorder-only run plus scrape/evaluate p95 latency;
-``compare.gate_live`` enforces a 5% overhead ceiling.  The archive header
-records ``cpu_count`` and backend availability so regression comparisons
-carry their machine context.
+The ``machine`` header names the machine and marks the archive shape.
+The new archive is then gated by ``compare.py`` against the archives
+before it, and the exit code is its verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +34,9 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -58,6 +45,22 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+
+def run_step(declared: dict, workload: str, out_dir: Path) -> dict:
+    """One step workload through the declared command, as its archive entry."""
+    command = [
+        *declared["command"], "--workload", workload,
+        "--seconds", str(declared["run_seconds"]), "--out-dir", str(out_dir),
+    ]
+    proc = subprocess.run(command, cwd=REPO_ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-4000:] + proc.stderr[-4000:])
+        raise RuntimeError(f"{' '.join(command)} exited {proc.returncode}")
+    entry = json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads((out_dir / f"report-{workload}-trace0.json").read_text())
+    entry["round_step_s_p50"] = [r["step_s_p50"] for r in report["rounds"]]
+    return entry
 
 
 def build_benchmarks() -> dict:
@@ -104,8 +107,8 @@ def build_benchmarks() -> dict:
     }
 
 
-def measure(fn, repeats: int) -> dict:
-    """Median wall seconds and tracemalloc peak bytes for one callable."""
+def measure(name: str, fn, repeats: int) -> dict:
+    """Median wall seconds and tracemalloc peak bytes of one callable."""
     fn()  # warm-up outside the timed region
     times = []
     for _ in range(repeats):
@@ -116,7 +119,10 @@ def measure(fn, repeats: int) -> dict:
     fn()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return {"seconds": float(np.median(times)), "peak_bytes": int(peak)}
+    return {
+        f"{name}_s": {"value": float(np.median(times)), "unit": "s"},
+        f"{name}_peak_bytes": {"value": peak, "unit": "bytes"},
+    }
 
 
 def next_output_path(out_dir: Path) -> Path:
@@ -126,9 +132,15 @@ def next_output_path(out_dir: Path) -> Path:
     return out_dir / f"BENCH_{n}.json"
 
 
+def print_section(name: str, metrics: dict) -> None:
+    print(f"[{name}]")
+    for metric, entry in metrics.items():
+        print(f"  {metric:36s} {entry['value']:>14.6g} {entry['unit']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per bench")
+    parser.add_argument("--repeats", type=int, default=5, help="timed runs per kernel")
     parser.add_argument(
         "--out", default=str(REPO_ROOT), metavar="DIR", help="output directory"
     )
@@ -136,99 +148,54 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    step = {}
+    with tempfile.TemporaryDirectory() as reports:
+        for spec in declared["workloads"]:
+            step[spec["name"]] = run_step(declared, spec["name"], Path(reports))
+            print_section(f"step/{spec['name']}", step[spec["name"]]["metrics"])
+
     from repro.backend import available_backends, use_backend
 
-    backends = [name for name, ok in available_backends().items() if ok]
-    sections: dict[str, dict] = {}
-    for backend_name in backends:
-        print(f"[backend: {backend_name}]")
-        section = {}
-        with use_backend(backend_name):
-            # Rebuild per backend: setup (spherical decompose of the probe
-            # gradients, model state) must run under the measured backend.
+    kernels = {}
+    for backend in [name for name, ok in available_backends().items() if ok]:
+        kernels[backend] = {}
+        with use_backend(backend):
+            # Rebuilt per backend: set-up (the spherical decompose of the
+            # probe gradients, model state) runs under the measured backend.
             for name, fn in build_benchmarks().items():
-                section[name] = measure(fn, args.repeats)
-                print(
-                    f"  {name:28s} {section[name]['seconds'] * 1e3:9.3f} ms   "
-                    f"{section[name]['peak_bytes'] / 2**20:8.2f} MiB peak"
-                )
-        sections[backend_name] = section
+                kernels[backend].update(measure(name, fn, args.repeats))
+        print_section(f"kernels/{backend}", kernels[backend])
 
-    print("[sparse]")
+    from bench_live import live_section
+    from bench_service import service_section
     from bench_sparse import sparse_section
 
-    sparse = sparse_section(steps=max(args.repeats, 5))
-    for name, entry in sparse["benchmarks"].items():
-        print(f"  {name:28s} {entry['seconds'] * 1e3:9.3f} ms")
-
-    print("[service]")
-    from bench_service import service_section
-
-    service = service_section()
-    print(
-        f"  {'admission_throughput':28s} "
-        f"{service['decisions_per_second']:9.0f} decisions/s"
-    )
-    for name, entry in service["benchmarks"].items():
-        print(f"  {name:28s} {entry['seconds'] * 1e3:9.3f} ms")
-
-    print("[live]")
-    from bench_live import live_section
-
-    live = live_section()
-    print(f"  {'overhead_fraction':28s} {live['overhead_fraction']:+9.2%}")
-    for name, entry in live["benchmarks"].items():
-        print(f"  {name:28s} {entry['seconds'] * 1e3:9.3f} ms")
+    archive = {
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count() or 1,
+            "backends_available": available_backends(),
+            "repeats": args.repeats,
+            "run_seconds": declared["run_seconds"],
+        },
+        "step": step,
+        "kernels": kernels,
+        "sparse": sparse_section(steps=max(args.repeats, 5)),
+        "service": service_section(),
+        "live": live_section(),
+    }
+    for name in ("sparse", "service", "live"):
+        print_section(name, archive[name])
 
     path = next_output_path(Path(args.out))
-    path.write_text(
-        json.dumps(
-            {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "repeats": args.repeats,
-                # Machine context: regression ratios only mean something
-                # between comparable machines.
-                "cpu_count": os.cpu_count() or 1,
-                "backends_available": available_backends(),
-                # Top-level mapping stays the reference backend so old
-                # archives (which predate the backend layer) remain
-                # comparable baselines.
-                "benchmarks": sections["reference"],
-                "backends": sections,
-                "sparse": sparse,
-                "service": service,
-                "live": live,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote {path}")
+    path.write_text(json.dumps(archive, indent=1) + "\n")
+    print(f"wrote {path}\n")
 
-    from compare import (
-        bench_files,
-        compare_files,
-        gate_accelerated_file,
-        gate_live_file,
-        gate_service_file,
-        gate_sparse_file,
-    )
+    import compare
 
-    ok = True
-    history = bench_files(Path(args.out))
-    if len(history) > 1:
-        report, ok = compare_files(history[0], path)
-        print(f"\n{report}")
-    gate_report, gate_ok = gate_accelerated_file(path)
-    print(f"\n{gate_report}")
-    sparse_report, sparse_ok = gate_sparse_file(path)
-    print(f"\n{sparse_report}")
-    service_report, service_ok = gate_service_file(path)
-    print(f"\n{service_report}")
-    live_report, live_ok = gate_live_file(path)
-    print(f"\n{live_report}")
-    return 0 if ok and gate_ok and sparse_ok and service_ok and live_ok else 1
+    return compare.main(["--dir", args.out, "--candidate", str(path)])
 
 
 if __name__ == "__main__":

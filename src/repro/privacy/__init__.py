@@ -1,15 +1,14 @@
 """Differential-privacy substrate.
 
-Implements the mechanisms, calibration routines, accountants and per-sample
-clipping strategies that DP-SGD and GeoDP-SGD are built on.  Everything is
-implemented from first principles (no Opacus): the Gaussian mechanism
-(paper §III-A), classic and analytic noise calibration, Renyi-DP accounting
+Implements the calibration routines, accountants and per-sample clipping
+strategies that DP-SGD and GeoDP-SGD are built on.  Everything is
+implemented from first principles (no Opacus): classic and analytic noise
+calibration for the Gaussian mechanism (paper §III-A), Renyi-DP accounting
 for the (Poisson-subsampled) Gaussian mechanism (paper §II-A's RDP [9]),
 composition theorems, and the clipping rules the paper benchmarks against
 (flat clipping Eq. 6, AUTO-S [58], PSAC [51], quantile-adaptive clipping).
 """
 
-from repro.privacy.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.privacy.calibration import (
     classic_gaussian_sigma,
     analytic_gaussian_sigma,
@@ -55,8 +54,6 @@ from repro.privacy.ledger import (
 )
 
 __all__ = [
-    "GaussianMechanism",
-    "LaplaceMechanism",
     "classic_gaussian_sigma",
     "analytic_gaussian_sigma",
     "gaussian_epsilon",

@@ -8,6 +8,7 @@ import pytest
 from repro.privacy import (
     GENESIS_HASH,
     LedgerError,
+    PldAccountant,
     RdpAccountant,
     ReleaseLedger,
     ReleaseRecord,
@@ -142,6 +143,23 @@ class TestReplayVerification:
     def test_empty_ledger_verifies(self):
         verification = verify_ledger(ReleaseLedger())
         assert verification.ok and verification.replayed_epsilon is None
+
+    @pytest.mark.parametrize("sigma,sample_rate,steps", [(1.0, 1 / 32, 20), (2.0, 0.05, 50)])
+    def test_pld_epsilon_at_most_replayed_rdp_epsilon(self, sigma, sample_rate, steps):
+        """RDP composition is an upper bound and the PLD is near-exact, so
+        on a homogeneous Gaussian ledger a PLD epsilon above the replayed
+        one means the memoized RDP curve under-reports the guarantee."""
+        accountant, ledger = RdpAccountant(), ReleaseLedger()
+        for _ in range(steps):
+            accountant.step(sigma, sample_rate)
+            ledger.record_release(
+                mechanism="gaussian", sigma=sigma, sensitivity=0.1,
+                sample_rate=sample_rate, accountant=accountant,
+            )
+        pld = PldAccountant(sigma, sample_rate)
+        pld.step(steps)
+        replayed = verify_ledger(ledger, accountant).replayed_epsilon
+        assert pld.get_epsilon(ledger.delta) <= replayed + 1e-3
 
 
 class TestSerialisation:

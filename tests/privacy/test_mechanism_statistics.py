@@ -1,8 +1,8 @@
-"""Statistical test harness for the DP mechanisms.
+"""Statistical test harness for the DP-SGD Gaussian mechanism.
 
 Distributional checks with explicit significance levels rather than loose
-``np.isclose`` tolerances: the Gaussian mechanism's empirical noise must
-match ``sigma * sensitivity`` under a chi-square bound, its moments must be
+``np.isclose`` tolerances: the noise ``perturb_dp_batch`` releases must
+match ``sigma * C / B`` under a chi-square bound, its moments must be
 Gaussian, and DP-SGD's recorded noise must scale exactly as predicted when
 the noise multiplier doubles.  All draws use fixed seeds, so the tests are
 deterministic; the quantile bounds say how surprising a failure would be
@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.core import DpSgdOptimizer, Trainer
+from repro.core import DpSgdOptimizer, Trainer, perturb_dp_batch
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
-from repro.privacy import GaussianMechanism, LaplaceMechanism
 from repro.telemetry import MetricsRecorder
 
 # Two-sided tail mass for the chi-square bounds.  With fixed seeds the
@@ -32,26 +31,32 @@ def chi2_variance_bounds(n: int, alpha: float = ALPHA) -> tuple[float, float]:
 
 
 class TestGaussianMechanismStatistics:
-    def sample_noise(self, mech: GaussianMechanism, seed: int = 0) -> np.ndarray:
-        return mech.perturb(np.zeros(N_SAMPLES), rng=seed)
+    """The Gaussian mechanism every DP-SGD step runs, ``perturb_dp_batch``."""
 
-    @pytest.mark.parametrize("sensitivity,sigma", [(1.0, 1.0), (0.1, 2.5), (3.0, 0.5)])
-    def test_empirical_std_matches_sigma_times_sensitivity(self, sensitivity, sigma):
-        noise = self.sample_noise(GaussianMechanism(sensitivity, sigma=sigma))
+    def sample_noise(self, clip_norm, sigma, batch_size=1, seed=0) -> np.ndarray:
+        """Noise alone: the release of one zero gradient, left unclipped."""
+        zero = np.zeros((1, N_SAMPLES))
+        return perturb_dp_batch(zero, clip_norm, sigma, batch_size, seed, clip=False)[0]
+
+    @pytest.mark.parametrize(
+        "clip_norm,sigma,batch_size", [(1.0, 1.0, 1), (0.1, 2.5, 1), (3.0, 0.5, 64)]
+    )
+    def test_empirical_std_matches_sigma_times_sensitivity(self, clip_norm, sigma, batch_size):
+        noise = self.sample_noise(clip_norm, sigma, batch_size)
         lo, hi = chi2_variance_bounds(N_SAMPLES)
-        statistic = np.sum(noise**2) / (sigma * sensitivity) ** 2
+        statistic = np.sum(noise**2) / (sigma * clip_norm / batch_size) ** 2
         assert lo < statistic < hi
 
     def test_wrong_scale_rejected(self):
         """The chi-square bound has power: a 5% miscalibration fails it."""
-        noise = self.sample_noise(GaussianMechanism(1.0, sigma=1.05))
+        noise = self.sample_noise(1.0, sigma=1.05)
         lo, hi = chi2_variance_bounds(N_SAMPLES)
         statistic = np.sum(noise**2) / 1.0  # claimed sigma = 1.0
         assert not lo < statistic < hi
 
     def test_moments_are_gaussian(self):
         scale = 2.0
-        noise = self.sample_noise(GaussianMechanism(1.0, sigma=scale))
+        noise = self.sample_noise(1.0, sigma=scale)
         n = N_SAMPLES
         # Mean of n draws is N(0, scale^2 / n).
         z = abs(np.mean(noise)) / (scale / np.sqrt(n))
@@ -59,32 +64,6 @@ class TestGaussianMechanismStatistics:
         # Standardised fourth moment -> 3; estimator std is sqrt(96/n).
         kurtosis = np.mean(noise**4) / scale**4
         assert abs(kurtosis - 3.0) < stats.norm.ppf(1 - ALPHA / 2) * np.sqrt(96 / n)
-
-    def test_epsilon_delta_construction_matches_classic_sigma(self):
-        mech = GaussianMechanism(1.0, epsilon=0.5, delta=1e-5)
-        expected = np.sqrt(2 * np.log(1.25 / 1e-5)) / 0.5
-        assert mech.sigma == pytest.approx(expected)
-        noise = self.sample_noise(mech)
-        lo, hi = chi2_variance_bounds(N_SAMPLES)
-        assert lo < np.sum(noise**2) / mech.noise_scale**2 < hi
-
-
-class TestLaplaceMechanismStatistics:
-    def test_empirical_variance(self):
-        mech = LaplaceMechanism(1.0, epsilon=0.5)  # b = 2.0
-        noise = mech.perturb(np.zeros(N_SAMPLES), rng=0)
-        # Var = 2 b^2; the variance estimator of a Laplace sample has
-        # std sqrt((kurtosis_excess + 2) / n) * Var = sqrt(5/n) * 2b^2.
-        var = np.mean(noise**2)
-        tolerance = stats.norm.ppf(1 - ALPHA / 2) * np.sqrt(5 / N_SAMPLES)
-        assert abs(var / (2 * mech.noise_scale**2) - 1.0) < tolerance
-
-    def test_heavier_tails_than_gaussian(self):
-        """Laplace kurtosis is 6, Gaussian is 3 — the harness tells them apart."""
-        mech = LaplaceMechanism(1.0, epsilon=1.0)
-        noise = mech.perturb(np.zeros(N_SAMPLES), rng=0)
-        kurtosis = np.mean(noise**4) / np.mean(noise**2) ** 2
-        assert kurtosis > 4.5
 
 
 @pytest.mark.slow

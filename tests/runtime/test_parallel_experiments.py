@@ -1,7 +1,7 @@
-"""Parallel-equals-serial guarantees for grids, sweeps and the gradient map.
+"""Parallel-equals-serial guarantees for grids and the gradient map.
 
 The fast tests are the tier-1 smoke for the determinism invariant; the
-``slow``-marked matrix extends it to workers in {1, 2, 4} across all three
+``slow``-marked matrix extends it to workers in {1, 2, 4} across both
 parallel surfaces.  A grid interrupted mid-run must resume only its
 unfinished cells, and a cell whose worker crashes must still produce the
 serial result through retry.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import DpSgdOptimizer, Trainer
 from repro.data import make_mnist_like, train_test_split
-from repro.experiments.sweep import ParameterSweep
 from repro.experiments.training_grid import (
     MethodSpec,
     cell_checkpoint_dir,
@@ -65,10 +64,6 @@ def tiny_grid(grid_data, *, workers=1, sigmas=(0.5,), model_builder=builder,
     )
 
 
-def noisy_measure(a, b, rng):
-    return {"m": a * b + float(rng.normal())}
-
-
 def gradmap_run(data, workers):
     trainer = Trainer(
         builder(),
@@ -97,29 +92,17 @@ class TestSmoke:
         assert recorder.counters["runtime_cells_scheduled"] == 3
         assert recorder.counters["runtime_jobs_completed"] == 3
 
-    def test_sweep_parity(self):
-        sweep = ParameterSweep(noisy_measure, {"a": [1, 2], "b": [3, 4]})
-        serial = sweep.run(rng=4, repeats=2, workers=1)
-        parallel = sweep.run(rng=4, repeats=2, workers=2)
-        assert parallel == serial
-
 
 @needs_fork
 @pytest.mark.slow
 class TestDeterminismMatrix:
-    """workers in {1, 2, 4} x {grid, sweep, gradmap} are all bit-identical."""
+    """workers in {1, 2, 4} x {grid, gradmap} are all bit-identical."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_grid(self, grid_data, workers):
         reference = tiny_grid(grid_data, sigmas=(0.5, 1.0))
         result = tiny_grid(grid_data, workers=workers, sigmas=(0.5, 1.0))
         assert result == reference
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sweep(self, workers):
-        sweep = ParameterSweep(noisy_measure, {"a": [1, 2, 3], "b": [3, 4]})
-        reference = sweep.run(rng=4, repeats=3)
-        assert sweep.run(rng=4, repeats=3, workers=workers) == reference
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_gradmap(self, grid_data, workers):
