@@ -6,12 +6,12 @@ restarting — and for a *privacy* system, "survive" has a stricter meaning
 than usual: the resumed run must spend exactly the privacy budget of an
 uninterrupted run.  This package therefore snapshots *complete* training
 state — model parameters, optimizer internals (momentum velocity, Adam
-moments, lot size, adaptive-clipping threshold + history), accountant state
-(the accumulated RDP curve and step history), every RNG bit-generator
-state, the training history, SUR counters and telemetry — and restores it
-so that a run killed at iteration ``k`` and resumed is **bit-identical** to
-one that never stopped: same parameters, same losses, same noise draws,
-same final epsilon.
+moments, lot size), accountant state (the accumulated RDP curve and step
+history), every RNG bit-generator state, the training history, SUR
+counters and telemetry — and restores it so that a run killed at
+iteration ``k`` and resumed is **bit-identical** to one that never
+stopped: same parameters, same losses, same noise draws, same final
+epsilon.
 
 Files are written atomically (write + fsync + rename) with a versioned
 schema; corrupted or partial snapshots are detected and skipped on resume.

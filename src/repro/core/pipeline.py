@@ -157,28 +157,24 @@ class DpOptimizer:
             clipped, norms = self.clipping.clip_with_norms(grads)
             summed = clipped.sum(axis=0)
         if self.recorder is not None:
-            record_clipping(
-                self.recorder, grads, self.clipping.sensitivity(), norms=norms
-            )
+            record_clipping(self.recorder, norms, self.clipping.sensitivity())
         return summed
 
     def ghost_clipped_sum(self, model, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Clip-and-sum one batch via the ghost fast path (no ``(B, P)``).
 
         Returns ``(per-sample losses (B,), clipped gradient sum (P,))``.  The
-        clipping strategy observes the ghost norms exactly as it would on
-        the materialized path (adaptive thresholds follow the same
-        trajectory), and an attached recorder gets the same clipping
-        diagnostics plus ``ghost_clipped_sums`` / ``ghost_samples`` counters.
+        clipping strategy's factors come from the ghost norms, and an
+        attached recorder gets the same clipping diagnostics as on the
+        materialized path plus ``ghost_clipped_sums`` / ``ghost_samples``
+        counters.
         """
         with maybe_span(self.tracer, "ghost"):
             losses, summed, norms = model.loss_and_clipped_grad_sum(
                 x, y, self.clipping
             )
         if self.recorder is not None:
-            record_clipping(
-                self.recorder, None, self.clipping.sensitivity(), norms=norms
-            )
+            record_clipping(self.recorder, norms, self.clipping.sensitivity())
             self.recorder.increment("ghost_clipped_sums")
             self.recorder.increment("ghost_samples", len(norms))
         return losses, summed
@@ -278,12 +274,11 @@ class DpOptimizer:
         Covers everything a resumed run needs to continue bit-identically:
         the update rule's buffers (momentum velocity or Adam moments), the
         fixed lot size, the noise stream's bit-generator state, and the
-        nested clipping / accountant / ledger state.
+        nested accountant / ledger state.
         """
         state = super().state_dict()
         state["lot_size"] = None if self.lot_size is None else int(self.lot_size)
         state["rng"] = get_rng_state(self.rng)
-        state["clipping"] = self.clipping.state_dict()
         state["accountant"] = (
             None if self.accountant is None else self.accountant.state_dict()
         )
@@ -297,7 +292,6 @@ class DpOptimizer:
         lot_size = state.get("lot_size", self.lot_size)
         self.lot_size = None if lot_size is None else int(lot_size)
         set_rng_state(self.rng, state["rng"])
-        self.clipping.load_state_dict(state["clipping"])
         if state["accountant"] is not None:
             if self.accountant is None:
                 raise ValueError("snapshot has accountant state but none is attached")

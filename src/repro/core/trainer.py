@@ -10,7 +10,6 @@ per-lot step.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +136,10 @@ class Trainer:
         O(P) gradient memory, same DP release (see ``docs/performance.md``).
         ``None`` (default) inherits the optimizer's own ``grad_mode``
         attribute, so an optimizer built with ``grad_mode="ghost"`` routes
-        the whole training loop through the fast path.  Ghost mode requires
-        a clipping strategy expressible as per-sample factors
-        (``supports_ghost``); with e.g. per-layer clipping the trainer
-        falls back to ``"materialize"`` with a warning.  It cannot combine
-        with ``importance_sampling`` (which reuses the materialized pool
-        gradients) or ``parallel_grad_workers`` (whose workers materialize
-        per-sample gradients; see ``docs/parallelism.md``).
+        the whole training loop through the fast path.  Ghost mode cannot
+        combine with ``importance_sampling`` (which reuses the materialized
+        pool gradients) or ``parallel_grad_workers`` (whose workers
+        materialize per-sample gradients; see ``docs/parallelism.md``).
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  When given,
         every iteration emits a :class:`~repro.telemetry.StepTrace` with the
@@ -248,17 +244,6 @@ class Trainer:
                     "the worker pool shards materialized per-sample gradients "
                     "(see docs/parallelism.md)"
                 )
-            clipping = getattr(optimizer, "clipping", None)
-            if clipping is not None and not getattr(clipping, "supports_ghost", False):
-                warnings.warn(
-                    f"{type(clipping).__name__} needs the full per-sample "
-                    "gradient matrix; falling back to grad_mode='materialize'",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.grad_mode = "materialize"
-                if telemetry is not None:
-                    telemetry.increment("ghost_fallbacks")
         if microbatch_size is not None:
             if microbatch_size < 1:
                 raise ValueError(f"microbatch_size must be >= 1, got {microbatch_size}")
@@ -374,52 +359,35 @@ class Trainer:
         (an empty Poisson lot has none and releases pure noise).  The lot's
         sum starts from the first chunk's, so a one-chunk lot releases
         exactly that chunk's ghost or materialized clipped sum.
-
-        The chunks of one lot are one DP release, so adaptive clipping is
-        bracketed with ``begin_lot``/``end_lot``: every chunk is clipped at
-        the same frozen threshold (which is what ``sensitivity()`` reports
-        when the noise is calibrated) and the threshold adapts once per
-        optimizer step, not once per microbatch.
         """
         size = self.microbatch_size or max(len(idx), 1)
         chunks = [idx[start : start + size] for start in range(0, len(idx), size)]
-        clipping = getattr(self.optimizer, "clipping", None)
-        if clipping is not None:
-            clipping.begin_lot()
+        outs = None
+        if self._gradmap is not None and self._gradmap.available:
+            with maybe_span(self.tracer, "parallel_grad"):
+                outs = self._gradmap.map_chunks(params, chunks, self.optimizer.clipping)
+        if outs is not None:
+            # The workers clipped in their own processes; record their
+            # norms here as the serial loop's clipped_sum would.
+            recorder = getattr(self.optimizer, "recorder", None)
+            if recorder is not None:
+                for _, _, norms in outs:
+                    record_clipping(
+                        recorder, norms, self.optimizer.clipping.sensitivity()
+                    )
+            sums = [(chunk_sum, chunk_losses) for chunk_sum, chunk_losses, _ in outs]
+        else:
+            sums = map(self._clipped_chunk, chunks)
+        # Reduce in chunk-index order: the parallel sums are added in the
+        # serial loop's order, hence bit-identical.
         total = None
         losses: list[np.ndarray] = []
-        try:
-            outs = None
-            if self._gradmap is not None and self._gradmap.available and clipping is not None:
-                with maybe_span(self.tracer, "parallel_grad"):
-                    outs = self._gradmap.map_chunks(params, chunks, clipping)
-            if outs is not None:
-                # The workers clipped against pickled copies; replaying the
-                # observed norms here keeps the parent's adaptive-clipping
-                # state on the serial trajectory.
-                recorder = getattr(self.optimizer, "recorder", None)
-                for _, _, norms in outs:
-                    clipping.observe(norms)
-                    if recorder is not None:
-                        record_clipping(
-                            recorder, None, clipping.sensitivity(), norms=norms
-                        )
-                sums = [
-                    (chunk_sum, chunk_losses) for chunk_sum, chunk_losses, _ in outs
-                ]
+        for chunk_sum, chunk_losses in sums:
+            if total is None:
+                total = chunk_sum
             else:
-                sums = map(self._clipped_chunk, chunks)
-            # Reduce in chunk-index order: the parallel sums are added in
-            # the serial loop's order, hence bit-identical.
-            for chunk_sum, chunk_losses in sums:
-                if total is None:
-                    total = chunk_sum
-                else:
-                    total += chunk_sum
-                losses.append(chunk_losses)
-        finally:
-            if clipping is not None:
-                clipping.end_lot()
+                total += chunk_sum
+            losses.append(chunk_losses)
         if total is None:
             total = np.zeros(self.model.num_params)
         with maybe_span(self.tracer, "step"):

@@ -46,36 +46,6 @@ class Sequential:
         """Total number of scalar parameters ``P``."""
         return sum(size for *_, size in self._index)
 
-    def param_slices(self) -> list[tuple[str, slice]]:
-        """``(name, slice)`` of every parameter block in the flat vector.
-
-        Names are ``layer{i}.{param}``; used by per-layer clipping and any
-        tool that needs to address parts of the flat parameter vector.
-        """
-        out = []
-        offset = 0
-        for i, name, _, size in self._index:
-            out.append((f"layer{i}.{name}", slice(offset, offset + size)))
-            offset += size
-        return out
-
-    def layer_slices(self) -> list[tuple[int, slice]]:
-        """``(layer_index, slice)`` covering each layer's full block."""
-        out: list[tuple[int, slice]] = []
-        offset = 0
-        current_layer = None
-        start = 0
-        for i, _, _, size in self._index:
-            if current_layer is None:
-                current_layer, start = i, offset
-            elif i != current_layer:
-                out.append((current_layer, slice(start, offset)))
-                current_layer, start = i, offset
-            offset += size
-        if current_layer is not None:
-            out.append((current_layer, slice(start, offset)))
-        return out
-
     def get_params(self) -> np.ndarray:
         """Concatenate all parameters into one flat vector ``(P,)``."""
         if not self._index:
@@ -189,11 +159,10 @@ class Sequential:
         layer-local "ghost" quantities while caching each parametric
         layer's (unscaled) upstream gradient; ``clipping`` maps the norms
         to per-sample factors ``c_i`` (:meth:`~repro.privacy.clipping.
-        ClippingStrategy.clip_factors`, which also feeds adaptive-threshold
-        state); pass #2 then calls every parametric layer's
-        :meth:`~repro.nn.layers.Layer.accumulate_clipped` on its cached
-        upstream gradient — summed parameter gradients only, *no* second
-        trip through the layer chain.  Because backward never mixes
+        ClippingStrategy.clip_factors`); pass #2 then calls every
+        parametric layer's :meth:`~repro.nn.layers.Layer.accumulate_clipped`
+        on its cached upstream gradient — summed parameter gradients only,
+        *no* second trip through the layer chain.  Because backward never mixes
         samples, scaling sample ``i``'s upstream rows by ``c_i`` commutes
         with the (per-sample linear) backward map, so the result equals
         ``sum_i c_i g_i`` exactly — within floating-point tolerance of the
@@ -201,13 +170,11 @@ class Sequential:
         models are rejected here just as they are on the per-sample path.)
 
         Returns ``(per-sample losses (B,), clipped sum (P,), pre-clip
-        norms (B,))``.  Raises
-        :class:`~repro.privacy.clipping.GhostClippingUnsupportedError` for
-        strategies that need the full matrix (e.g. per-layer clipping).
+        norms (B,))``.
         """
         if len(x) == 0:
             # Empty Poisson batch: nothing to clip; mirror the optimizers'
-            # materialized-path handling (zero sum, no strategy observation).
+            # materialized-path handling (zero sum).
             return np.zeros(0), np.zeros(self.num_params), np.zeros(0)
         outputs = self.forward(x, train=True)
         losses = self.loss.per_sample(outputs, y)
@@ -216,7 +183,7 @@ class Sequential:
         # Pass #1: norms, caching each parametric layer's upstream gradient.
         norms, upstream = self.per_sample_grad_norms(grad_out)
 
-        factors = np.asarray(clipping.clip_factors(norms), dtype=np.float64)
+        factors = clipping.clip_factors(norms)
 
         # Pass #2: per-layer clipped accumulation from the cached upstream
         # gradients — the chain (input gradients, col2im, ...) is not

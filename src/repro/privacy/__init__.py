@@ -6,7 +6,7 @@ implemented from first principles (no Opacus): classic and analytic noise
 calibration for the Gaussian mechanism (paper §III-A), Renyi-DP accounting
 for the (Poisson-subsampled) Gaussian mechanism (paper §II-A's RDP [9]),
 composition theorems, and the clipping rules the paper benchmarks against
-(flat clipping Eq. 6, AUTO-S [58], PSAC [51], quantile-adaptive clipping).
+(flat clipping Eq. 6, AUTO-S [58], PSAC [51]).
 """
 
 from repro.privacy.calibration import (
@@ -41,8 +41,6 @@ from repro.privacy.clipping import (
     FlatClipping,
     AutoSClipping,
     PsacClipping,
-    AdaptiveQuantileClipping,
-    PerLayerClipping,
 )
 from repro.privacy.ledger import (
     GENESIS_HASH,
@@ -81,8 +79,6 @@ __all__ = [
     "FlatClipping",
     "AutoSClipping",
     "PsacClipping",
-    "AdaptiveQuantileClipping",
-    "PerLayerClipping",
     "ReleaseLedger",
     "ReleaseRecord",
     "GENESIS_HASH",

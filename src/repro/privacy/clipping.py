@@ -1,8 +1,12 @@
 """Per-sample gradient clipping strategies.
 
-All strategies map a matrix of per-sample gradients ``(B, d)`` to clipped
-per-sample gradients whose L2 norms are bounded by the strategy's
-:meth:`~ClippingStrategy.sensitivity`, which is what calibrates the DP noise.
+Every strategy gives each sample one scale factor ``c_i`` computed from its
+pre-clip L2 norm, under a constant bound ``C`` (:attr:`clip_norm`): the
+clipped gradient is ``c_i * g_i`` and its norm is at most ``C``, which is
+the :meth:`~ClippingStrategy.sensitivity` that calibrates the DP noise.  A
+strategy supplies only :meth:`~ClippingStrategy.clip_factors`; the base
+class derives the materialized clip from it, and the ghost and sparse
+paths call it directly on norms they compute without ``(B, d)``.
 
 Implemented strategies:
 
@@ -17,9 +21,6 @@ Implemented strategies:
   gradients (like flat clipping) and very small ones (whose direction is
   mostly noise), concentrating the fixed noise budget on informative
   samples.  Clipped norm ``C * ||g||^2 / (||g||^2 + gamma) < C``.
-* :class:`AdaptiveQuantileClipping` — quantile-target adaptive threshold
-  (Andrew et al., NeurIPS 2021): ``C`` tracks a target quantile of observed
-  per-sample norms by geometric updates.
 
 The returned clipped gradients are *per-sample*; aggregation (sum, then
 ``+ noise``, then ``/ B``, Eq. 8) happens in the optimizers.
@@ -29,139 +30,67 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_matrix, check_positive, check_probability
+from repro.utils.validation import check_matrix, check_positive
 
 __all__ = [
     "ClippingStrategy",
     "FlatClipping",
     "AutoSClipping",
     "PsacClipping",
-    "AdaptiveQuantileClipping",
-    "PerLayerClipping",
-    "GhostClippingUnsupportedError",
 ]
 
 
-class GhostClippingUnsupportedError(ValueError):
-    """Raised when a strategy cannot express clipping as per-sample factors.
+class ClippingStrategy:
+    """Interface: per-sample scale factors from pre-clip norms, bound ``C``.
 
-    The ghost-clipping fast path (:meth:`repro.nn.Sequential.
-    loss_and_clipped_grad_sum`) never materializes the ``(B, d)`` per-sample
-    gradient matrix; it needs the strategy to reduce to one multiplicative
-    factor per sample computed from that sample's pre-clip L2 norm.
-    Strategies that inspect sub-vectors (e.g. :class:`PerLayerClipping`)
-    raise this error, and callers fall back to the materialized path.
+    Subclasses set :attr:`clip_norm` and implement :meth:`clip_factors`;
+    everything else is derived here, so the materialized, ghost and sparse
+    paths apply the same factors.
     """
 
+    #: The constant L2 bound ``C`` on every clipped per-sample gradient.
+    clip_norm: float
 
-class ClippingStrategy:
-    """Interface: clip per-sample gradients and expose the induced sensitivity."""
+    def clip_factors(self, norms) -> np.ndarray:
+        """Per-sample scale factors ``c_i`` from pre-clip L2 norms ``(B,)``.
 
-    #: Whether :meth:`clip_factors` is implemented, i.e. whether the strategy
-    #: is expressible as one scale factor per sample from its pre-clip norm
-    #: (the requirement of the ghost-clipping fast path).
-    supports_ghost = False
+        ``clip(G)[i] == clip_factors(norms)[i] * G[i]`` for any gradient
+        matrix ``G`` with row norms ``norms``, which is what lets the ghost
+        path obtain ``sum_i c_i g_i`` from a second backward pass without
+        ever forming ``G``.
+        """
+        raise NotImplementedError
 
-    #: Whether :meth:`sensitivity` is the same constant for every release.
-    #: The sparse lazy-noise path (:mod:`repro.sparse`) requires this: noise
-    #: deferred at step ``t`` is materialized later with the scale
-    #: ``sigma * sensitivity``, which must not have drifted in between.
-    has_constant_sensitivity = True
+    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
+        """Clip and also return the *pre-clip* per-sample L2 norms.
+
+        Returning the norms lets telemetry record clipping statistics
+        without a second pass over the ``(B, d)`` gradient matrix.
+        """
+        grads = check_matrix("per_sample_grads", per_sample_grads)
+        # Row norms on the hot path: single-pass einsum is ~3x faster than
+        # np.linalg.norm(axis=1) on large per-sample gradient matrices.
+        norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+        return grads * self.clip_factors(norms)[:, None], norms
 
     def clip(self, per_sample_grads) -> np.ndarray:
         """Return clipped per-sample gradients with norms <= :meth:`sensitivity`."""
         return self.clip_with_norms(per_sample_grads)[0]
 
-    def clip_factors(self, norms) -> np.ndarray:
-        """Per-sample scale factors ``c_i`` from pre-clip L2 norms ``(B,)``.
-
-        Contract: for any gradient matrix ``G`` with row norms ``norms``,
-        ``clip(G)[i] == clip_factors(norms)[i] * G[i]`` — which is what lets
-        the ghost path obtain ``sum_i c_i g_i`` from a second backward pass
-        without ever forming ``G``.  Adaptive strategies update their
-        threshold state exactly as :meth:`clip_with_norms` would (one
-        observation per call, frozen mid-lot).
-        """
-        raise GhostClippingUnsupportedError(
-            f"{type(self).__name__} cannot clip from norms alone; use the "
-            "materialized per-sample gradient path (grad_mode='materialize')"
-        )
-
-    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
-        """Clip and also return the *pre-clip* per-sample L2 norms.
-
-        The norms are a byproduct of every strategy's own computation;
-        returning them lets telemetry record clipping statistics without a
-        second pass over the ``(B, d)`` gradient matrix.
-        """
-        raise NotImplementedError
-
     def sensitivity(self) -> float:
         """L2 bound on any single clipped per-sample gradient."""
-        raise NotImplementedError
-
-    def begin_lot(self) -> None:
-        """Mark the start of one logical lot (gradient-accumulation unit).
-
-        Stateless strategies ignore lot boundaries; adaptive strategies use
-        them to keep their threshold frozen across the microbatches of one
-        optimizer step (one adaptation per DP release, as the sensitivity
-        analysis requires).
-        """
-
-    def end_lot(self) -> None:
-        """Mark the end of the lot opened by :meth:`begin_lot`."""
-
-    def observe(self, norms) -> None:
-        """Feed pre-clip per-sample norms to the strategy's adaptation state.
-
-        Stateless strategies ignore observations.  Adaptive strategies use
-        this as the single entry point for threshold statistics — it is
-        called internally by :meth:`clip_with_norms`, and directly by the
-        parallel gradient map, which clips in worker processes (on pickled
-        copies) and replays the observed norms on the parent's strategy so
-        the adaptive trajectory matches the serial run exactly.
-        """
-
-    def state_dict(self) -> dict:
-        """Mutable state for checkpointing (empty for stateless strategies)."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} is stateless but got state keys "
-                f"{sorted(state)}"
-            )
-
-    @staticmethod
-    def _norms(grads: np.ndarray) -> np.ndarray:
-        # Row norms on the hot path: single-pass einsum is ~3x faster than
-        # np.linalg.norm(axis=1) on large per-sample gradient matrices.
-        return np.sqrt(np.einsum("ij,ij->i", grads, grads))
+        return self.clip_norm
 
 
 class FlatClipping(ClippingStrategy):
     """Classic flat clipping of Eq. 6: rescale only gradients above ``C``."""
 
-    supports_ghost = True
-
     def __init__(self, clip_norm: float):
         self.clip_norm = check_positive("clip_norm", clip_norm)
-
-    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        norms = self._norms(grads)
-        scale = 1.0 / np.maximum(1.0, norms / self.clip_norm)
-        return grads * scale[:, None], norms
 
     def clip_factors(self, norms) -> np.ndarray:
         norms = np.asarray(norms, dtype=np.float64)
         return 1.0 / np.maximum(1.0, norms / self.clip_norm)
-
-    def sensitivity(self) -> float:
-        return self.clip_norm
 
     def __repr__(self) -> str:
         return f"FlatClipping(clip_norm={self.clip_norm})"
@@ -176,24 +105,13 @@ class AutoSClipping(ClippingStrategy):
     guarantees the clipped norm stays strictly below ``C``.
     """
 
-    supports_ghost = True
-
     def __init__(self, clip_norm: float, gamma: float = 0.01):
         self.clip_norm = check_positive("clip_norm", clip_norm)
         self.gamma = check_positive("gamma", gamma)
 
-    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        norms = self._norms(grads)
-        scale = self.clip_norm / (norms + self.gamma)
-        return grads * scale[:, None], norms
-
     def clip_factors(self, norms) -> np.ndarray:
         norms = np.asarray(norms, dtype=np.float64)
         return self.clip_norm / (norms + self.gamma)
-
-    def sensitivity(self) -> float:
-        return self.clip_norm
 
     def __repr__(self) -> str:
         return f"AutoSClipping(clip_norm={self.clip_norm}, gamma={self.gamma})"
@@ -209,223 +127,14 @@ class PsacClipping(ClippingStrategy):
     considered uninformative.
     """
 
-    supports_ghost = True
-
     def __init__(self, clip_norm: float, gamma: float = 0.01):
         self.clip_norm = check_positive("clip_norm", clip_norm)
         self.gamma = check_positive("gamma", gamma)
 
-    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        norms = self._norms(grads)
-        # ||clipped|| = C * ||g||^2 / (||g||^2 + gamma) < C
-        scale = self.clip_norm * norms / (norms**2 + self.gamma)
-        return grads * scale[:, None], norms
-
     def clip_factors(self, norms) -> np.ndarray:
         norms = np.asarray(norms, dtype=np.float64)
+        # ||clipped|| = C * ||g||^2 / (||g||^2 + gamma) < C
         return self.clip_norm * norms / (norms**2 + self.gamma)
-
-    def sensitivity(self) -> float:
-        return self.clip_norm
 
     def __repr__(self) -> str:
         return f"PsacClipping(clip_norm={self.clip_norm}, gamma={self.gamma})"
-
-
-class AdaptiveQuantileClipping(ClippingStrategy):
-    """Quantile-tracking adaptive clipping threshold (Andrew et al. 2021).
-
-    After each logical lot the threshold moves geometrically toward the
-    ``target_quantile`` of the observed per-sample norms:
-
-    ``C <- C * exp(-lr * (fraction_below - target_quantile))``
-
-    A *lot* is one DP release.  Without gradient accumulation every
-    :meth:`clip` call is its own lot and the threshold updates immediately.
-    Under microbatch accumulation the trainer brackets the chunks of one
-    optimizer step with :meth:`begin_lot` / :meth:`end_lot`; the threshold
-    is then frozen for the whole lot (every chunk clipped at the same ``C``,
-    which is also what :meth:`sensitivity` reports for the release) and a
-    single geometric update is applied at :meth:`end_lot` from the pooled
-    norm statistics.
-
-    In a full DP deployment the ``fraction_below`` statistic is itself
-    noised; :meth:`clip` accepts an optional pre-seeded generator through the
-    constructor for that purpose.
-    """
-
-    supports_ghost = True
-    #: The threshold (and with it the sensitivity) moves between releases,
-    #: so deferred noise cannot be rescaled correctly afterwards.
-    has_constant_sensitivity = False
-
-    def __init__(
-        self,
-        initial_clip_norm: float,
-        target_quantile: float = 0.5,
-        learning_rate: float = 0.2,
-        *,
-        noise_std: float = 0.0,
-        rng=None,
-    ):
-        self.clip_norm = check_positive("initial_clip_norm", initial_clip_norm)
-        self.target_quantile = check_probability("target_quantile", target_quantile)
-        self.learning_rate = check_positive("learning_rate", learning_rate)
-        self.noise_std = check_positive("noise_std", noise_std, strict=False)
-        from repro.utils.rng import as_rng
-
-        self._rng = as_rng(rng)
-        #: Threshold trajectory, one value per lot (before its update).
-        self.history: list[float] = []
-        self._lot_active = False
-        self._lot_below = 0
-        self._lot_count = 0
-
-    def begin_lot(self) -> None:
-        if self._lot_active:
-            raise RuntimeError("begin_lot() called twice without end_lot()")
-        self._lot_active = True
-        self._lot_below = 0
-        self._lot_count = 0
-
-    def end_lot(self) -> None:
-        if not self._lot_active:
-            raise RuntimeError("end_lot() called without begin_lot()")
-        self._lot_active = False
-        if self._lot_count:
-            self._update(self._lot_below / self._lot_count, self._lot_count)
-
-    def _update(self, fraction_below: float, count: int) -> None:
-        """One geometric threshold update from a lot's pooled norm statistics."""
-        self.history.append(self.clip_norm)
-        if self.noise_std > 0:
-            fraction_below += self._rng.normal(0.0, self.noise_std / count)
-        self.clip_norm *= float(
-            np.exp(-self.learning_rate * (fraction_below - self.target_quantile))
-        )
-
-    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        norms = self._norms(grads)
-        scale = 1.0 / np.maximum(1.0, norms / self.clip_norm)
-        clipped = grads * scale[:, None]
-        self.observe(norms)
-        return clipped, norms
-
-    def clip_factors(self, norms) -> np.ndarray:
-        norms = np.asarray(norms, dtype=np.float64)
-        # Factors are computed at the current (mid-lot: frozen) threshold
-        # *before* the observation, exactly like clip_with_norms.
-        factors = 1.0 / np.maximum(1.0, norms / self.clip_norm)
-        self.observe(norms)
-        return factors
-
-    def observe(self, norms) -> None:
-        norms = np.asarray(norms)
-        if norms.size == 0:
-            return
-        if self._lot_active:
-            self._lot_below += int(np.sum(norms <= self.clip_norm))
-            self._lot_count += len(norms)
-        else:
-            self._update(float(np.mean(norms <= self.clip_norm)), len(norms))
-
-    def sensitivity(self) -> float:
-        """Sensitivity of the release the threshold was last applied to.
-
-        Mid-lot (between :meth:`begin_lot` and :meth:`end_lot`) this is the
-        frozen active threshold; otherwise it is the threshold the previous
-        lot was clipped with.
-        """
-        if self._lot_active:
-            return self.clip_norm
-        return self.history[-1] if self.history else self.clip_norm
-
-    def state_dict(self) -> dict:
-        from repro.utils.rng import get_rng_state
-
-        if self._lot_active:
-            raise RuntimeError("cannot checkpoint mid-lot; call end_lot() first")
-        return {
-            "clip_norm": float(self.clip_norm),
-            "history": [float(c) for c in self.history],
-            "rng": get_rng_state(self._rng),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        from repro.utils.rng import set_rng_state
-
-        self.clip_norm = float(state["clip_norm"])
-        self.history = [float(c) for c in state["history"]]
-        set_rng_state(self._rng, state["rng"])
-        self._lot_active = False
-        self._lot_below = 0
-        self._lot_count = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"AdaptiveQuantileClipping(clip_norm={self.clip_norm:.4g}, "
-            f"target_quantile={self.target_quantile})"
-        )
-
-
-class PerLayerClipping(ClippingStrategy):
-    """Clip each parameter block (layer) to its own threshold.
-
-    ``blocks`` is a list of slices partitioning the flat gradient vector
-    (e.g. from :meth:`repro.nn.Sequential.layer_slices`), and
-    ``clip_norms`` either one threshold shared by all blocks or one per
-    block.  The total L2 sensitivity is ``sqrt(sum_j C_j^2)`` — each block
-    changes by at most its own threshold between neighbouring datasets.
-    """
-
-    def __init__(self, blocks, clip_norms):
-        self.blocks = [b[1] if isinstance(b, tuple) else b for b in blocks]
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        for s in self.blocks:
-            if not isinstance(s, slice):
-                raise TypeError(f"blocks must be slices, got {type(s)!r}")
-        if np.isscalar(clip_norms):
-            clip_norms = [float(clip_norms)] * len(self.blocks)
-        self.clip_norms = [check_positive("clip_norm", c) for c in clip_norms]
-        if len(self.clip_norms) != len(self.blocks):
-            raise ValueError(
-                f"{len(self.blocks)} blocks but {len(self.clip_norms)} thresholds"
-            )
-
-    def clip_with_norms(self, per_sample_grads) -> tuple[np.ndarray, np.ndarray]:
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        out = grads.copy()
-        covered = 0
-        total_sq = np.zeros(grads.shape[0])
-        for block, clip_norm in zip(self.blocks, self.clip_norms):
-            part = grads[:, block]
-            covered += part.shape[1]
-            norms_sq = np.einsum("ij,ij->i", part, part)
-            total_sq += norms_sq
-            scale = 1.0 / np.maximum(1.0, np.sqrt(norms_sq) / clip_norm)
-            out[:, block] = part * scale[:, None]
-        if covered != grads.shape[1]:
-            raise ValueError(
-                f"blocks cover {covered} of {grads.shape[1]} coordinates; "
-                "per-layer clipping requires a full partition"
-            )
-        return out, np.sqrt(total_sq)
-
-    def clip_factors(self, norms) -> np.ndarray:
-        raise GhostClippingUnsupportedError(
-            "PerLayerClipping scales each parameter block by its own factor, "
-            "which a single per-sample factor cannot express; use "
-            "grad_mode='materialize' (the trainer falls back automatically)"
-        )
-
-    def sensitivity(self) -> float:
-        return float(np.sqrt(np.sum(np.square(self.clip_norms))))
-
-    def __repr__(self) -> str:
-        return (
-            f"PerLayerClipping(blocks={len(self.blocks)}, "
-            f"sensitivity={self.sensitivity():.4g})"
-        )

@@ -3,7 +3,7 @@
 DP-SGD's per-sample gradient pass is embarrassingly parallel: the clipped
 sum of a lot is the sum of the clipped sums of its microbatch chunks, and
 each chunk depends only on the current parameters, the chunk's sample
-indices and the (lot-frozen) clipping strategy.  :class:`ParallelGradientMap`
+indices and the clipping strategy.  :class:`ParallelGradientMap`
 keeps a persistent pool of forked workers that inherit the model and the
 training set copy-on-write, as :func:`repro.runtime.run_jobs`' workers
 inherit their job function; each task ships only the flat parameter
@@ -13,8 +13,7 @@ Determinism: the workers receive the serial microbatch loop's chunks, whose
 boundaries depend only on the lot size and ``microbatch_size``, and results
 are reduced in chunk-index order, so the accumulated clipped sum is
 bit-identical to the serial loop for any worker count.
-All randomness (noise, sampling, adaptive-clipping updates) stays in the
-parent process.
+All randomness (noise, sampling) stays in the parent process.
 
 Fault tolerance: a crashed, hung or unpicklable lot falls back to ``None``,
 telling the trainer to run that lot through its ordinary serial loop (same
@@ -56,8 +55,8 @@ def _grad_chunk(task):
     """One microbatch chunk: per-sample gradients, clip, sum.
 
     Returns ``(clipped_sum, losses, pre_clip_norms)``; the norms let the
-    parent replay adaptive-clipping observations and telemetry without the
-    gradient matrix ever leaving the worker.
+    parent record clipping telemetry without the gradient matrix ever
+    leaving the worker.
     """
     params, indices, clipping = task
     model, dataset = _WORKER_STATE

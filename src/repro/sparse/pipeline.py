@@ -80,14 +80,14 @@ def sparse_loss_and_clipped_grads(model, emb_index: int, x, y, clipping):
     Returns ``(losses (B,), dense_sum (P_dense,), rows (R,), row_sum
     (R, dim), norms (B,))`` where ``rows`` are the sorted unique embedding
     rows the lot touched and ``row_sum = sum_i c_i dw_i`` restricted to
-    them.  ``clipping.clip_factors`` observes the exact per-sample norms
-    (dense ghost norm² + sparse norm²), so adaptive thresholds follow the
-    same trajectory as on the dense paths.
+    them.  ``clipping.clip_factors`` sees the exact per-sample norms
+    (dense ghost norm² + sparse norm²), so the factors are the dense
+    paths' factors.
     """
     embedding = model.layers[emb_index]
     dense_size = sum(size for i, _, _, size in model._index if i != emb_index)
     if len(x) == 0:
-        # Empty Poisson lot: zero sums, no touched rows, no observation.
+        # Empty Poisson lot: zero sums, no touched rows.
         return (
             np.zeros(0),
             np.zeros(dense_size),
@@ -118,7 +118,7 @@ def sparse_loss_and_clipped_grads(model, emb_index: int, x, y, clipping):
         norm_sq += layer_norm_sq
     norms = np.sqrt(norm_sq)
 
-    factors = np.asarray(clipping.clip_factors(norms), dtype=np.float64)
+    factors = clipping.clip_factors(norms)
 
     # Pass #2: clip-scaled accumulation — dense layers from their cached
     # upstream gradients, the embedding from its sparse triples.
@@ -149,7 +149,7 @@ def sparse_clipped_sums(optimizer, model, emb_index: int, x, y):
             model, emb_index, x, y, optimizer.clipping
         )
     if recorder is not None:
-        record_clipping(recorder, None, optimizer.clipping.sensitivity(), norms=norms)
+        record_clipping(recorder, norms, optimizer.clipping.sensitivity())
         recorder.increment("sparse_clipped_sums")
         recorder.increment("sparse_samples", len(norms))
         recorder.increment("sparse_touched_rows", len(rows))

@@ -29,11 +29,11 @@ checkpoint/resume (each checkpoint is a flush barrier), per-lot
 ``StepTrace`` telemetry and attaching the sinks to the optimizer — is the
 base :class:`~repro.core.Trainer`'s.
 
-Constraints (validated at construction): the clipping strategy must
-support ghost norms and have constant sensitivity — deferred noise drawn
-at step ``t + k`` must use the same ``sigma * C`` the release at step
-``t`` promised — and the aggregation denominator must be fixed across
-steps (``lot_size`` or the fixed batch size).
+Constraints: deferred noise drawn at step ``t + k`` must use the same
+``lr * sigma * C`` the release at step ``t`` promised.  Every clipping
+strategy's bound ``C`` is constant, construction rejects release hooks
+(e.g. a noise schedule), and the aggregation denominator must be fixed
+across steps (``lot_size`` or the fixed batch size).
 """
 
 from __future__ import annotations
@@ -99,17 +99,6 @@ class SparseTrainer(Trainer):
             raise ValueError(
                 f"{type(optimizer).__name__} has no step_sparse; sparse training "
                 "needs a DP optimizer from repro.core"
-            )
-        clipping = optimizer.clipping
-        if not getattr(clipping, "supports_ghost", False):
-            raise ValueError(
-                f"{type(clipping).__name__} does not support ghost norms, "
-                "which the sparse clip pass is built on"
-            )
-        if not getattr(clipping, "has_constant_sensitivity", False):
-            raise ValueError(
-                f"{type(clipping).__name__} adapts its sensitivity between "
-                "steps; deferred row noise requires a constant sigma * C"
             )
         if getattr(optimizer, "release_hooks", None):
             raise ValueError(

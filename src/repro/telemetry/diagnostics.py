@@ -24,39 +24,24 @@ __all__ = [
 ]
 
 
-def clip_diagnostics(
-    per_sample_grads, threshold: float, *, norms=None
-) -> dict[str, float]:
-    """Clipping statistics of one batch of per-sample gradients.
+def clip_diagnostics(norms, threshold: float) -> dict[str, float]:
+    """Clipping statistics of one batch from its pre-clip per-sample norms.
 
     Returns the mean and max pre-clip L2 norm and the fraction of samples
     whose norm exceeded ``threshold`` (and were therefore scaled down by
     flat clipping).  An empty batch (Poisson sampling) yields zeros.
 
-    ``norms`` takes precomputed per-sample L2 norms (as returned by
-    :meth:`~repro.privacy.clipping.ClippingStrategy.clip_with_norms`) so the
-    hot path never walks the ``(B, d)`` matrix twice; without it the norms
-    are computed here from ``per_sample_grads``.
+    ``norms`` are the norms the clip itself computed (as returned by
+    :meth:`~repro.privacy.clipping.ClippingStrategy.clip_with_norms` or the
+    ghost pass), so the hot path never walks the ``(B, d)`` matrix twice.
     """
-    if norms is None:
-        grads = np.asarray(per_sample_grads, dtype=np.float64)
-        if grads.ndim != 2 or grads.shape[0] == 0:
-            return {
-                "pre_clip_norm_mean": 0.0,
-                "pre_clip_norm_max": 0.0,
-                "clipped_fraction": 0.0,
-            }
-        # Single-pass einsum norms: same values as np.linalg.norm(axis=1)
-        # at a fraction of the overhead.
-        norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
-    else:
-        norms = np.asarray(norms, dtype=np.float64)
-        if norms.size == 0:
-            return {
-                "pre_clip_norm_mean": 0.0,
-                "pre_clip_norm_max": 0.0,
-                "clipped_fraction": 0.0,
-            }
+    norms = np.asarray(norms, dtype=np.float64)
+    if norms.size == 0:
+        return {
+            "pre_clip_norm_mean": 0.0,
+            "pre_clip_norm_max": 0.0,
+            "clipped_fraction": 0.0,
+        }
     return {
         "pre_clip_norm_mean": float(norms.mean()),
         "pre_clip_norm_max": float(norms.max()),
@@ -94,12 +79,12 @@ def release_diagnostics(clean, noisy) -> dict[str, float]:
     return out
 
 
-def record_clipping(recorder, per_sample_grads, threshold: float, *, norms=None) -> None:
+def record_clipping(recorder, norms, threshold: float) -> None:
     """Record :func:`clip_diagnostics` into ``recorder`` (no-op when None)."""
     if recorder is None:
         return
     note_backend(recorder)
-    for name, value in clip_diagnostics(per_sample_grads, threshold, norms=norms).items():
+    for name, value in clip_diagnostics(norms, threshold).items():
         recorder.record(name, value)
 
 

@@ -24,7 +24,7 @@ from repro.core.geodp_adam import GeoDpAdamOptimizer
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
 from repro.privacy.accountant import RdpAccountant
-from repro.privacy.clipping import AdaptiveQuantileClipping
+from repro.privacy.clipping import AutoSClipping
 from repro.telemetry import MetricsRecorder
 
 TOTAL = 14
@@ -56,10 +56,9 @@ def make_setup(kind, data):
             1.0, 0.1, 1.0, rng=2, momentum=0.9,
             accountant=accountant, sample_rate=sample_rate,
         )
-    elif kind == "dpsgd_adaptive_microbatch":
-        clipping = AdaptiveQuantileClipping(0.1, noise_std=1.0, rng=7)
+    elif kind == "dpsgd_autos_microbatch":
         optimizer = DpSgdOptimizer(
-            1.0, clipping, 1.0, rng=2,
+            1.0, AutoSClipping(0.1), 1.0, rng=2,
             accountant=accountant, sample_rate=sample_rate,
         )
         kwargs["microbatch_size"] = 8
@@ -142,7 +141,7 @@ class TestResumeMatrix:
         [
             "sgd_momentum",
             "dpsgd_momentum",
-            "dpsgd_adaptive_microbatch",
+            "dpsgd_autos_microbatch",
             "dpsgd_poisson",
             "geodp_momentum",
             "geodp_adam",
@@ -152,6 +151,33 @@ class TestResumeMatrix:
     @pytest.mark.parametrize("interrupt_at", [5, 13])
     def test_bit_identical(self, small_data, tmp_path, kind, interrupt_at):
         assert_bit_identical(kind, small_data, tmp_path, interrupt_at)
+
+
+class TestOlderSnapshots:
+    def test_clipping_state_key_is_ignored(self, small_data, tmp_path):
+        """Snapshots from before clipping strategies became stateless carry
+        ``optimizer["clipping"] = {}``; the loader skips the key and the run
+        continues bit-identically."""
+        model_a, opt_a, acc_a, trainer_a = make_setup("dpsgd_momentum", small_data)
+        history_a = trainer_a.train(TOTAL)
+
+        _, _, _, trainer_b = make_setup("dpsgd_momentum", small_data)
+        history_b = trainer_b.train(8)
+        state = capture_training_state(trainer_b, history_b, 8)
+        assert "clipping" not in state["optimizer"]
+        state["optimizer"]["clipping"] = {}
+        save_snapshot(snapshot_path(tmp_path, 8), state)
+
+        model_c, opt_c, acc_c, trainer_c = make_setup("dpsgd_momentum", small_data)
+        lots = []
+        run_lot = trainer_c._lot
+        trainer_c._lot = lambda: lots.append(1) or run_lot()
+        history_c = trainer_c.train(TOTAL, checkpoint_dir=tmp_path)
+        assert len(lots) == TOTAL - 8  # resumed from the snapshot
+        assert np.array_equal(model_c.get_params(), model_a.get_params())
+        assert history_c.losses == history_a.losses
+        assert opt_c.rng.bit_generator.state == opt_a.rng.bit_generator.state
+        assert acc_c.history == acc_a.history
 
 
 class TestCrashInjection:

@@ -17,13 +17,7 @@ from repro.core.geodp_adam import GeoDpAdamOptimizer
 from repro.core.ghost import check_grad_mode
 from repro.data import make_cifar_like, make_mnist_like, train_test_split
 from repro.models import build_cnn, build_resnet
-from repro.privacy.clipping import (
-    AdaptiveQuantileClipping,
-    AutoSClipping,
-    FlatClipping,
-    PerLayerClipping,
-    PsacClipping,
-)
+from repro.privacy.clipping import AutoSClipping, FlatClipping, PsacClipping
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +76,16 @@ class TestClippedSumParity:
             lambda: FlatClipping(0.7),
             lambda: AutoSClipping(0.7),
             lambda: PsacClipping(0.7),
-            lambda: AdaptiveQuantileClipping(0.7),
         ],
-        ids=["flat", "autos", "psac", "adaptive"],
+        ids=["flat", "autos", "psac"],
     )
     def test_loss_and_clipped_grad_sum(self, cnn_data, make):
         check_clipped_sum_parity(cnn_model(), cnn_data[0], make)
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: FlatClipping(0.7), lambda: AdaptiveQuantileClipping(0.7)],
-        ids=["flat", "adaptive"],
+        [lambda: FlatClipping(0.7), lambda: PsacClipping(0.7)],
+        ids=["flat", "psac"],
     )
     def test_resnet_clipped_grad_sum(self, resnet_data, make):
         check_clipped_sum_parity(resnet_model(), resnet_data[0], make)
@@ -132,11 +125,11 @@ class TestEndToEndParity:
         "factory",
         [
             lambda: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7),
-            lambda: DpSgdOptimizer(0.2, AdaptiveQuantileClipping(0.7), 0.5, rng=7),
+            lambda: DpSgdOptimizer(0.2, AutoSClipping(0.7), 0.5, rng=7),
             lambda: GeoDpSgdOptimizer(0.2, 0.7, 0.5, beta=0.1, rng=7),
             lambda: GeoDpAdamOptimizer(0.05, 0.7, 0.5, beta=0.1, rng=7),
         ],
-        ids=["dpsgd", "dpsgd-adaptive", "geodp", "geodp-adam"],
+        ids=["dpsgd", "dpsgd-autos", "geodp", "geodp-adam"],
     )
     def test_ghost_matches_materialize(self, cnn_data, factory):
         train, test = cnn_data
@@ -166,7 +159,7 @@ class TestEndToEndParity:
 
     def test_microbatch_parity(self, cnn_data):
         train, test = cnn_data
-        factory = lambda: DpSgdOptimizer(0.2, AdaptiveQuantileClipping(0.7), 0.5, rng=7)  # noqa: E731
+        factory = lambda: DpSgdOptimizer(0.2, AutoSClipping(0.7), 0.5, rng=7)  # noqa: E731
         losses_m, params_m = run_training(
             factory, train, test, grad_mode="materialize", microbatch_size=4
         )
@@ -235,17 +228,6 @@ class TestGhostValidation:
             Trainer(
                 cnn_model(), SgdOptimizer(0.2), train, batch_size=16, grad_mode="ghost"
             )
-
-    def test_unsupported_clipping_falls_back(self, cnn_data):
-        train, _ = cnn_data
-        model = cnn_model()
-        blocks = [s for _, s in model.layer_slices()]
-        clipping = PerLayerClipping(blocks, 0.7)
-        opt = DpSgdOptimizer(0.2, clipping, 0.5, rng=7)
-        with pytest.warns(RuntimeWarning, match="materialize"):
-            trainer = Trainer(model, opt, train, batch_size=16, rng=5, grad_mode="ghost")
-        assert trainer.grad_mode == "materialize"
-        trainer.train(2)  # trains fine on the materialized path
 
     def test_supported_clipping_no_warning(self, cnn_data):
         train, _ = cnn_data

@@ -1,4 +1,4 @@
-"""Tests for gradient accumulation, Poisson sampling and per-layer clipping."""
+"""Tests for gradient accumulation and Poisson sampling."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.core import (
 )
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
-from repro.privacy import PerLayerClipping
 
 
 @pytest.fixture(scope="module")
@@ -126,70 +125,3 @@ class TestPoissonSampling:
                 lr_model(), DpSgdOptimizer(1.0, 0.1, 1.0), train,
                 batch_size=32, sampling="stratified",
             )
-
-
-class TestPerLayerClipping:
-    def test_partition_required(self, rng):
-        clipper = PerLayerClipping([slice(0, 3)], 1.0)
-        with pytest.raises(ValueError, match="partition"):
-            clipper.clip(rng.normal(size=(4, 5)))
-
-    def test_each_block_bounded(self, rng):
-        blocks = [slice(0, 4), slice(4, 10)]
-        clipper = PerLayerClipping(blocks, [0.5, 2.0])
-        clipped = clipper.clip(rng.normal(size=(20, 10)) * 10)
-        assert np.all(np.linalg.norm(clipped[:, :4], axis=1) <= 0.5 + 1e-9)
-        assert np.all(np.linalg.norm(clipped[:, 4:], axis=1) <= 2.0 + 1e-9)
-
-    def test_total_sensitivity(self):
-        clipper = PerLayerClipping([slice(0, 2), slice(2, 4)], [3.0, 4.0])
-        assert clipper.sensitivity() == pytest.approx(5.0)
-
-    def test_scalar_threshold_broadcast(self, rng):
-        clipper = PerLayerClipping([slice(0, 2), slice(2, 5)], 1.0)
-        clipped = clipper.clip(rng.normal(size=(6, 5)) * 10)
-        assert np.all(np.linalg.norm(clipped, axis=1) <= clipper.sensitivity() + 1e-9)
-
-    def test_accepts_layer_slices_tuples(self):
-        model = lr_model()
-        clipper = PerLayerClipping(model.layer_slices(), 0.1)
-        grads = np.random.default_rng(0).normal(size=(4, model.num_params))
-        clipped = clipper.clip(grads)
-        assert clipped.shape == grads.shape
-
-    def test_dp_training_with_per_layer_clipping(self, small_data):
-        train, _ = small_data
-        model = lr_model()
-        clipper = PerLayerClipping(model.layer_slices(), 0.1)
-        opt = DpSgdOptimizer(1.0, clipper, 1.0, rng=2)
-        history = Trainer(model, opt, train, batch_size=32, rng=3).train(5)
-        assert len(history.losses) == 5
-
-    def test_mismatched_thresholds(self):
-        with pytest.raises(ValueError, match="thresholds"):
-            PerLayerClipping([slice(0, 2), slice(2, 4)], [1.0, 2.0, 3.0])
-
-
-class TestModelSlices:
-    def test_param_slices_cover_everything(self):
-        model = lr_model()
-        slices = model.param_slices()
-        covered = sum(s.stop - s.start for _, s in slices)
-        assert covered == model.num_params
-        assert slices[0][1].start == 0
-
-    def test_layer_slices_merge_params(self):
-        model = lr_model()  # Flatten (no params) + Linear (weight+bias)
-        layer_slices = model.layer_slices()
-        assert len(layer_slices) == 1  # only the Linear layer has params
-        _, block = layer_slices[0]
-        assert block == slice(0, model.num_params)
-
-    def test_cnn_layer_slices(self):
-        from repro.models import build_cnn
-
-        model = build_cnn((1, 16, 16), channels=(2, 4), rng=0)
-        layer_slices = model.layer_slices()
-        assert len(layer_slices) == 3  # conv, conv, linear
-        total = sum(s.stop - s.start for _, s in layer_slices)
-        assert total == model.num_params

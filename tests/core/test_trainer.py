@@ -373,40 +373,3 @@ class TestSurMomentumRollback:
         assert trainer.sur.accepted == 3
         assert optimizer._velocity is not None
         assert np.any(optimizer._velocity != 0)
-
-
-class TestAdaptiveClippingLotIntegration:
-    """With microbatch accumulation, one optimizer step is one lot: every
-    chunk clips at the same threshold and the threshold adapts once."""
-
-    def test_one_threshold_update_per_optimizer_step(self, small_data):
-        from repro.privacy.clipping import AdaptiveQuantileClipping
-
-        train, _ = small_data
-        clipping = AdaptiveQuantileClipping(0.1)
-        optimizer = DpSgdOptimizer(1.0, clipping, 1.0, rng=2)
-        trainer = Trainer(
-            lr_model(), optimizer, train, batch_size=32, rng=1, microbatch_size=8
-        )
-        trainer.train(6)
-        # 4 chunks per step, but exactly one adaptation per step
-        assert len(clipping.history) == 6
-
-    def test_microbatching_does_not_change_threshold_trajectory(self, small_data):
-        """The threshold path depends only on the lots' norm statistics, so
-        chunk size must not alter it (the bug this guards against: per-chunk
-        updates made the trajectory depend on microbatch_size)."""
-        from repro.privacy.clipping import AdaptiveQuantileClipping
-
-        train, _ = small_data
-
-        def run(microbatch_size):
-            clipping = AdaptiveQuantileClipping(0.1)
-            optimizer = DpSgdOptimizer(1.0, clipping, 0.0, rng=2)
-            Trainer(
-                lr_model(), optimizer, train, batch_size=32, rng=1,
-                microbatch_size=microbatch_size,
-            ).train(5)
-            return clipping.history + [clipping.clip_norm]
-
-        assert run(8) == run(16) == run(None)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.privacy import (
-    AdaptiveQuantileClipping,
-    AutoSClipping,
-    FlatClipping,
-    PsacClipping,
-)
+from repro.privacy import AutoSClipping, FlatClipping, PsacClipping
 
 
 def norms(x):
@@ -109,46 +104,6 @@ class TestPsacClipping:
         assert np.all(norms(clipper.clip(grads)) <= clipper.sensitivity() + 1e-9)
 
 
-class TestAdaptiveQuantileClipping:
-    def test_threshold_moves_toward_quantile(self, rng):
-        grads = rng.normal(size=(128, 4))  # norms ~ 2
-        clipper = AdaptiveQuantileClipping(100.0, target_quantile=0.5, learning_rate=0.5)
-        for _ in range(60):
-            clipper.clip(grads)
-        median_norm = float(np.median(norms(grads)))
-        assert clipper.clip_norm == pytest.approx(median_norm, rel=0.3)
-
-    def test_threshold_rises_when_too_small(self, rng):
-        grads = rng.normal(size=(64, 4)) * 10
-        clipper = AdaptiveQuantileClipping(0.01, target_quantile=0.5, learning_rate=0.5)
-        before = clipper.clip_norm
-        clipper.clip(grads)
-        assert clipper.clip_norm > before
-
-    def test_clip_respects_current_threshold(self, rng):
-        grads = rng.normal(size=(32, 6)) * 100
-        clipper = AdaptiveQuantileClipping(1.0)
-        clipped = clipper.clip(grads)
-        assert np.all(norms(clipped) <= 1.0 + 1e-9)
-        assert clipper.sensitivity() == 1.0  # threshold used for this release
-
-    def test_history_records_used_thresholds(self, rng):
-        grads = rng.normal(size=(16, 3))
-        clipper = AdaptiveQuantileClipping(2.0)
-        clipper.clip(grads)
-        clipper.clip(grads)
-        assert len(clipper.history) == 2
-        assert clipper.history[0] == 2.0
-
-    def test_noisy_update_is_seedable(self, rng):
-        grads = rng.normal(size=(32, 3))
-        a = AdaptiveQuantileClipping(1.0, noise_std=1.0, rng=7)
-        b = AdaptiveQuantileClipping(1.0, noise_std=1.0, rng=7)
-        a.clip(grads)
-        b.clip(grads)
-        assert a.clip_norm == b.clip_norm
-
-
 class TestClipWithNorms:
     """clip() is now a view onto clip_with_norms(); the returned norms must
     be the exact pre-clip per-sample L2 norms for every strategy."""
@@ -159,7 +114,6 @@ class TestClipWithNorms:
             FlatClipping(0.5),
             AutoSClipping(0.5),
             PsacClipping(0.5),
-            AdaptiveQuantileClipping(0.5),
         ],
         ids=lambda c: type(c).__name__,
     )
@@ -174,116 +128,3 @@ class TestClipWithNorms:
         assert np.array_equal(
             FlatClipping(0.5).clip(grads), FlatClipping(0.5).clip_with_norms(grads)[0]
         )
-
-    def test_per_layer_returns_total_norms(self, rng):
-        from repro.privacy import PerLayerClipping
-
-        grads = rng.normal(size=(6, 10))
-        clipper = PerLayerClipping([slice(0, 4), slice(4, 10)], 0.3)
-        _, returned = clipper.clip_with_norms(grads)
-        assert np.allclose(returned, norms(grads))
-
-
-class TestLotBracketing:
-    """Under microbatch accumulation a lot is one DP release: the adaptive
-    threshold must stay frozen across its chunks and update exactly once."""
-
-    def test_threshold_frozen_across_chunks(self, rng):
-        grads = rng.normal(size=(30, 5))
-        clipper = AdaptiveQuantileClipping(1.0)
-        clipper.begin_lot()
-        for chunk in np.array_split(grads, 3):
-            before = clipper.clip_norm
-            clipper.clip(chunk)
-            assert clipper.clip_norm == before  # frozen mid-lot
-        clipper.end_lot()
-        assert clipper.clip_norm != 1.0  # one update, applied at end_lot
-
-    def test_one_history_entry_per_lot(self, rng):
-        grads = rng.normal(size=(30, 5))
-        clipper = AdaptiveQuantileClipping(1.0)
-        for _ in range(4):
-            clipper.begin_lot()
-            for chunk in np.array_split(grads, 3):
-                clipper.clip(chunk)
-            clipper.end_lot()
-        assert len(clipper.history) == 4
-
-    def test_lot_update_equals_single_call_on_concatenation(self, rng):
-        """Chunked lot-mode clipping must be numerically identical to one
-        clip() call over the concatenated matrix (same noiseless update)."""
-        grads = rng.normal(size=(24, 6))
-        lot = AdaptiveQuantileClipping(0.7, target_quantile=0.4, learning_rate=0.3)
-        single = AdaptiveQuantileClipping(0.7, target_quantile=0.4, learning_rate=0.3)
-
-        lot.begin_lot()
-        chunks = [lot.clip(c) for c in np.array_split(grads, 4)]
-        lot.end_lot()
-        whole = single.clip(grads)
-
-        assert np.array_equal(np.concatenate(chunks), whole)
-        assert lot.clip_norm == single.clip_norm
-        assert lot.history == single.history
-
-    def test_sensitivity_mid_lot_is_the_frozen_threshold(self, rng):
-        grads = rng.normal(size=(16, 4)) * 100
-        clipper = AdaptiveQuantileClipping(2.0)
-        clipper.begin_lot()
-        clipper.clip(grads)
-        assert clipper.sensitivity() == 2.0  # what the chunks are clipped at
-        clipper.end_lot()
-        assert clipper.sensitivity() == 2.0  # threshold the lot was released at
-        assert clipper.clip_norm != 2.0
-
-    def test_empty_lot_does_not_update(self):
-        clipper = AdaptiveQuantileClipping(1.0)
-        clipper.begin_lot()
-        clipper.end_lot()
-        assert clipper.clip_norm == 1.0
-        assert clipper.history == []
-
-    def test_unbalanced_bracketing_raises(self):
-        clipper = AdaptiveQuantileClipping(1.0)
-        with pytest.raises(RuntimeError):
-            clipper.end_lot()
-        clipper.begin_lot()
-        with pytest.raises(RuntimeError):
-            clipper.begin_lot()
-
-    def test_stateless_strategies_ignore_lot_boundaries(self, rng):
-        grads = rng.normal(size=(8, 3))
-        for clipper in (FlatClipping(0.5), AutoSClipping(0.5), PsacClipping(0.5)):
-            clipper.begin_lot()
-            out_in_lot = clipper.clip(grads)
-            clipper.end_lot()
-            assert np.array_equal(out_in_lot, type(clipper)(0.5).clip(grads))
-
-
-class TestClippingStateDict:
-    def test_adaptive_round_trip_continues_identically(self, rng):
-        grads = rng.normal(size=(32, 4))
-        a = AdaptiveQuantileClipping(1.0, noise_std=0.5, rng=3)
-        for _ in range(5):
-            a.clip(grads)
-        state = a.state_dict()
-
-        b = AdaptiveQuantileClipping(1.0, noise_std=0.5, rng=99)
-        b.load_state_dict(state)
-        assert b.clip_norm == a.clip_norm
-        assert b.history == a.history
-        a.clip(grads)
-        b.clip(grads)
-        assert b.clip_norm == a.clip_norm  # same rng stream after restore
-
-    def test_adaptive_refuses_mid_lot_checkpoint(self, rng):
-        clipper = AdaptiveQuantileClipping(1.0)
-        clipper.begin_lot()
-        with pytest.raises(RuntimeError, match="mid-lot"):
-            clipper.state_dict()
-
-    def test_stateless_state_dict_is_empty(self):
-        clipper = FlatClipping(1.0)
-        assert clipper.state_dict() == {}
-        clipper.load_state_dict({})
-        with pytest.raises(ValueError):
-            clipper.load_state_dict({"clip_norm": 2.0})

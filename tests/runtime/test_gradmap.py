@@ -7,12 +7,7 @@ from repro.core import DpSgdOptimizer, SgdOptimizer, Trainer
 from repro.data import make_mnist_like
 from repro.models import build_logistic_regression, build_mlp
 from repro.nn import Dropout
-from repro.privacy.clipping import (
-    AdaptiveQuantileClipping,
-    AutoSClipping,
-    FlatClipping,
-    PsacClipping,
-)
+from repro.privacy.clipping import AutoSClipping, FlatClipping, PsacClipping
 from repro.runtime import chunk_ranges, parallel_available
 from repro.runtime.gradmap import ParallelGradientMap
 from repro.telemetry import MetricsRecorder
@@ -56,9 +51,6 @@ class TestTrainerParity:
         [
             pytest.param(lambda: FlatClipping(0.5), id="flat"),
             pytest.param(
-                lambda: AdaptiveQuantileClipping(0.5, rng=11), id="adaptive"
-            ),
-            pytest.param(
                 lambda: AutoSClipping(0.5), id="auto-s", marks=pytest.mark.slow
             ),
             pytest.param(
@@ -73,14 +65,6 @@ class TestTrainerParity:
         )
         assert par_hist.losses == serial_hist.losses
         assert np.array_equal(par_params, serial_params)
-
-    def test_adaptive_threshold_trajectory_matches(self, tiny_data):
-        serial = AdaptiveQuantileClipping(0.5, rng=11)
-        parallel = AdaptiveQuantileClipping(0.5, rng=11)
-        train_history(tiny_data, clipping=serial)
-        train_history(tiny_data, workers=2, clipping=parallel)
-        assert parallel.history == serial.history
-        assert parallel.clip_norm == serial.clip_norm
 
 
 @needs_fork

@@ -10,7 +10,7 @@ from repro.core.trainer import Trainer
 from repro.data import make_click_log, train_test_split
 from repro.models.text import build_text_classifier
 from repro.privacy.accountant import RdpAccountant
-from repro.privacy.clipping import AdaptiveQuantileClipping
+from repro.privacy.clipping import PsacClipping
 from repro.privacy.ledger import ReleaseLedger, verify_ledger
 from repro.sparse import SparseTrainer, find_embedding
 from repro.telemetry import MetricsRecorder, Tracer
@@ -40,10 +40,10 @@ def _model():
     )
 
 
-def _optimizer(scheme="dp", sigma=0.7, **extra):
+def _optimizer(scheme="dp", sigma=0.7, clipping=1.0, **extra):
     kwargs = dict(
         learning_rate=0.5,
-        clipping=1.0,
+        clipping=clipping,
         noise_multiplier=sigma,
         rng=np.random.default_rng(3),
         **extra,
@@ -64,16 +64,22 @@ def _sparse_trainer(data, opt, **kwargs):
 @pytest.mark.parametrize("scheme", ["dp", "geodp", "geodp_adam"])
 class TestEquivalence:
     def test_lazy_replay_matches_eager(self, click_data, scheme):
-        """Deferred noise, once flushed, reproduces the eager parameters."""
-        params = {}
-        for lazy in (False, True):
-            trainer = _sparse_trainer(
-                click_data, _optimizer(scheme), lazy=lazy, noise_mode="replay"
-            )
-            trainer.train(6)
-            trainer.finalize()
-            params[lazy] = trainer.model.get_params()
-        assert np.max(np.abs(params[False] - params[True])) <= 1e-8
+        """Deferred noise, once flushed, reproduces the eager parameters,
+        under flat clipping and under PSAC's non-flat factors."""
+        for clipping in (1.0, PsacClipping(1.0)):
+            params = {}
+            for lazy in (False, True):
+                trainer = _sparse_trainer(
+                    click_data,
+                    _optimizer(scheme, clipping=clipping),
+                    lazy=lazy,
+                    noise_mode="replay",
+                )
+                trainer.train(6)
+                trainer.finalize()
+                params[lazy] = trainer.model.get_params()
+            gap = np.max(np.abs(params[False] - params[True]))
+            assert gap <= 1e-8, (clipping, gap)
 
     def test_ledger_replays_to_dense_epsilon(self, click_data, scheme):
         """Same-config sparse and dense runs spend identical privacy."""
@@ -233,13 +239,6 @@ class TestValidation:
 
         with pytest.raises(ValueError, match="step_sparse"):
             SparseTrainer(_model(), SgdOptimizer(0.1), click_data[0], batch_size=BATCH)
-
-    def test_rejects_adaptive_sensitivity(self, click_data):
-        opt = DpSgdOptimizer(
-            0.5, AdaptiveQuantileClipping(1.0), 0.7, rng=np.random.default_rng(3)
-        )
-        with pytest.raises(ValueError, match="constant"):
-            SparseTrainer(_model(), opt, click_data[0], batch_size=BATCH)
 
     def test_rejects_scheduled_optimizer(self, click_data):
         from repro.core.schedules import LinearDecay, ScheduledOptimizer

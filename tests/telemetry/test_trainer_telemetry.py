@@ -81,14 +81,13 @@ DP_METRICS = {
 
 class TestDiagnostics:
     def test_clip_diagnostics(self):
-        grads = np.array([[3.0, 4.0], [0.3, 0.4]])  # norms 5 and 0.5
-        stats = clip_diagnostics(grads, 1.0)
+        stats = clip_diagnostics(np.array([5.0, 0.5]), 1.0)
         assert stats["pre_clip_norm_mean"] == pytest.approx(2.75)
         assert stats["pre_clip_norm_max"] == pytest.approx(5.0)
         assert stats["clipped_fraction"] == pytest.approx(0.5)
 
     def test_clip_diagnostics_empty_batch(self):
-        stats = clip_diagnostics(np.zeros((0, 4)), 1.0)
+        stats = clip_diagnostics(np.zeros(0), 1.0)
         assert stats == {
             "pre_clip_norm_mean": 0.0,
             "pre_clip_norm_max": 0.0,

@@ -13,6 +13,10 @@ when it is numerically harmless.
 The GEMM gate is also pure ``ast``: layer code must not spell a matrix
 product as a two-operand ``np.einsum``, which numpy runs in its generic
 loop instead of BLAS.
+
+The clipping gate keeps one clipping contract: a strategy supplies
+``clip_factors`` and inherits the materialized clip, so the materialized,
+ghost and sparse paths cannot drift apart.
 """
 
 import ast
@@ -267,6 +271,76 @@ def test_gemm_lint_detects_offender():
         "s = np.einsum(spec, a, b)\n"
     )
     assert _gemm_einsums(allowed, "x.py") == []
+
+
+#: The base clipping class derives these from ``clip_factors``; a strategy
+#: that defines its own copy can clip differently on the materialized path
+#: than on the ghost and sparse paths, which call ``clip_factors`` directly.
+CLIPPING_BASE = "ClippingStrategy"
+CLIP_DERIVED_METHODS = frozenset({"clip", "clip_with_norms"})
+
+
+def _clip_overrides(sources: dict[str, str]) -> list[str]:
+    """``file:line Class.method`` for every ``ClippingStrategy`` subclass
+    (direct or indirect) that defines a method the base class derives."""
+    classes = []
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=filename)):
+            if isinstance(node, ast.ClassDef):
+                bases = {
+                    base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                    for base in node.bases
+                }
+                classes.append((filename, node, bases))
+    strategies = {CLIPPING_BASE}
+    grown = True
+    while grown:
+        found = {node.name for _, node, bases in classes if bases & strategies}
+        grown = not found <= strategies
+        strategies |= found
+    violations = []
+    for filename, node, bases in classes:
+        if not bases & strategies:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name in CLIP_DERIVED_METHODS:
+                violations.append(f"{filename}:{item.lineno} {node.name}.{item.name}")
+    return violations
+
+
+def test_clipping_strategies_supply_only_factors():
+    sources = {
+        str(path.relative_to(REPO_ROOT)): path.read_text()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+    }
+    assert any(f"class {CLIPPING_BASE}" in text for text in sources.values())
+    violations = _clip_overrides(sources)
+    assert violations == [], (
+        "a clipping strategy re-implements a method ClippingStrategy derives "
+        "from clip_factors — define clip_factors only:\n  "
+        + "\n  ".join(violations)
+    )
+
+
+def test_clip_contract_lint_detects_offender():
+    """The AST check catches direct and indirect subclasses, and only them."""
+    offender = (
+        "class Base(ClippingStrategy):\n"
+        "    def clip_factors(self, norms):\n"
+        "        return norms\n"
+        "class Mine(Base):\n"
+        "    def clip_with_norms(self, grads):\n"
+        "        return grads, None\n"
+        "class Other(privacy.ClippingStrategy):\n"
+        "    def clip(self, grads):\n"
+        "        return grads\n"
+    )
+    assert _clip_overrides({"x.py": offender}) == [
+        "x.py:5 Mine.clip_with_norms",
+        "x.py:8 Other.clip",
+    ]
+    unrelated = "class Clipper:\n    def clip(self, grads):\n        return grads\n"
+    assert _clip_overrides({"x.py": unrelated}) == []
 
 
 def ruff_available() -> bool:
