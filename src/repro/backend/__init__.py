@@ -1,19 +1,21 @@
 """Pluggable kernel backend dispatch.
 
 The numeric hot paths of the library — the GeoDP spherical round trip,
-the ghost-clipping norm and accumulate kernels — are implemented behind a
-small backend interface so that optimized implementations can be swapped
-in without touching callers:
+the ghost-clipping norm and accumulate kernels, the conv ``col2im``
+scatter — are implemented behind a small backend interface so that
+optimized implementations can be swapped in without touching callers:
 
 ========= ==============================================================
 Backend    What it is
 ========= ==============================================================
 reference  Plain numpy, bit-identical to the pre-backend library.  The
            parity baseline and the default.
-fused      Optimized numpy: trig-identity fused GeoDP perturbation,
-           BLAS-routed ghost kernels, blocked conv Grams.
-cext       ctypes-loaded C kernel compiled on first use with the system
-           C compiler; available only when compilation succeeds.
+fused      Optimized numpy: row-blocked GeoDP round trip (the reference
+           arithmetic on cache-resident blocks), BLAS-routed ghost
+           kernels, blocked conv Grams.
+cext       ctypes-loaded C kernels compiled on first use with the system
+           C compiler (GeoDP perturbation, spherical compose, angle fold,
+           ``col2im``); available only when compilation succeeds.
 auto       Selects the fastest available accelerated backend
            (cext > fused) without counting a fallback.
 ========= ==============================================================

@@ -130,7 +130,9 @@ class FusedBackend(ReferenceBackend):
             norm_sq[rows] = super().linear_norm_sq(x[rows], grad_out[rows], bias)
         return norm_sq
 
-    def conv_norm_sq(self, cols: np.ndarray, dy: np.ndarray, bias: bool) -> np.ndarray:
+    def conv_norm_sq(
+        self, cols: np.ndarray, dy: np.ndarray, bias: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         batch = cols.shape[0]
         out_channels = dy.shape[1]
         k_dim, length = cols.shape[1], cols.shape[2]
@@ -146,13 +148,14 @@ class FusedBackend(ReferenceBackend):
                 ge = np.matmul(e.transpose(0, 2, 1), e)
                 ga *= ge
                 norm_sq[rows] = ga.sum(axis=(1, 2))
+            dw = None
         else:
             dw = np.matmul(dy, cols.transpose(0, 2, 1))  # (B, O, K) via BLAS
             norm_sq = np.einsum("bok,bok->b", dw, dw)
         if bias:
             db = dy.sum(axis=2)
             norm_sq = norm_sq + np.einsum("bo,bo->b", db, db)
-        return norm_sq
+        return norm_sq, dw
 
     def embedding_norm_sq(self, tokens: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         batch, length, dim = grad_out.shape

@@ -127,13 +127,19 @@ class ReferenceBackend:
             norm_sq = norm_sq + e_sq
         return norm_sq
 
-    def conv_norm_sq(self, cols: np.ndarray, dy: np.ndarray, bias: bool) -> np.ndarray:
+    def conv_norm_sq(
+        self, cols: np.ndarray, dy: np.ndarray, bias: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Per-sample conv gradient norms from im2col patches.
 
         ``cols`` is ``(B, K, L)`` with ``K = in_c * k * k``; ``dy`` is
         ``(B, O, L)``.  Uses the ghost-norm Gram trick
         ``||E_i A_i^T||_F^2 = <A_i^T A_i, E_i^T E_i>_F`` when the ``(L, L)``
-        Grams are smaller than the ``(B, O, K)`` per-sample gradients.
+        Grams are smaller than the ``(B, O, K)`` per-sample gradients, and
+        forms those gradients otherwise.  Returns ``(norm_sq (B,), dw)``:
+        ``dw`` is the ``(B, O, K)`` per-sample weight gradient when it was
+        formed, ``None`` on the Gram side, so this is the one place the
+        crossover is decided.
         """
         out_channels = dy.shape[1]
         k_dim, length = cols.shape[1], cols.shape[2]
@@ -141,13 +147,14 @@ class ReferenceBackend:
             ga = np.einsum("bkl,bkm->blm", cols, cols)
             ge = np.einsum("bol,bom->blm", dy, dy)
             norm_sq = np.einsum("blm,blm->b", ga, ge)
+            dw = None
         else:
             dw = np.einsum("bol,bkl->bok", dy, cols)
             norm_sq = np.einsum("bok,bok->b", dw, dw)
         if bias:
             db = dy.sum(axis=2)
             norm_sq = norm_sq + np.einsum("bo,bo->b", db, db)
-        return norm_sq
+        return norm_sq, dw
 
     def embedding_norm_sq(self, tokens: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         """Per-sample embedding gradient norms via the token-masked Gram.
@@ -159,6 +166,26 @@ class ReferenceBackend:
         gram = np.einsum("bld,bmd->blm", grad_out, grad_out)
         same = tokens[:, :, None] == tokens[:, None, :]
         return np.einsum("blm,blm->b", gram, same.astype(np.float64))
+
+    # ------------------------------------------------------- conv adjoint
+    def col2im(
+        self,
+        cols: np.ndarray,
+        x_shape: tuple[int, int, int, int],
+        kernel: int,
+        stride: int,
+        padding: int,
+    ) -> np.ndarray:
+        """Scatter-add ``(B, C*k*k, L)`` columns into a ``(B, C, H, W)`` image.
+
+        The conv input gradient: :func:`repro.nn.functional.col2im`, whose
+        ``k*k`` strided adds run in kernel-offset ``(i, j)`` order.  Other
+        backends must match it bit for bit, not just to 1e-10.
+        """
+        # Imported here: repro.nn imports this package at module load.
+        from repro.nn.functional import col2im
+
+        return col2im(cols, x_shape, kernel, stride, padding)
 
     # ------------------------------------------------- clipped accumulation
     def linear_clip_accumulate(

@@ -109,7 +109,8 @@ def col2im(
 
     ``cols`` has shape ``(B, C*kernel*kernel, L)``; the result has
     ``x_shape = (B, C, H, W)``.  Overlapping patches accumulate, which is
-    exactly the gradient of patch extraction.
+    exactly the gradient of patch extraction.  This is the reference
+    backend's ``col2im``; ``Conv2d`` calls the active backend's kernel.
     """
     batch, channels, height, width = x_shape
     out_h, out_w = conv_output_shape(height, width, kernel, stride, padding)

@@ -267,7 +267,9 @@ class Conv2d(Layer):
         self.bias = zeros_init((out_channels,)) if bias else None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._out_hw: tuple[int, int] | None = None
+        # Per-sample (B, O, K) weight gradients the last norm pass formed,
+        # or None when the backend took the Gram side of its crossover.
+        self._norm_pass_dw: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -286,15 +288,21 @@ class Conv2d(Layer):
         if train:
             self._cols = cols
             self._x_shape = x.shape
-            self._out_hw = (out_h, out_w)
+            self._norm_pass_dw = None  # formed from the previous batch
         return out.reshape(batch, self.out_channels, out_h, out_w)
+
+    def _input_grad(self, dy: np.ndarray) -> np.ndarray:
+        """``(B, C, H, W)`` input gradient from the ``(B, O, L)`` upstream."""
+        dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, dy)
+        return get_backend().col2im(
+            dcols, self._x_shape, self.kernel, self.stride, self.padding
+        )
 
     def backward(self, grad_out, per_sample: bool = False):
         if self._cols is None:
             raise RuntimeError("backward called before forward(train=True)")
         batch = grad_out.shape[0]
         dy = grad_out.reshape(batch, self.out_channels, -1)  # (B, out_c, L)
-        w_flat = self.weight.reshape(self.out_channels, -1)
 
         if per_sample:
             dw = np.matmul(dy, self._cols.transpose(0, 2, 1)).reshape(
@@ -310,10 +318,7 @@ class Conv2d(Layer):
             grads = {"weight": dw}
             if self.bias is not None:
                 grads["bias"] = dy.sum(axis=(0, 2))
-
-        dcols = np.matmul(w_flat.T, dy)
-        grad_in = F.col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
-        return grad_in, grads
+        return self._input_grad(dy), grads
 
     def backward_norm_sq(self, grad_out):
         if self._cols is None:
@@ -324,20 +329,27 @@ class Conv2d(Layer):
         # over the (L, L) spatial Grams when those are smaller than the
         # (B, O, K) per-sample gradients; the backend picks the crossover
         # (and may block the Grams over the batch for cache residency).
-        norm_sq = get_backend().conv_norm_sq(self._cols, dy, self.bias is not None)
-        w_flat = self.weight.reshape(self.out_channels, -1)
-        dcols = np.matmul(w_flat.T, dy)
-        grad_in = F.col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
-        return grad_in, norm_sq
+        # When it forms the per-sample gradients instead, they are kept
+        # for accumulate_clipped.
+        norm_sq, self._norm_pass_dw = get_backend().conv_norm_sq(
+            self._cols, dy, self.bias is not None
+        )
+        return self._input_grad(dy), norm_sq
 
     def accumulate_clipped(self, grad_out, factors):
         if self._cols is None:
             raise RuntimeError("backward called before forward(train=True)")
         batch = grad_out.shape[0]
         dy = grad_out.reshape(batch, self.out_channels, -1)
-        dw, db = get_backend().conv_clip_accumulate(
-            self._cols, dy, factors, self.bias is not None
-        )
+        if self._norm_pass_dw is None:
+            dw, db = get_backend().conv_clip_accumulate(
+                self._cols, dy, factors, self.bias is not None
+            )
+        else:
+            # The norm pass already formed each sample's gradient: the
+            # clipped sum is one GEMV with the factors.
+            dw = factors @ self._norm_pass_dw.reshape(batch, -1)
+            db = factors @ dy.sum(axis=2) if self.bias is not None else None
         grads = {"weight": dw.reshape(self.weight.shape)}
         if db is not None:
             grads["bias"] = db

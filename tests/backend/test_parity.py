@@ -16,6 +16,7 @@ import pytest
 from repro.backend import get_backend, use_backend
 from repro.backend.reference import ReferenceBackend
 from repro.geometry import canonicalize_angles
+from repro.nn.functional import conv_output_shape
 
 from tests.backend.conftest import parity_backends
 
@@ -181,15 +182,78 @@ def test_conv_kernels_parity(backend_name, shape, seed, dtype, bias):
     cols = np.asarray(rng.normal(size=(b, k_dim, length)).astype(dtype), dtype=np.float64)
     dy = np.asarray(rng.normal(size=(b, out_c, length)).astype(dtype), dtype=np.float64)
     factors = rng.uniform(0.1, 1.0, size=b)
-    ref_norm = REFERENCE.conv_norm_sq(cols, dy, bias)
+    ref_norm, ref_per_sample = REFERENCE.conv_norm_sq(cols, dy, bias)
     ref_dw, ref_db = REFERENCE.conv_clip_accumulate(cols, dy, factors, bias)
     with use_backend(backend_name):
-        norm = get_backend().conv_norm_sq(cols, dy, bias)
+        norm, per_sample = get_backend().conv_norm_sq(cols, dy, bias)
         dw, db = get_backend().conv_clip_accumulate(cols, dy, factors, bias)
     np.testing.assert_allclose(norm, ref_norm, **PARITY)
+    # The per-sample product exists exactly on the reference's side of the
+    # crossover, and matches it there.
+    if length * length <= out_c * k_dim:
+        assert per_sample is None and ref_per_sample is None
+    else:
+        np.testing.assert_allclose(per_sample, ref_per_sample, **PARITY)
     np.testing.assert_allclose(dw, ref_dw, **PARITY)
     if bias:
         np.testing.assert_allclose(db, ref_db, **PARITY)
+
+
+# Every convolution the step workloads run, as (x_shape, kernel, stride,
+# padding) at B = 2: the Table II CNN (1->8 at 28^2, 8->16 at 14^2) and the
+# Table III ResNet (3->8 and 8->8 at 32^2, the two 3x3 stride-2 convs,
+# 16->16 at 16^2, 32->32 at 8^2, the two 1x1 stride-2 projections).  Then
+# edge geometries: H != W, odd H at stride 2, kernel 5 with padding 2,
+# kernel 1 at stride 2 (pixels no window covers) and B = C = 1.
+COL2IM_GEOMETRIES = [
+    ((2, 1, 28, 28), 3, 1, 1),
+    ((2, 8, 14, 14), 3, 1, 1),
+    ((2, 3, 32, 32), 3, 1, 1),
+    ((2, 8, 32, 32), 3, 1, 1),
+    ((2, 8, 32, 32), 3, 2, 1),
+    ((2, 16, 16, 16), 3, 2, 1),
+    ((2, 16, 16, 16), 3, 1, 1),
+    ((2, 32, 8, 8), 3, 1, 1),
+    ((2, 8, 32, 32), 1, 2, 0),
+    ((2, 16, 16, 16), 1, 2, 0),
+    ((3, 2, 7, 10), 3, 1, 1),
+    ((3, 2, 9, 8), 3, 2, 1),
+    ((2, 3, 11, 11), 5, 1, 2),
+    ((2, 3, 7, 7), 1, 2, 0),
+    ((1, 1, 5, 5), 3, 1, 1),
+]
+
+
+@pytest.mark.parametrize("geometry", COL2IM_GEOMETRIES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_col2im_parity(backend_name, geometry, seed, dtype):
+    """Bit-identical, not 1e-10: every pixel's adds run in the same order."""
+    x_shape, kernel, stride, padding = geometry
+    batch, channels, height, width = x_shape
+    out_h, out_w = conv_output_shape(height, width, kernel, stride, padding)
+    rng = np.random.default_rng(seed + 1000)
+    cols = rng.normal(size=(batch, channels * kernel * kernel, out_h * out_w))
+    cols = np.asarray(cols.astype(dtype), dtype=np.float64)
+    ref = REFERENCE.col2im(cols, x_shape, kernel, stride, padding)
+    with use_backend(backend_name):
+        out = get_backend().col2im(cols, x_shape, kernel, stride, padding)
+    assert out.shape == x_shape
+    assert np.array_equal(out, ref)
+    # Pixels that no window covers read exactly zero.
+    covered = REFERENCE.col2im(np.ones_like(cols), x_shape, kernel, stride, padding)
+    assert np.all(out[covered == 0] == 0.0)
+    if kernel < stride:
+        assert not covered.all()
+
+
+@pytest.mark.parametrize("name", ["reference", *parity_backends()])
+def test_col2im_rejects_columns_of_another_geometry(name):
+    """Columns one output position short never reach the scatter loop."""
+    cols = np.ones((2, 3 * 9, 8 * 8 - 1))
+    with use_backend(name):
+        with pytest.raises(ValueError):
+            get_backend().col2im(cols, (2, 3, 8, 8), 3, 1, 1)
 
 
 EMBED_SHAPES = [(2, 3, 5, 4), (8, 12, 30, 16)]  # (B, L, vocab, dim)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import get_backend, use_backend
 from repro.nn import (
     col2im,
     conv_output_shape,
@@ -14,6 +15,17 @@ from repro.nn import (
     relu,
     softmax,
 )
+
+from tests.backend.conftest import parity_backends
+
+
+def col2im_kernels() -> dict:
+    """Each available backend's ``col2im`` kernel, by backend name."""
+    kernels = {}
+    for name in ("reference", *parity_backends()):
+        with use_backend(name):
+            kernels[name] = get_backend().col2im
+    return kernels
 
 
 class TestActivations:
@@ -115,8 +127,9 @@ class TestCol2Im:
             cols = im2col(x, kernel, stride, pad)
             c = rng.normal(size=cols.shape)
             lhs = np.sum(cols * c)
-            rhs = np.sum(x * col2im(c, x.shape, kernel, stride, pad))
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            for name, backend_col2im in col2im_kernels().items():
+                rhs = np.sum(x * backend_col2im(c, x.shape, kernel, stride, pad))
+                assert lhs == pytest.approx(rhs, rel=1e-10), name
 
     def test_counts_overlaps(self):
         x_shape = (1, 1, 3, 3)
@@ -137,5 +150,6 @@ class TestCol2Im:
         cols = im2col(x, kernel, stride, pad)
         c = rng.normal(size=cols.shape)
         lhs = np.sum(cols * c)
-        rhs = np.sum(x * col2im(c, x.shape, kernel, stride, pad))
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+        for name, backend_col2im in col2im_kernels().items():
+            rhs = np.sum(x * backend_col2im(c, x.shape, kernel, stride, pad))
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9), name

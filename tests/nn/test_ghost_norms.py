@@ -10,6 +10,7 @@ rests on.
 import numpy as np
 import pytest
 
+from repro.backend import get_backend, use_backend
 from repro.nn import (
     Conv2d,
     Embedding,
@@ -20,8 +21,14 @@ from repro.nn import (
     MaxPool2d,
     ReLU,
     ResidualBlock,
+    conv_output_shape,
 )
 from repro.nn.normalization import BatchNorm2d
+
+from tests.backend.conftest import parity_backends
+
+#: Every available backend; the ghost hooks dispatch their kernels to it.
+BACKENDS = ("reference", *parity_backends())
 
 
 def materialized_norm_sq(layer, grad_out):
@@ -35,20 +42,38 @@ def materialized_norm_sq(layer, grad_out):
 
 
 def check_ghost_parity(layer, x, rtol=1e-12):
-    rng = np.random.default_rng(0)
-    out = layer.forward(x, train=True)
-    grad_out = rng.normal(size=out.shape)
+    """Ghost norms and input gradient match the materialized pass, under
+    every available backend."""
+    for name in BACKENDS:
+        with use_backend(name):
+            rng = np.random.default_rng(0)
+            out = layer.forward(x, train=True)
+            grad_out = rng.normal(size=out.shape)
 
-    grad_in_ref, _ = layer.backward(grad_out, per_sample=False)
-    expected = materialized_norm_sq(layer, grad_out)
+            grad_in_ref, _ = layer.backward(grad_out, per_sample=False)
+            expected = materialized_norm_sq(layer, grad_out)
 
-    grad_in, norm_sq = layer.backward_norm_sq(grad_out)
-    assert norm_sq.shape == (x.shape[0],)
-    assert np.allclose(norm_sq, expected, rtol=rtol, atol=1e-12), (
-        f"{layer!r}: ghost norm^2 max rel err "
-        f"{np.abs(norm_sq - expected).max() / (expected.max() + 1e-30)}"
-    )
-    assert np.allclose(grad_in, grad_in_ref, rtol=1e-12, atol=1e-12)
+            grad_in, norm_sq = layer.backward_norm_sq(grad_out)
+            assert norm_sq.shape == (x.shape[0],)
+            assert np.allclose(norm_sq, expected, rtol=rtol, atol=1e-12), (
+                f"{layer!r} on {name}: ghost norm^2 max rel err "
+                f"{np.abs(norm_sq - expected).max() / (expected.max() + 1e-30)}"
+            )
+            assert np.allclose(grad_in, grad_in_ref, rtol=1e-12, atol=1e-12), name
+
+
+def count_clip_accumulates(monkeypatch) -> list:
+    """Record each call of the active backend's ``conv_clip_accumulate``."""
+    kernel_class = type(get_backend())
+    original = kernel_class.conv_clip_accumulate
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args[0].shape)
+        return original(self, *args)
+
+    monkeypatch.setattr(kernel_class, "conv_clip_accumulate", counted)
+    return calls
 
 
 class TestLinearGhost:
@@ -90,6 +115,54 @@ class TestConv2dGhost:
         x = rng.normal(size=(3, 1, 6, 6))  # L = 36, O*K = 1
         assert 36 * 36 > 1 * 1
         check_ghost_parity(layer, x)
+
+    # The test_gram_branch and test_direct_branch geometries: (in, out,
+    # kernel, x shape, whether the norm pass forms per-sample gradients).
+    CROSSOVER_SIDES = {
+        "gram": (2, 8, 3, (4, 2, 4, 4), False),
+        "direct": (1, 1, 1, (3, 1, 6, 6), True),
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("side", ["gram", "direct"])
+    def test_accumulate_clipped_parity(self, monkeypatch, backend, side):
+        # Pass 2 equals one batch backward on the factor-scaled upstream; on
+        # the direct side it contracts the norm pass's per-sample gradients
+        # instead of calling the clipped-accumulate kernel.
+        in_c, out_c, kernel, x_shape, kept = self.CROSSOVER_SIDES[side]
+        rng = np.random.default_rng(17)
+        layer = Conv2d(in_c, out_c, kernel, rng=0)
+        with use_backend(backend):
+            out = layer.forward(rng.normal(size=x_shape), train=True)
+            grad_out = rng.normal(size=out.shape)
+            factors = rng.uniform(0.1, 1.0, size=x_shape[0])
+            layer.backward_norm_sq(grad_out)
+            calls = count_clip_accumulates(monkeypatch)
+            grads = layer.accumulate_clipped(grad_out, factors)
+            _, expected = layer.backward(grad_out * factors[:, None, None, None])
+        assert len(calls) == (0 if kept else 1)
+        assert grads.keys() == expected.keys() == layer.params().keys()
+        for name, value in expected.items():
+            assert np.allclose(grads[name], value, rtol=1e-12, atol=1e-12), name
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_new_forward_drops_kept_gradients(self, backend):
+        # A forward between the norm pass and pass 2 starts a new batch of
+        # the same shape: pass 2 must contract that batch, never the
+        # per-sample gradients the previous norm pass kept.
+        in_c, out_c, kernel, x_shape, _ = self.CROSSOVER_SIDES["direct"]
+        rng = np.random.default_rng(18)
+        layer = Conv2d(in_c, out_c, kernel, rng=0)
+        factors = rng.uniform(0.1, 1.0, size=x_shape[0])
+        with use_backend(backend):
+            out = layer.forward(rng.normal(size=x_shape), train=True)
+            layer.backward_norm_sq(rng.normal(size=out.shape))
+            layer.forward(rng.normal(size=x_shape), train=True)
+            grad_out = rng.normal(size=out.shape)
+            grads = layer.accumulate_clipped(grad_out, factors)
+            _, expected = layer.backward(grad_out * factors[:, None, None, None])
+        for name, value in expected.items():
+            assert np.allclose(grads[name], value, rtol=1e-12, atol=1e-12), name
 
 
 class TestEmbeddingGhost:
@@ -149,30 +222,38 @@ class TestResidualGhost:
         # backward on the factor-scaled block upstream.
         rng = np.random.default_rng(14)
         block = ResidualBlock(3, out_channels, stride=stride, rng=0)
-        out = block.forward(rng.normal(size=(4, 3, 6, 6)), train=True)
-        grad_out = rng.normal(size=out.shape)
+        x = rng.normal(size=(4, 3, 6, 6))
+        grad_out = rng.normal(size=block.forward(x, train=False).shape)
         factors = rng.uniform(0.1, 1.0, size=4)
 
-        block.backward_norm_sq(grad_out)
-        grads = block.accumulate_clipped(grad_out, factors)
-        _, expected = block.backward(grad_out * factors[:, None, None, None])
+        for backend in BACKENDS:
+            with use_backend(backend):
+                block.forward(x, train=True)
+                block.backward_norm_sq(grad_out)
+                grads = block.accumulate_clipped(grad_out, factors)
+                _, expected = block.backward(grad_out * factors[:, None, None, None])
 
-        assert grads.keys() == expected.keys() == block.params().keys()
-        for name, value in expected.items():
-            assert np.allclose(grads[name], value, rtol=1e-12, atol=1e-12), name
+            assert grads.keys() == expected.keys() == block.params().keys()
+            for name, value in expected.items():
+                assert np.allclose(grads[name], value, rtol=1e-12, atol=1e-12), (
+                    backend,
+                    name,
+                )
 
     def test_accumulate_clipped_requires_norm_pass(self):
         rng = np.random.default_rng(15)
         block = ResidualBlock(3, 5, stride=2, rng=0)
         x = rng.normal(size=(2, 3, 6, 6))
-        out = block.forward(x, train=True)
-        with pytest.raises(RuntimeError, match="backward_norm_sq"):
-            block.accumulate_clipped(np.ones_like(out), np.ones(2))
-        # A new forward makes the previous norm pass's upstreams stale.
-        block.backward_norm_sq(np.ones_like(out))
-        block.forward(x, train=True)
-        with pytest.raises(RuntimeError, match="backward_norm_sq"):
-            block.accumulate_clipped(np.ones_like(out), np.ones(2))
+        for backend in BACKENDS:
+            with use_backend(backend):
+                out = block.forward(x, train=True)
+                with pytest.raises(RuntimeError, match="backward_norm_sq"):
+                    block.accumulate_clipped(np.ones_like(out), np.ones(2))
+                # A new forward makes the previous norm pass's upstreams stale.
+                block.backward_norm_sq(np.ones_like(out))
+                block.forward(x, train=True)
+                with pytest.raises(RuntimeError, match="backward_norm_sq"):
+                    block.accumulate_clipped(np.ones_like(out), np.ones(2))
 
 
 class TestParameterFreeGhost:
@@ -226,9 +307,32 @@ class TestModelGhostNorms:
         )
 
 
-def test_resnet_pass_two_never_rewalks_the_chain(monkeypatch):
-    """After the clip factors exist, no input gradient is computed again."""
-    import repro.nn.functional as F
+def resnet_conv_lengths(model, height: int, width: int) -> list[tuple[Conv2d, int]]:
+    """``(conv, L)`` for every convolution of a ``build_resnet`` model, where
+    ``L`` is the number of output positions on a ``height x width`` input."""
+    lengths = []
+
+    def visit(conv, h, w):
+        out_h, out_w = conv_output_shape(h, w, conv.kernel, conv.stride, conv.padding)
+        lengths.append((conv, out_h * out_w))
+        return out_h, out_w
+
+    for layer in model.layers:
+        if isinstance(layer, Conv2d):
+            height, width = visit(layer, height, width)
+        elif isinstance(layer, ResidualBlock):
+            if layer.projection is not None:
+                visit(layer.projection, height, width)
+            height, width = visit(layer.conv1, height, width)
+            visit(layer.conv2, height, width)
+    return lengths
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resnet_pass_two_never_rewalks_the_chain(monkeypatch, backend):
+    """After the clip factors exist, no input gradient is computed again,
+    and only the Gram-side convolutions call the clipped-accumulate kernel:
+    the others contract the per-sample gradients their norm pass formed."""
     from repro.models import build_resnet
     from repro.privacy.clipping import FlatClipping
 
@@ -239,19 +343,31 @@ def test_resnet_pass_two_never_rewalks_the_chain(monkeypatch):
     _, per_sample = model.loss_and_per_sample_gradients(x, y)
     clipped, _ = FlatClipping(0.5).clip_with_norms(per_sample)
 
+    lengths = resnet_conv_lengths(model, 8, 8)
+    gram_side = sum(
+        length * length <= conv.out_channels * conv.in_channels * conv.kernel**2
+        for conv, length in lengths
+    )
+    assert 0 < gram_side < len(lengths)  # the model spans the crossover
+
     def forbidden(*args, **kwargs):
         raise AssertionError("ghost pass 2 re-walked the layer chain")
 
     clipping = FlatClipping(0.5)
     clip_factors = clipping.clip_factors
+    pass_two_calls = []
 
     def clip_factors_then_forbid(norms):
         factors = clip_factors(norms)
         monkeypatch.setattr(Conv2d, "backward", forbidden)
         monkeypatch.setattr(ReLU, "backward", forbidden)
-        monkeypatch.setattr(F, "col2im", forbidden)
+        monkeypatch.setattr(type(get_backend()), "col2im", forbidden)
+        pass_two_calls.append(count_clip_accumulates(monkeypatch))
         return factors
 
     monkeypatch.setattr(clipping, "clip_factors", clip_factors_then_forbid)
-    _, summed, _ = model.loss_and_clipped_grad_sum(x, y, clipping)
+    with use_backend(backend):
+        _, summed, _ = model.loss_and_clipped_grad_sum(x, y, clipping)
     assert np.allclose(summed, clipped.sum(axis=0), rtol=1e-10, atol=1e-12)
+    [calls] = pass_two_calls
+    assert len(calls) == gram_side
