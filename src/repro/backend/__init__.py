@@ -2,8 +2,9 @@
 
 The numeric hot paths of the library — the GeoDP spherical round trip,
 the ghost-clipping norm and accumulate kernels, the conv ``col2im``
-scatter — are implemented behind a small backend interface so that
-optimized implementations can be swapped in without touching callers:
+scatter, max pooling — are implemented behind a small backend interface
+so that optimized implementations can be swapped in without touching
+callers:
 
 ========= ==============================================================
 Backend    What it is
@@ -15,7 +16,8 @@ fused      Optimized numpy: row-blocked GeoDP round trip (the reference
            kernels, blocked conv Grams.
 cext       ctypes-loaded C kernels compiled on first use with the system
            C compiler (GeoDP perturbation, spherical compose, angle fold,
-           ``col2im``); available only when compilation succeeds.
+           ``col2im``, 2x2 max pool); available only when compilation
+           succeeds.
 auto       Selects the fastest available accelerated backend
            (cext > fused) without counting a fallback.
 ========= ==============================================================

@@ -16,7 +16,40 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ReferenceBackend"]
+__all__ = ["ReferenceBackend", "check_maxpool_backward"]
+
+
+def _pool_windows(a: np.ndarray, k: int) -> np.ndarray:
+    """View ``(B, C, H, W)`` as ``(B, C, H/k, k, W/k, k)`` pooling windows."""
+    batch, channels, height, width = a.shape
+    return a.reshape(batch, channels, height // k, k, width // k, k)
+
+
+def _window_slices(windows: np.ndarray, k: int) -> list[np.ndarray]:
+    """The ``k*k`` strided ``(B, C, H/k, W/k)`` slices, one per window offset."""
+    return [windows[:, :, :, i, :, j] for i in range(k) for j in range(k)]
+
+
+def check_maxpool_backward(grad_out: np.ndarray, mask: np.ndarray, kernel: int) -> None:
+    """Raise ``ValueError`` unless ``grad_out`` and ``mask`` describe one pool.
+
+    ``mask`` must be a bool ``(B, C, H, W)`` array with ``H`` and ``W``
+    divisible by ``kernel``, and ``grad_out`` must have the pooled shape.
+    Otherwise numpy would broadcast a mis-shaped upstream into a wrong input
+    gradient, and a C loop would read past it.
+    """
+    shape = mask.shape
+    if mask.dtype != np.bool_ or mask.ndim != 4 or shape[2] % kernel or shape[3] % kernel:
+        raise ValueError(
+            f"max-pool mask must be a bool (B, C, H, W) array with H and W "
+            f"divisible by {kernel}, got {mask.dtype} of shape {shape}"
+        )
+    pooled = (shape[0], shape[1], shape[2] // kernel, shape[3] // kernel)
+    if grad_out.shape != pooled:
+        raise ValueError(
+            f"max-pool upstream gradient must have the pooled shape {pooled}, "
+            f"got {grad_out.shape}"
+        )
 
 
 class ReferenceBackend:
@@ -186,6 +219,42 @@ class ReferenceBackend:
         from repro.nn.functional import col2im
 
         return col2im(cols, x_shape, kernel, stride, padding)
+
+    # ------------------------------------------------------------- pooling
+    def maxpool2d(self, x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
+        """Non-overlapping ``kernel x kernel`` max pool: ``(out, mask)``.
+
+        ``x`` is ``(B, C, H, W)`` with ``H`` and ``W`` divisible by
+        ``kernel``; ``out`` is ``(B, C, H/k, W/k)``.  ``mask`` is a bool
+        array of ``x``'s shape, true wherever ``x`` equals its window's max
+        (every position of a tie): the one mask format every backend reads
+        and writes.  The max is a running ``np.maximum`` over the ``k*k``
+        strided slices of the window view; reducing over its non-adjacent
+        window axes (3, 5) gives the same bits several times slower.
+        """
+        windows = _pool_windows(x, kernel)
+        first, *rest = _window_slices(windows, kernel)
+        out = first.copy()
+        for window_slice in rest:
+            np.maximum(out, window_slice, out=out)
+        mask = windows == out[:, :, :, None, :, None]
+        return out, mask.reshape(x.shape)
+
+    def maxpool2d_backward(
+        self, grad_out: np.ndarray, mask: np.ndarray, kernel: int
+    ) -> np.ndarray:
+        """Input gradient of :meth:`maxpool2d` from its mask, ``(B, C, H, W)``.
+
+        Ties share the upstream gradient equally: a valid subgradient that
+        keeps the adjoint linear.  The mask is 0/1, so dividing at pooled
+        resolution before spreading gives the same bits as dividing the
+        spread gradient.
+        """
+        windows = _pool_windows(mask, kernel)
+        counts = sum(_window_slices(windows, kernel))
+        share = grad_out / np.maximum(counts, 1)
+        spread = windows * share[:, :, :, None, :, None]
+        return spread.reshape(mask.shape)
 
     # ------------------------------------------------- clipped accumulation
     def linear_clip_accumulate(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import get_backend
+from repro.backend.reference import check_maxpool_backward
 from repro.nn import functional as F
 from repro.nn.initializers import kaiming_uniform, zeros_init
 from repro.utils.rng import as_rng
@@ -376,24 +377,32 @@ class Conv2d(Layer):
         )
 
 
-def _pool_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """View ``(B, C, H, W)`` as ``(B, C, H/k, k, W/k, k)`` pooling windows."""
+def _check_pool_input(x: np.ndarray, k: int) -> None:
+    """Raise ``ValueError`` unless ``x`` is ``(B, C, H, W)`` with ``k | H, W``."""
     if x.ndim != 4:
         raise ValueError(f"expected (B, C, H, W), got {x.shape}")
-    batch, channels, height, width = x.shape
+    height, width = x.shape[2:]
     if height % k or width % k:
         raise ValueError(
             f"input {height}x{width} not divisible by pooling kernel {k}"
         )
+
+
+def _pool_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """View ``(B, C, H, W)`` as ``(B, C, H/k, k, W/k, k)`` pooling windows."""
+    _check_pool_input(x, k)
+    batch, channels, height, width = x.shape
     return x.reshape(batch, channels, height // k, k, width // k, k)
 
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling (kernel == stride); H, W must be divisible.
 
-    Both passes loop over the ``k*k`` strided slices of the window view:
-    numpy reduces over its non-adjacent window axes (3, 5) several times
-    slower, and the slice loop gives the same bits.
+    Both passes run on the active backend (``maxpool2d`` and
+    ``maxpool2d_backward``; ``cext`` runs 2x2 windows in C).  Between them
+    the layer keeps only the tie mask, a bool array of the input's shape.
+    Ties share the gradient equally, which is a valid subgradient and keeps
+    the adjoint linear.
     """
 
     def __init__(self, kernel: int):
@@ -401,34 +410,19 @@ class MaxPool2d(Layer):
             raise ValueError(f"kernel must be >= 1, got {kernel}")
         self.kernel = kernel
         self._mask: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def _slices(self, windows: np.ndarray) -> list[np.ndarray]:
-        k = self.kernel
-        return [windows[:, :, :, i, :, j] for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        windows = _pool_windows(x, self.kernel)
-        first, *rest = self._slices(windows)
-        out = first.copy()
-        for window_slice in rest:
-            np.maximum(out, window_slice, out=out)
+        _check_pool_input(x, self.kernel)
+        out, mask = get_backend().maxpool2d(x, self.kernel)
         if train:
-            # Ties share the gradient equally (see backward); this is a valid
-            # subgradient and keeps the adjoint linear.
-            self._mask = windows == out[:, :, :, None, :, None]
-            self._x_shape = x.shape
+            self._mask = mask
         return out
 
     def backward(self, grad_out, per_sample: bool = False):
         if self._mask is None:
             raise RuntimeError("backward called before forward(train=True)")
-        counts = sum(self._slices(self._mask))
-        # The mask is 0/1, so dividing at pooled resolution before spreading
-        # gives the same bits as dividing the spread gradient.
-        share = grad_out / np.maximum(counts, 1)
-        spread = self._mask * share[:, :, :, None, :, None]
-        return spread.reshape(self._x_shape), {}
+        check_maxpool_backward(grad_out, self._mask, self.kernel)
+        return get_backend().maxpool2d_backward(grad_out, self._mask, self.kernel), {}
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel={self.kernel})"

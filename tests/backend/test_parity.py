@@ -18,7 +18,7 @@ from repro.backend.reference import ReferenceBackend
 from repro.geometry import canonicalize_angles
 from repro.nn.functional import conv_output_shape
 
-from tests.backend.conftest import parity_backends
+from tests.backend.conftest import parity_backends, require_backend
 
 pytestmark = pytest.mark.backend
 
@@ -254,6 +254,102 @@ def test_col2im_rejects_columns_of_another_geometry(name):
     with use_backend(name):
         with pytest.raises(ValueError):
             get_backend().col2im(cols, (2, 3, 8, 8), 3, 1, 1)
+
+
+# (x_shape, kernel): the Table II CNN's two pools at B = 128, B = C = 1, H !=
+# W (a wrong row stride shows there), and kernels 1 and 3, which every
+# backend runs in numpy.
+MAXPOOL_GEOMETRIES = [
+    ((128, 8, 28, 28), 2),
+    ((128, 16, 14, 14), 2),
+    ((1, 1, 2, 2), 2),
+    ((3, 2, 6, 10), 2),
+    ((3, 2, 6, 10), 1),
+    ((3, 2, 6, 9), 3),
+]
+
+
+def _pool_input(kind, shape, kernel, rng):
+    if kind == "relu_normal":  # all-zero windows tie 4 ways
+        return np.maximum(rng.normal(size=shape), 0.0)
+    if kind == "small_int":  # 2-, 3- and 4-way ties; a 1/3 share is inexact
+        return rng.integers(0, 3, size=shape).astype(np.float64)
+    if kind == "nan":  # one NaN, last in the first window
+        x = rng.normal(size=shape)
+        x[0, 0, kernel - 1, kernel - 1] = np.nan
+        return x
+    # signed_zero: +0.0 and -0.0 tie, as do the ones
+    return rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)
+
+
+@pytest.mark.parametrize("geometry", MAXPOOL_GEOMETRIES)
+@pytest.mark.parametrize("kind", ["relu_normal", "small_int", "nan", "signed_zero"])
+def test_maxpool2d_parity(backend_name, geometry, kind):
+    """Equal to the reference, not within 1e-10: out, mask and input gradient.
+
+    ``np.array_equal`` compares values, so a max of tied zeros may differ in
+    sign: numpy's SIMD ``maximum`` and C's ``maxsd`` may pick different
+    operands.  Without -0.0 in the input the bits are equal too.
+    """
+    x_shape, kernel = geometry
+    rng = np.random.default_rng(1100 + kernel)
+    x = _pool_input(kind, x_shape, kernel, rng)
+    ref_out, ref_mask = REFERENCE.maxpool2d(x, kernel)
+    grad_out = rng.normal(size=ref_out.shape)
+    ref_grad = REFERENCE.maxpool2d_backward(grad_out, ref_mask, kernel)
+    with use_backend(backend_name):
+        out, mask = get_backend().maxpool2d(x, kernel)
+        grad = get_backend().maxpool2d_backward(grad_out, mask, kernel)
+    assert mask.dtype == np.bool_ and mask.shape == x_shape
+    assert np.array_equal(out, ref_out, equal_nan=kind == "nan")
+    assert np.array_equal(mask, ref_mask)
+    # The gradient depends on the mask only, so its bits match, zero signs
+    # included; so do the output's, except for tied zeros and NaN payloads.
+    assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
+    if kind in ("relu_normal", "small_int"):
+        assert np.array_equal(out.view(np.int64), ref_out.view(np.int64))
+    if kind == "nan":
+        # The NaN window's max is NaN, no position equals it, and its input
+        # gradient is 0.
+        assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out).sum() == 1
+        assert not mask[0, 0, :kernel, :kernel].any()
+        assert np.all(grad[0, 0, :kernel, :kernel] == 0.0)
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_maxpool2d_mask_crosses_backends(backend_name, kernel):
+    """One mask format: a forward on one backend, its backward on another."""
+    rng = np.random.default_rng(1200)
+    x = rng.integers(0, 3, size=(4, 3, 6 * kernel, 4 * kernel)).astype(np.float64)
+    ref_out, ref_mask = REFERENCE.maxpool2d(x, kernel)
+    grad_out = rng.normal(size=ref_out.shape)
+    expected = REFERENCE.maxpool2d_backward(grad_out, ref_mask, kernel)
+    with use_backend(backend_name):
+        _, mask = get_backend().maxpool2d(x, kernel)
+        # The reference's forward, then this backend's backward.
+        grad = get_backend().maxpool2d_backward(grad_out, ref_mask, kernel)
+    assert np.array_equal(grad, expected)
+    # This backend's forward, then the reference's backward.
+    grad = REFERENCE.maxpool2d_backward(grad_out, mask, kernel)
+    assert np.array_equal(grad, expected)
+
+
+def test_cext_maxpool2d_rejects_shapes_the_c_loop_cannot_read():
+    """The C wrappers check again: nothing reads past the buffers it is handed."""
+    with use_backend(require_backend("cext")):
+        kernels = get_backend()
+        with pytest.raises(ValueError):
+            kernels.maxpool2d(np.ones((2, 3, 5, 4)), 2)
+        with pytest.raises(ValueError):
+            kernels.maxpool2d(np.ones((3, 5, 4)), 2)
+        mask = np.ones((2, 3, 4, 4), dtype=bool)
+        for grad_out, bad_mask in [
+            (np.ones((2, 3, 1, 1)), mask),
+            (np.ones((2, 3, 2, 2)), mask[:, :, :, :3]),
+            (np.ones((2, 3, 2, 2)), mask.astype(np.float64)),
+        ]:
+            with pytest.raises(ValueError):
+                kernels.maxpool2d_backward(grad_out, bad_mask, 2)
 
 
 EMBED_SHAPES = [(2, 3, 5, 4), (8, 12, 30, 16)]  # (B, L, vocab, dim)

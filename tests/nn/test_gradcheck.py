@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
+from repro.backend import use_backend
 from repro.nn import Layer, Linear, ReLU
 from repro.nn.gradcheck import GradCheckReport, check_layer, numerical_gradient
+
+from tests.backend.conftest import parity_backends
 
 
 class TestNumericalGradient:
@@ -177,6 +180,15 @@ class TestLayerCoverage:
             check_per_sample=spec.get("per_sample", True),
         )
         assert report.passed, f"{name}:\n{report}"
+
+    @pytest.mark.parametrize("backend", parity_backends())
+    def test_maxpool_gradients_on_backend(self, backend, rng):
+        """MaxPool2d's passes are backend kernels: the MaxPool2d row above
+        runs on the default backend, this on every other available one."""
+        spec = LAYER_SPECS["MaxPool2d"]
+        with use_backend(backend):
+            report = check_layer(spec["build"](), spec["x"](rng), rng=1)
+        assert report.passed, f"MaxPool2d on {backend}:\n{report}"
 
     @pytest.mark.parametrize(
         "name", [n for n, s in sorted(LAYER_SPECS.items()) if s.get("per_sample", True)]

@@ -8,6 +8,7 @@ and (b) match gradients computed sample-by-sample.
 import numpy as np
 import pytest
 
+from repro.backend import use_backend
 from repro.nn import (
     AvgPool2d,
     Conv2d,
@@ -17,7 +18,11 @@ from repro.nn import (
     MaxPool2d,
     ReLU,
 )
+from tests.backend.conftest import parity_backends
 from tests.conftest import numerical_gradient
+
+#: Every available backend; MaxPool2d dispatches both passes to it.
+BACKENDS = ("reference", *parity_backends())
 
 
 def check_input_gradient(layer, x, atol=1e-6):
@@ -198,26 +203,51 @@ def assert_bits_equal(actual, expected):
 
 
 class TestMaxPool2d:
+    """Every test runs on each available backend: the layer's passes are
+    backend kernels, and ``cext`` runs 2x2 windows in C."""
+
     def test_forward_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2).forward(x)
-        assert np.array_equal(out[0, 0], [[5, 7], [13, 15]])
+        for name in BACKENDS:
+            with use_backend(name):
+                out = MaxPool2d(2).forward(x)
+            assert np.array_equal(out[0, 0], [[5, 7], [13, 15]]), name
 
     def test_input_gradient(self, rng):
         # Distinct values avoid ties, making max differentiable.
         x = rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8)
-        check_input_gradient(MaxPool2d(2), x)
+        for name in BACKENDS:
+            with use_backend(name):
+                check_input_gradient(MaxPool2d(2), x)
 
     def test_tie_gradient_is_split(self):
-        layer = MaxPool2d(2)
-        x = np.ones((1, 1, 2, 2))
-        layer.forward(x, train=True)
-        grad_in, _ = layer.backward(np.array([[[[4.0]]]]))
-        assert np.allclose(grad_in, 1.0)  # 4 split equally among 4 ties
+        # A window of 4 ties and, beside it, ties of 3 and 2 and a lone max.
+        x = np.array([[[[1.0, 1.0, 2.0, 2.0, 0.0, 2.0, 3.0, 0.0],
+                        [1.0, 1.0, 2.0, 0.0, 2.0, 0.0, 1.0, 2.0]]]])
+        grad_out = np.array([[[[4.0, 3.0, 2.0, 1.0]]]])
+        expected = np.array([[[[1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+                               [1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]]]])
+        for name in BACKENDS:
+            layer = MaxPool2d(2)
+            with use_backend(name):
+                layer.forward(x, train=True)
+                grad_in, _ = layer.backward(grad_out)
+            assert np.array_equal(grad_in, expected), name
 
     def test_indivisible_raises(self):
         with pytest.raises(ValueError, match="not divisible"):
             MaxPool2d(3).forward(np.zeros((1, 1, 8, 8)))
+
+    def test_backward_rejects_mis_shaped_upstream(self):
+        """A (B, C, 1, 1) upstream used to broadcast over every position."""
+        x = np.arange(96, dtype=np.float64).reshape(2, 3, 4, 4)
+        for name in BACKENDS:
+            layer = MaxPool2d(2)
+            with use_backend(name):
+                layer.forward(x, train=True)
+                for shape in [(2, 3, 1, 1), (2, 3, 2), (2, 3, 2, 3)]:
+                    with pytest.raises(ValueError, match="pooled shape"):
+                        layer.backward(np.ones(shape))
 
     @pytest.mark.parametrize("kernel", [1, 2, 3])
     @pytest.mark.parametrize("inputs", ["relu_normal", "small_int"])
@@ -239,13 +269,16 @@ class TestMaxPool2d:
 
     @staticmethod
     def _check_bit_parity(x, kernel, rng):
-        layer = MaxPool2d(kernel)
-        out = layer.forward(x, train=True)
-        grad_out = rng.normal(size=out.shape)
-        grad_in, _ = layer.backward(grad_out)
+        batch, channels, height, width = x.shape
+        grad_out = rng.normal(size=(batch, channels, height // kernel, width // kernel))
         expected_out, expected_grad_in = axis_maxpool(x, kernel, grad_out)
-        assert_bits_equal(out, expected_out)
-        assert_bits_equal(grad_in, expected_grad_in)
+        for name in BACKENDS:
+            layer = MaxPool2d(kernel)
+            with use_backend(name):
+                out = layer.forward(x, train=True)
+                grad_in, _ = layer.backward(grad_out)
+            assert_bits_equal(out, expected_out)
+            assert_bits_equal(grad_in, expected_grad_in)
 
 
 class TestAvgPool2d:
