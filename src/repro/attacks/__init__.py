@@ -2,15 +2,12 @@
 
 The paper motivates DP-SGD with membership-inference attacks (§I: a
 white-box MIA "can infer whether a single data point belongs to the
-training dataset").  This package implements the standard black-box
-evaluation attacks so the privacy/efficiency trade-off of DP-SGD and GeoDP
+training dataset").  This package implements a standard black-box
+evaluation attack so the privacy/efficiency trade-off of DP-SGD and GeoDP
 can be measured empirically, not just accounted:
 
 * :class:`LossThresholdAttack` — Yeom et al. (CSF 2018): predict "member"
   when the per-sample loss is below a threshold fit on reference data.
-* :class:`ShadowModelAttack` — Shokri et al. (S&P 2017), simplified: train
-  shadow models on disjoint shards and learn a logistic attack model on
-  their confidence vectors.
 * :func:`membership_advantage` / :func:`attack_roc` — evaluation metrics.
 
 These tools are for *defensive evaluation* of the privacy mechanisms in
@@ -19,14 +16,12 @@ this library (the standard methodology in the DP literature).
 
 from repro.attacks.membership import (
     LossThresholdAttack,
-    ShadowModelAttack,
     attack_roc,
     membership_advantage,
 )
 
 __all__ = [
     "LossThresholdAttack",
-    "ShadowModelAttack",
     "attack_roc",
     "membership_advantage",
 ]

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.rng import as_rng
-
 __all__ = [
     "LossThresholdAttack",
-    "ShadowModelAttack",
     "membership_advantage",
     "attack_roc",
 ]
@@ -55,100 +52,6 @@ class LossThresholdAttack:
             raise RuntimeError("call fit() before predict()")
         losses = model.loss.per_sample(model.forward(x, train=False), y)
         return losses < self.threshold
-
-
-class ShadowModelAttack:
-    """Simplified shadow-model attack (Shokri et al.).
-
-    Trains ``num_shadows`` copies of a model architecture on disjoint shards
-    of attacker-controlled data, collects (confidence-vector, member?) pairs
-    from each shadow's in/out split, and fits a logistic regression attack
-    model on features of the confidence vector (max prob, entropy, true-class
-    prob, loss).
-    """
-
-    def __init__(self, model_builder, num_shadows: int = 3, *, train_steps: int = 60,
-                 learning_rate: float = 1.0, batch_size: int = 32, rng=None):
-        if num_shadows < 1:
-            raise ValueError(f"num_shadows must be >= 1, got {num_shadows}")
-        self.model_builder = model_builder
-        self.num_shadows = num_shadows
-        self.train_steps = train_steps
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.rng = as_rng(rng)
-        self._attack_weights: np.ndarray | None = None
-
-    @staticmethod
-    def _features(model, x, y) -> np.ndarray:
-        """Attack features from the target's output distribution."""
-        from repro.nn.functional import softmax
-
-        logits = model.forward(x, train=False)
-        probs = softmax(logits, axis=1)
-        true_prob = probs[np.arange(len(y)), np.asarray(y, dtype=np.int64)]
-        max_prob = probs.max(axis=1)
-        entropy = -np.sum(probs * np.log(probs + 1e-12), axis=1)
-        loss = -np.log(true_prob + 1e-12)
-        ones = np.ones_like(loss)
-        return np.column_stack([true_prob, max_prob, entropy, loss, ones])
-
-    def fit(self, shadow_data) -> "ShadowModelAttack":
-        """Train shadows on disjoint halves and fit the attack model."""
-        from repro.core.sgd import SgdOptimizer
-        from repro.core.trainer import Trainer
-
-        n = len(shadow_data)
-        per_shadow = n // self.num_shadows
-        if per_shadow < 2 * self.batch_size:
-            raise ValueError(
-                f"shadow_data too small: {n} samples for {self.num_shadows} shadows"
-            )
-        feats, labels = [], []
-        for s in range(self.num_shadows):
-            shard = shadow_data.subset(
-                np.arange(s * per_shadow, (s + 1) * per_shadow)
-            )
-            half = len(shard) // 2
-            members = shard.subset(np.arange(half))
-            non_members = shard.subset(np.arange(half, len(shard)))
-            model = self.model_builder()
-            Trainer(
-                model,
-                SgdOptimizer(self.learning_rate),
-                members,
-                batch_size=min(self.batch_size, len(members)),
-                rng=self.rng,
-            ).train(self.train_steps)
-            feats.append(self._features(model, members.x, members.y))
-            labels.append(np.ones(len(members)))
-            feats.append(self._features(model, non_members.x, non_members.y))
-            labels.append(np.zeros(len(non_members)))
-
-        features = np.concatenate(feats)
-        targets = np.concatenate(labels)
-        # Standardise (keep bias column intact) then fit logistic regression
-        # by plain gradient descent.
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        std[std == 0] = 1.0
-        mean[-1], std[-1] = 0.0, 1.0
-        self._norm = (mean, std)
-        z = (features - mean) / std
-        w = np.zeros(z.shape[1])
-        for _ in range(500):
-            p = 1.0 / (1.0 + np.exp(-(z @ w)))
-            w -= 0.5 * z.T @ (p - targets) / len(targets)
-        self._attack_weights = w
-        return self
-
-    def score(self, model, x, y) -> np.ndarray:
-        """Membership probability from the fitted attack model."""
-        if self._attack_weights is None:
-            raise RuntimeError("call fit() before score()")
-        mean, std = self._norm
-        z = (self._features(model, x, y) - mean) / std
-        return 1.0 / (1.0 + np.exp(-(z @ self._attack_weights)))
 
 
 def membership_advantage(member_scores, non_member_scores) -> float:

@@ -73,8 +73,9 @@ def restore_training_state(trainer, state: dict):
     The trainer must have been rebuilt exactly as for the original run;
     :meth:`~repro.core.trainer.Trainer.load_state_dict` then overwrites
     every mutable piece (raising :class:`~repro.checkpoint.SnapshotError`
-    on a mismatched optimizer class, parameter count or SUR attachment) so
-    the next iteration continues the interrupted run bit-for-bit.
+    on a mismatched optimizer class, parameter count or SUR attachment, or
+    on state it does not restore) so the next iteration continues the
+    interrupted run bit-for-bit.
     """
     trainer.load_state_dict(state)
     return history_from_state(state["history"]), int(state["iteration"])

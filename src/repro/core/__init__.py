@@ -34,7 +34,6 @@ from repro.core.schedules import (
 )
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.core.trainer import Trainer, TrainingHistory
-from repro.core.federated import FederatedTrainer
 from repro.core.theory import (
     model_efficiency,
     efficiency_difference,
@@ -64,7 +63,6 @@ __all__ = [
     "SelectiveUpdateRelease",
     "Trainer",
     "TrainingHistory",
-    "FederatedTrainer",
     "model_efficiency",
     "efficiency_difference",
     "expected_item_a",

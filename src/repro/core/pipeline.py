@@ -25,7 +25,7 @@ Every step enters through :meth:`DpOptimizer.release`, which takes a
 clipped sum plus optional sparse rows and returns the noisy gradient:
 ``step`` (materialized per-sample gradients), ``step_presummed`` (the
 trainer's chunk loop) and ``step_sparse`` (:class:`repro.sparse.SparseTrainer`)
-apply the update rule to it; the federated server applies it itself.
+apply the update rule to it.
 
 Telemetry observes instead of forking: instrumented and uninstrumented
 runs execute the same arithmetic on the same workspace buffers and draw

@@ -55,15 +55,6 @@ def _restore_update_state(optimizer, state: dict) -> None:
         setattr(optimizer, name, value.copy() if isinstance(value, np.ndarray) else value)
 
 
-def _augment_rng(augment):
-    """The augmentation pipeline's generator, if it keeps one."""
-    for name in ("_rng", "rng"):
-        rng = getattr(augment, name, None)
-        if isinstance(rng, np.random.Generator):
-            return rng
-    return None
-
-
 @dataclass
 class TrainingHistory:
     """Metrics recorded during :meth:`Trainer.train`."""
@@ -114,20 +105,15 @@ class Trainer:
     sur:
         Optional :class:`SelectiveUpdateRelease`; rejected updates are rolled
         back.  Validation uses a fixed held-out slice of the training data.
-    augment:
-        Optional callable applied to each training batch's inputs (e.g. a
-        :class:`repro.data.Augmenter`).  Label-preserving augmentation does
-        not change the privacy analysis (one clipped gradient per sample).
     parallel_grad_workers:
         Opt-in parallel per-sample gradient computation: shard each lot's
         microbatch chunks across this many worker processes through
         :class:`repro.runtime.ParallelGradientMap`.  Requires
-        ``microbatch_size`` (the chunks are the unit of sharding) and is
-        incompatible with ``augment`` (whose random stream is consumed
-        chunk-by-chunk in the parent).  Results are bit-identical to the
-        serial loop for any worker count; on worker failure the trainer
-        falls back to the serial loop automatically.  Call :meth:`close`
-        (or use the trainer as a context manager) to release the workers.
+        ``microbatch_size`` (the chunks are the unit of sharding).  Results
+        are bit-identical to the serial loop for any worker count; on
+        worker failure the trainer falls back to the serial loop
+        automatically.  Call :meth:`close` (or use the trainer as a context
+        manager) to release the workers.
     grad_mode:
         Gradient execution mode for per-sample (DP) optimizers.
         ``"materialize"`` computes the full ``(B, P)`` per-sample gradient
@@ -142,11 +128,12 @@ class Trainer:
         materialize per-sample gradients; see ``docs/parallelism.md``).
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  When given,
-        every iteration emits a :class:`~repro.telemetry.StepTrace` with the
-        step's scalar diagnostics (phase times come from ``tracer``).  If
-        the optimizer has a ``recorder`` slot that is still unset, the
-        trainer attaches this recorder to it so DP release geometry
-        (noise-to-signal, angular deviation, ...) lands in the same trace.
+        every iteration records its scalar diagnostics as series points at
+        that iteration and closes one :class:`~repro.telemetry.StepTrace`
+        (phase times come from ``tracer``).  If the optimizer has a
+        ``recorder`` slot that is still unset, the trainer attaches this
+        recorder to it so DP release geometry (noise-to-signal, angular
+        deviation, ...) lands in the same trace.
         Telemetry never consumes randomness: instrumented runs are
         bit-identical to uninstrumented ones.
     tracer:
@@ -164,6 +151,14 @@ class Trainer:
         ``docs/observability.md``).
     """
 
+    #: Top-level snapshot keys this trainer restores: :meth:`state_dict`'s
+    #: plus the ``iteration`` and ``history`` that
+    #: :func:`~repro.checkpoint.capture_training_state` adds.
+    _snapshot_keys = frozenset(
+        {"optimizer_class", "num_params", "model_params", "trainer_rng", "optimizer",
+         "sur", "telemetry", "iteration", "history"}
+    )
+
     def __init__(
         self,
         model,
@@ -177,7 +172,6 @@ class Trainer:
         sur: SelectiveUpdateRelease | None = None,
         pool_factor: int = 2,
         sur_eval_size: int = 256,
-        augment=None,
         sampling: str = "uniform",
         microbatch_size: int | None = None,
         parallel_grad_workers: int | None = None,
@@ -200,7 +194,6 @@ class Trainer:
         self.importance_sampling = importance_sampling
         self.sur = sur
         self.pool_factor = pool_factor
-        self.augment = augment
         if sampling not in ("uniform", "poisson"):
             raise ValueError(f"sampling must be 'uniform' or 'poisson', got {sampling!r}")
         if sampling == "poisson":
@@ -263,11 +256,6 @@ class Trainer:
                 raise ValueError(
                     "parallel_grad_workers requires microbatch_size (the "
                     "microbatch chunks are the unit of parallel sharding)"
-                )
-            if augment is not None:
-                raise ValueError(
-                    "parallel_grad_workers cannot combine with augment: the "
-                    "augmenter's random stream is consumed chunk-by-chunk"
                 )
             if not hasattr(optimizer, "clipping"):
                 raise ValueError(
@@ -399,8 +387,6 @@ class Trainer:
         """``(clipped gradient sum, per-sample losses)`` of one chunk of a lot."""
         with maybe_span(self.tracer, "sample"):
             x, y = self.train_data.batch(chunk)
-            if self.augment is not None:
-                x = self.augment(x)
         if self.grad_mode == "ghost":
             with maybe_span(self.tracer, "forward_backward"):
                 losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
@@ -417,8 +403,6 @@ class Trainer:
             pool_size = min(self.pool_factor * self.batch_size, n)
             pool_idx = minibatch_indices(n, pool_size, self.rng)
             x, y = self.train_data.batch(pool_idx)
-            if self.augment is not None:
-                x = self.augment(x)
         with maybe_span(self.tracer, "forward_backward"):
             losses, grads = self.model.loss_and_per_sample_gradients(x, y)
         norms = np.linalg.norm(grads, axis=1)
@@ -431,8 +415,6 @@ class Trainer:
         with maybe_span(self.tracer, "sample"):
             idx = minibatch_indices(len(self.train_data), self.batch_size, self.rng)
             x, y = self.train_data.batch(idx)
-            if self.augment is not None:
-                x = self.augment(x)
         with maybe_span(self.tracer, "forward_backward"):
             loss, grad = self.model.loss_and_gradient(x, y)
         with maybe_span(self.tracer, "step"):
@@ -611,7 +593,7 @@ class Trainer:
         and the history (see ``docs/checkpointing.md``).
         """
         optimizer = self.optimizer
-        state = {
+        return {
             "optimizer_class": type(optimizer).__name__,
             "num_params": int(self.model.num_params),
             "model_params": self.model.get_params().copy(),
@@ -624,18 +606,21 @@ class Trainer:
                 None if self.telemetry is None else self.telemetry.state_dict()
             ),
         }
-        augment_rng = _augment_rng(self.augment)
-        if augment_rng is not None:
-            state["augment_rng"] = get_rng_state(augment_rng)
-        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Apply a :meth:`state_dict` to a trainer rebuilt like the original.
 
-        A different optimizer class or parameter count, or SUR on one side
-        only, raises :class:`~repro.checkpoint.SnapshotError` rather than
-        silently resuming a different experiment.
+        A different optimizer class or parameter count, SUR on one side
+        only, or a key this trainer has nowhere to restore (state of a
+        feature it does not run) raises
+        :class:`~repro.checkpoint.SnapshotError` rather than silently
+        resuming a different experiment.
         """
+        unknown = sorted(set(state) - self._snapshot_keys)
+        if unknown:
+            raise SnapshotError(
+                f"snapshot carries state this trainer does not restore: {unknown}"
+            )
         optimizer = self.optimizer
         expected = type(optimizer).__name__
         if state["optimizer_class"] != expected:
@@ -660,6 +645,3 @@ class Trainer:
             self.sur.load_state_dict(state["sur"])
         if self.telemetry is not None and state["telemetry"] is not None:
             self.telemetry.load_state_dict(state["telemetry"])
-        augment_rng = _augment_rng(self.augment)
-        if augment_rng is not None and "augment_rng" in state:
-            set_rng_state(augment_rng, state["augment_rng"])

@@ -15,12 +15,6 @@ from repro.data.text_like import make_text_like
 from repro.data.clicklog import make_click_log
 from repro.data.sampling import iterate_minibatches, minibatch_indices, poisson_indices
 from repro.data.gradients import collect_training_gradients, synthetic_gradient_batch
-from repro.data.augmentation import (
-    Augmenter,
-    add_pixel_noise,
-    random_crop,
-    random_horizontal_flip,
-)
 
 __all__ = [
     "Dataset",
@@ -34,8 +28,4 @@ __all__ = [
     "poisson_indices",
     "collect_training_gradients",
     "synthetic_gradient_batch",
-    "Augmenter",
-    "add_pixel_noise",
-    "random_crop",
-    "random_horizontal_flip",
 ]

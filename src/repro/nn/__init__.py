@@ -29,15 +29,11 @@ from repro.nn.layers import (
     Flatten,
     Conv2d,
     MaxPool2d,
-    AvgPool2d,
     GlobalAvgPool2d,
 )
-from repro.nn.normalization import GroupNorm, LayerNorm, BatchNorm2d
-from repro.nn.activations import Tanh, Sigmoid, LeakyReLU, Softplus, Dropout
 from repro.nn.residual import ResidualBlock
 from repro.nn.embedding import Embedding, SequenceMean
-from repro.nn.gradcheck import check_layer, GradCheckReport
-from repro.nn.losses import Loss, SoftmaxCrossEntropy, MeanSquaredError
+from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 
 __all__ = [
@@ -58,23 +54,11 @@ __all__ = [
     "Flatten",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "GroupNorm",
-    "LayerNorm",
-    "BatchNorm2d",
-    "Tanh",
-    "Sigmoid",
-    "LeakyReLU",
-    "Softplus",
-    "Dropout",
     "ResidualBlock",
     "Embedding",
     "SequenceMean",
-    "check_layer",
-    "GradCheckReport",
     "Loss",
     "SoftmaxCrossEntropy",
-    "MeanSquaredError",
     "Sequential",
 ]

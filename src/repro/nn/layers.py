@@ -32,7 +32,6 @@ __all__ = [
     "Flatten",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
 ]
 
@@ -377,24 +376,6 @@ class Conv2d(Layer):
         )
 
 
-def _check_pool_input(x: np.ndarray, k: int) -> None:
-    """Raise ``ValueError`` unless ``x`` is ``(B, C, H, W)`` with ``k | H, W``."""
-    if x.ndim != 4:
-        raise ValueError(f"expected (B, C, H, W), got {x.shape}")
-    height, width = x.shape[2:]
-    if height % k or width % k:
-        raise ValueError(
-            f"input {height}x{width} not divisible by pooling kernel {k}"
-        )
-
-
-def _pool_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """View ``(B, C, H, W)`` as ``(B, C, H/k, k, W/k, k)`` pooling windows."""
-    _check_pool_input(x, k)
-    batch, channels, height, width = x.shape
-    return x.reshape(batch, channels, height // k, k, width // k, k)
-
-
 class MaxPool2d(Layer):
     """Non-overlapping max pooling (kernel == stride); H, W must be divisible.
 
@@ -412,7 +393,13 @@ class MaxPool2d(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        _check_pool_input(x, self.kernel)
+        if x.ndim != 4:
+            raise ValueError(f"expected (B, C, H, W), got {x.shape}")
+        if x.shape[2] % self.kernel or x.shape[3] % self.kernel:
+            raise ValueError(
+                f"input {x.shape[2]}x{x.shape[3]} not divisible by pooling "
+                f"kernel {self.kernel}"
+            )
         out, mask = get_backend().maxpool2d(x, self.kernel)
         if train:
             self._mask = mask
@@ -426,32 +413,6 @@ class MaxPool2d(Layer):
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel={self.kernel})"
-
-
-class AvgPool2d(Layer):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, kernel: int):
-        if kernel < 1:
-            raise ValueError(f"kernel must be >= 1, got {kernel}")
-        self.kernel = kernel
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        windows = _pool_windows(x, self.kernel)
-        if train:
-            self._x_shape = x.shape
-        return windows.mean(axis=(3, 5))
-
-    def backward(self, grad_out, per_sample: bool = False):
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        k = self.kernel
-        grad = np.repeat(np.repeat(grad_out, k, axis=2), k, axis=3) / (k * k)
-        return grad.reshape(self._x_shape), {}
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(kernel={self.kernel})"
 
 
 class GlobalAvgPool2d(Layer):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn import functional as F
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError"]
+__all__ = ["Loss", "SoftmaxCrossEntropy"]
 
 
 class Loss:
@@ -47,19 +47,3 @@ class SoftmaxCrossEntropy(Loss):
     def predict(self, outputs) -> np.ndarray:
         """Hard class predictions from logits."""
         return np.argmax(outputs, axis=1)
-
-
-class MeanSquaredError(Loss):
-    """Per-sample squared error ``||y_hat - y||^2`` (summed over outputs)."""
-
-    def per_sample(self, outputs, targets) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 1:
-            targets = targets[:, None]
-        return np.sum((outputs - targets) ** 2, axis=1)
-
-    def gradient(self, outputs, targets) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 1:
-            targets = targets[:, None]
-        return 2.0 * (outputs - targets)

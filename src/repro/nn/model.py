@@ -166,8 +166,7 @@ class Sequential:
         samples, scaling sample ``i``'s upstream rows by ``c_i`` commutes
         with the (per-sample linear) backward map, so the result equals
         ``sum_i c_i g_i`` exactly — within floating-point tolerance of the
-        materialized path.  (Samples never mixing is also why BatchNorm
-        models are rejected here just as they are on the per-sample path.)
+        materialized path.
 
         Returns ``(per-sample losses (B,), clipped sum (P,), pre-clip
         norms (B,))``.

@@ -31,11 +31,7 @@ from repro.privacy.gdp import (
     gdp_epsilon,
 )
 from repro.privacy.composition import basic_composition, advanced_composition
-from repro.privacy.curves import (
-    epsilon_curve,
-    find_noise_multiplier,
-    steps_until_budget,
-)
+from repro.privacy.curves import find_noise_multiplier
 from repro.privacy.clipping import (
     ClippingStrategy,
     FlatClipping,
@@ -72,9 +68,7 @@ __all__ = [
     "gdp_epsilon",
     "basic_composition",
     "advanced_composition",
-    "epsilon_curve",
     "find_noise_multiplier",
-    "steps_until_budget",
     "ClippingStrategy",
     "FlatClipping",
     "AutoSClipping",

@@ -1,22 +1,16 @@
-"""Privacy-curve utilities: budget planning for DP-SGD training runs.
+"""Budget planning for DP-SGD training runs.
 
-* :func:`find_noise_multiplier` — smallest sigma achieving a target
-  ``(epsilon, delta)`` for a given sampling rate and step count (the inverse
-  problem practitioners actually solve; Opacus's ``get_noise_multiplier``).
-* :func:`epsilon_curve` — epsilon after each of a sequence of step counts,
-  for plotting privacy-vs-epochs trade-offs.
-* :func:`steps_until_budget` — how many steps a configuration can run
-  before exhausting a target epsilon.
+:func:`find_noise_multiplier` finds the smallest sigma achieving a target
+``(epsilon, delta)`` for a given sampling rate and step count (the inverse
+problem practitioners actually solve; Opacus's ``get_noise_multiplier``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.privacy.rdp import DEFAULT_ALPHAS, rdp_subsampled_gaussian, rdp_to_dp
 from repro.utils.validation import check_positive, check_probability
 
-__all__ = ["find_noise_multiplier", "epsilon_curve", "steps_until_budget"]
+__all__ = ["find_noise_multiplier"]
 
 
 def _composed_epsilon(sigma: float, sample_rate: float, steps: int, delta: float) -> float:
@@ -61,65 +55,3 @@ def find_noise_multiplier(
         if hi - lo < tol * hi:
             break
     return hi
-
-
-def epsilon_curve(
-    sigma: float,
-    sample_rate: float,
-    step_counts,
-    delta: float,
-) -> np.ndarray:
-    """Epsilon after each step count in ``step_counts`` (monotone increasing)."""
-    sigma = check_positive("sigma", sigma)
-    sample_rate = check_probability("sample_rate", sample_rate)
-    delta = check_probability("delta", delta)
-    step_counts = np.asarray(list(step_counts), dtype=np.int64)
-    if np.any(step_counts < 0):
-        raise ValueError("step counts must be non-negative")
-
-    per_step = rdp_subsampled_gaussian(sample_rate, sigma, DEFAULT_ALPHAS)
-    out = np.empty(len(step_counts))
-    for i, steps in enumerate(step_counts):
-        if steps == 0:
-            out[i] = 0.0
-        else:
-            eps, _ = rdp_to_dp(DEFAULT_ALPHAS, steps * per_step, delta)
-            out[i] = eps
-    return out
-
-
-def steps_until_budget(
-    sigma: float,
-    sample_rate: float,
-    target_epsilon: float,
-    delta: float,
-    *,
-    max_steps: int = 10**7,
-) -> int:
-    """Largest step count whose composed epsilon stays <= ``target_epsilon``.
-
-    Returns 0 when even one step exceeds the budget.
-    """
-    sigma = check_positive("sigma", sigma)
-    target_epsilon = check_positive("target_epsilon", target_epsilon)
-    per_step = rdp_subsampled_gaussian(sample_rate, sigma, DEFAULT_ALPHAS)
-
-    def eps_at(steps: int) -> float:
-        eps, _ = rdp_to_dp(DEFAULT_ALPHAS, steps * per_step, delta)
-        return eps
-
-    if eps_at(1) > target_epsilon:
-        return 0
-    lo, hi = 1, 2
-    while eps_at(hi) <= target_epsilon:
-        lo = hi
-        hi *= 2
-        if hi > max_steps:
-            return max_steps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps_at(mid) <= target_epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return lo

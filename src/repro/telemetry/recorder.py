@@ -9,10 +9,11 @@ A :class:`MetricsRecorder` collects two kinds of telemetry:
 Phase wall-clock time is not kept here: it lives in the span tree of a
 :class:`~repro.telemetry.tracing.Tracer`, its one store.
 
-While a step is open (:meth:`start_step` / :meth:`end_step`) every recorded
-scalar is additionally attached to that step's
-:class:`~repro.telemetry.events.StepTrace`, giving a per-iteration event
-stream alongside the flat series.
+While a step is open (:meth:`start_step` / :meth:`end_step`) a recorded
+scalar's point takes that step's iteration, and closing the step appends
+its :class:`~repro.telemetry.events.StepTrace` to ``events``.  A step's
+scalars are the ``series`` points at its iteration; nothing else stores
+them.
 
 The recorder never touches any random state, so an instrumented run is
 bit-identical to an uninstrumented one; telemetry is off unless a recorder
@@ -67,14 +68,11 @@ class MetricsRecorder:
         """Append one ``(step, value)`` point to the series ``name``.
 
         ``step`` defaults to the open step's iteration, or to the series
-        length when no step is open.  While a step is open the value is also
-        stored in that step's ``metrics`` (last write wins within a step).
+        length when no step is open.
         """
         value = float(value)
-        if self._open_step is not None:
-            self._open_step.metrics[name] = value
-            if step is None:
-                step = self._open_step.iteration
+        if step is None and self._open_step is not None:
+            step = self._open_step.iteration
         points = self.series.setdefault(name, [])
         if step is None:
             step = len(points)
@@ -171,7 +169,7 @@ class MetricsRecorder:
         Series whose names end in ``_seconds`` (the project convention for
         wall-clock series, e.g. ``runtime_job_seconds``) measure elapsed
         time and legitimately vary between runs.  Everything else — metric
-        series, counters, per-step metrics — is a pure function of the
+        series, counters, step events — is a pure function of the
         computation, so this projection is bit-identical across reruns and
         across worker counts.
         """

@@ -5,12 +5,11 @@ import pytest
 
 from repro.attacks import (
     LossThresholdAttack,
-    ShadowModelAttack,
     attack_roc,
     membership_advantage,
 )
 from repro.core import DpSgdOptimizer, SgdOptimizer, Trainer
-from repro.data import Dataset, make_mnist_like, train_test_split
+from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
 
 
@@ -86,40 +85,3 @@ class TestLossThresholdAttack:
         plain = advantage(SgdOptimizer(2.0))
         private = advantage(DpSgdOptimizer(2.0, 0.1, 5.0, rng=3))
         assert private < plain
-
-
-class TestShadowModelAttack:
-    def test_fit_and_score(self):
-        data = make_mnist_like(400, rng=2, size=16)
-        shadow_data, rest = train_test_split(data, test_fraction=0.4, rng=2)
-        members, non_members = train_test_split(rest, test_fraction=0.5, rng=3)
-
-        def builder():
-            return build_logistic_regression((1, 16, 16), rng=0)
-
-        target = builder()
-        Trainer(target, SgdOptimizer(2.0), members, batch_size=16, rng=4).train(300)
-
-        attack = ShadowModelAttack(builder, num_shadows=2, train_steps=300, rng=5)
-        attack.fit(shadow_data)
-        m_scores = attack.score(target, members.x, members.y)
-        n_scores = attack.score(target, non_members.x, non_members.y)
-        assert m_scores.shape == (len(members),)
-        assert np.all((m_scores >= 0) & (m_scores <= 1))
-        # The overfit target should leak membership to the shadow attack.
-        assert membership_advantage(m_scores, n_scores) > 0.1
-
-    def test_score_requires_fit(self):
-        attack = ShadowModelAttack(lambda: None, num_shadows=1)
-        with pytest.raises(RuntimeError, match="fit"):
-            attack.score(None, np.zeros((1, 1)), [0])
-
-    def test_too_small_shadow_data_rejected(self):
-        attack = ShadowModelAttack(lambda: None, num_shadows=4, batch_size=32)
-        tiny = Dataset(np.zeros((20, 2)), np.zeros(20, dtype=int))
-        with pytest.raises(ValueError, match="too small"):
-            attack.fit(tiny)
-
-    def test_invalid_shadow_count(self):
-        with pytest.raises(ValueError):
-            ShadowModelAttack(lambda: None, num_shadows=0)

@@ -26,6 +26,7 @@ from repro.models import build_logistic_regression
 from repro.privacy.accountant import RdpAccountant
 from repro.privacy.clipping import AutoSClipping
 from repro.telemetry import MetricsRecorder
+from repro.utils.rng import get_rng_state
 
 TOTAL = 14
 CRASH_EVERY = 4  # snapshots at 4, 8, 12
@@ -310,6 +311,22 @@ class TestMismatchDetection:
         _, _, _, plain = make_setup("dpsgd_momentum", small_data)
         with pytest.raises(SnapshotError, match="SUR"):
             restore_training_state(plain, state)
+
+    def test_snapshot_of_an_augmented_run_is_refused(self, small_data, tmp_path):
+        """Snapshots of runs that augmented their batches carry the
+        augmenter's generator; no trainer can continue such a run, so the
+        snapshot is refused instead of resuming unaugmented."""
+        _, _, _, trainer = make_setup("dpsgd_momentum", small_data)
+        history = trainer.train(4)
+        state = capture_training_state(trainer, history, 4)
+        state["augment_rng"] = get_rng_state(np.random.default_rng(3))
+        save_snapshot(snapshot_path(tmp_path, 4), state)
+
+        _, _, _, fresh = make_setup("dpsgd_momentum", small_data)
+        with pytest.raises(SnapshotError, match="augment_rng"):
+            restore_training_state(fresh, state)
+        with pytest.raises(SnapshotError, match="augment_rng"):
+            fresh.train(6, checkpoint_dir=tmp_path)
 
     def test_capture_round_trips_through_disk(self, small_data, tmp_path):
         _, _, _, trainer = make_setup("dpsgd_momentum", small_data)

@@ -33,3 +33,14 @@ def numerical_gradient(f, x, eps: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (f_plus - f_minus) / (2 * eps)
     return grad
+
+
+def series_at(recorder, iteration: int) -> dict[str, float]:
+    """``name -> value`` of the series points recorded at ``iteration``;
+    the last point wins when a series has several there."""
+    return {
+        name: value
+        for name, points in recorder.series.items()
+        for step, value in points
+        if step == iteration
+    }

@@ -263,37 +263,6 @@ class TestTrainingHistoryEdgeCases:
 
 
 class TestTrainerExtensions:
-    def test_augmentation_hook_applied(self, small_data):
-        train, _ = small_data
-        calls = []
-
-        def spy_augment(x):
-            calls.append(x.shape)
-            return x
-
-        trainer = Trainer(
-            lr_model(), SgdOptimizer(1.0), train, batch_size=32, rng=1,
-            augment=spy_augment,
-        )
-        trainer.train(3)
-        assert len(calls) == 3
-        assert all(shape[0] == 32 for shape in calls)
-
-    def test_augmenter_integration(self, small_data):
-        from repro.data import Augmenter
-
-        train, _ = small_data
-        trainer = Trainer(
-            lr_model(),
-            DpSgdOptimizer(1.0, 0.1, 0.5, rng=2),
-            train,
-            batch_size=32,
-            rng=1,
-            augment=Augmenter(flip=True, crop_padding=1, rng=0),
-        )
-        history = trainer.train(5)
-        assert len(history.losses) == 5
-
     def test_train_epochs(self, small_data):
         train, _ = small_data
         trainer = Trainer(lr_model(), SgdOptimizer(1.0), train, batch_size=64, rng=1)

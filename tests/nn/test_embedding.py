@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.embedding import Embedding, SequenceMean
+from tests.conftest import numerical_gradient
 
 
 class TestEmbedding:
@@ -53,8 +54,6 @@ class TestEmbedding:
             assert np.allclose(per_sample["weight"][j], single["weight"])
 
     def test_numerical_param_gradient(self, rng):
-        from repro.nn.gradcheck import numerical_gradient
-
         layer = Embedding(5, 2, rng=0)
         tokens = np.array([[0, 3], [2, 2]])
         out = layer.forward(tokens, train=True)

@@ -15,15 +15,14 @@ from repro.nn import (
     Conv2d,
     Embedding,
     Flatten,
-    GroupNorm,
-    LayerNorm,
     Linear,
     MaxPool2d,
     ReLU,
     ResidualBlock,
+    Sequential,
+    SoftmaxCrossEntropy,
     conv_output_shape,
 )
-from repro.nn.normalization import BatchNorm2d
 
 from tests.backend.conftest import parity_backends
 
@@ -179,31 +178,6 @@ class TestEmbeddingGhost:
         check_ghost_parity(layer, tokens)
 
 
-class TestNormalizationGhost:
-    def test_layernorm(self):
-        rng = np.random.default_rng(7)
-        layer = LayerNorm(6)
-        layer.gamma = rng.normal(1.0, 0.1, size=layer.gamma.shape)
-        layer.beta = rng.normal(0.0, 0.1, size=layer.beta.shape)
-        check_ghost_parity(layer, rng.normal(size=(5, 6)))
-
-    def test_groupnorm(self):
-        rng = np.random.default_rng(8)
-        layer = GroupNorm(2, 4)
-        layer.gamma = rng.normal(1.0, 0.1, size=layer.gamma.shape)
-        check_ghost_parity(layer, rng.normal(size=(3, 4, 5, 5)))
-
-    def test_batchnorm_rejected(self):
-        # BatchNorm couples samples; it has no per-sample gradients and the
-        # ghost pass must refuse exactly like backward(per_sample=True).
-        rng = np.random.default_rng(9)
-        layer = BatchNorm2d(3)
-        x = rng.normal(size=(4, 3, 2, 2))
-        out = layer.forward(x, train=True)
-        with pytest.raises(RuntimeError, match="per-sample"):
-            layer.backward_norm_sq(np.ones_like(out))
-
-
 class TestResidualGhost:
     def test_identity_shortcut(self):
         rng = np.random.default_rng(10)
@@ -278,7 +252,6 @@ class TestModelGhostNorms:
     @pytest.mark.parametrize("builder", ["cnn", "resnet", "text", "mlp"])
     def test_full_model_parity(self, builder):
         from repro.models import build_cnn, build_resnet
-        from repro.models.mlp import build_mlp
         from repro.models.text import build_text_classifier
 
         rng = np.random.default_rng(13)
@@ -292,7 +265,10 @@ class TestModelGhostNorms:
             model = build_text_classifier(20, 3, rng=0)
             x = rng.integers(0, 20, size=(6, 5))
         else:
-            model = build_mlp((10,), (8,), 3, rng=0)
+            model = Sequential(
+                [Linear(10, 8, rng=0), ReLU(), Linear(8, 3, rng=1)],
+                SoftmaxCrossEntropy(),
+            )
             x = rng.normal(size=(6, 10))
         y = rng.integers(0, 3, size=x.shape[0])
 

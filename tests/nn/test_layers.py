@@ -10,7 +10,6 @@ import pytest
 
 from repro.backend import use_backend
 from repro.nn import (
-    AvgPool2d,
     Conv2d,
     Flatten,
     GlobalAvgPool2d,
@@ -281,17 +280,7 @@ class TestMaxPool2d:
             assert_bits_equal(grad_in, expected_grad_in)
 
 
-class TestAvgPool2d:
-    def test_forward_values(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2).forward(x)
-        assert np.array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_input_gradient(self, rng):
-        check_input_gradient(AvgPool2d(2), rng.normal(size=(2, 2, 4, 4)))
-
-
-@pytest.mark.parametrize("pool", [MaxPool2d, AvgPool2d])
+@pytest.mark.parametrize("pool", [MaxPool2d])
 def test_pooling_rejects_non_4d_input(pool):
     with pytest.raises(ValueError, match=r"expected \(B, C, H, W\), got \(4, 16\)"):
         pool(2).forward(np.zeros((4, 16)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn import SoftmaxCrossEntropy
 from tests.conftest import numerical_gradient
 
 
@@ -43,25 +43,3 @@ class TestSoftmaxCrossEntropy:
     def test_predict(self):
         logits = np.array([[1.0, 3.0, 2.0], [5.0, 0.0, 0.0]])
         assert np.array_equal(SoftmaxCrossEntropy().predict(logits), [1, 0])
-
-
-class TestMeanSquaredError:
-    def test_per_sample_values(self):
-        losses = MeanSquaredError().per_sample(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
-        assert losses[0] == pytest.approx(5.0)
-
-    def test_gradient_matches_numerical(self, rng):
-        loss = MeanSquaredError()
-        outputs = rng.normal(size=(3, 4))
-        targets = rng.normal(size=(3, 4))
-        grad = loss.gradient(outputs, targets)
-
-        def scalar(o):
-            return float(np.sum(loss.per_sample(o, targets)))
-
-        num = numerical_gradient(scalar, outputs.copy())
-        assert np.allclose(grad, num, atol=1e-6)
-
-    def test_1d_targets_promoted(self):
-        losses = MeanSquaredError().per_sample(np.array([[2.0]]), np.array([1.0]))
-        assert losses[0] == pytest.approx(1.0)

@@ -109,3 +109,17 @@ class TestInference:
 
     def test_repr_mentions_params(self):
         assert "params=" in repr(small_mlp())
+
+
+class TestTraining:
+    def test_mlp_learns_xor(self, rng):
+        """A hidden layer must solve what logistic regression cannot."""
+        x = rng.uniform(-1, 1, size=(400, 2))
+        y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(int)
+        model = Sequential(
+            [Linear(2, 16, rng=0), ReLU(), Linear(16, 2, rng=1)], SoftmaxCrossEntropy()
+        )
+        for _ in range(400):
+            _, grad = model.loss_and_gradient(x, y)
+            model.set_params(model.get_params() - 0.5 * grad)
+        assert model.accuracy(x, y) > 0.9

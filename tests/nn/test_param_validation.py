@@ -11,7 +11,6 @@ import pytest
 
 from repro.nn.embedding import Embedding
 from repro.nn.layers import Conv2d, Linear, coerce_param
-from repro.nn.normalization import BatchNorm2d, GroupNorm, LayerNorm
 
 
 class TestCoerceParam:
@@ -35,10 +34,6 @@ class TestCoerceParam:
         (Linear(3, 4, rng=np.random.default_rng(0)), "bias"),
         (Conv2d(2, 3, 3, rng=np.random.default_rng(0)), "weight"),
         (Conv2d(2, 3, 3, rng=np.random.default_rng(0)), "bias"),
-        (GroupNorm(1, 4), "gamma"),
-        (GroupNorm(1, 4), "beta"),
-        (LayerNorm((4,)), "gamma"),
-        (BatchNorm2d(4), "gamma"),
         (Embedding(5, 3, rng=np.random.default_rng(0)), "weight"),
     ],
 )

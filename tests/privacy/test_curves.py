@@ -1,9 +1,8 @@
-"""Tests for privacy-curve utilities."""
+"""Tests for noise-multiplier calibration against a target budget."""
 
-import numpy as np
 import pytest
 
-from repro.privacy.curves import epsilon_curve, find_noise_multiplier, steps_until_budget
+from repro.privacy.curves import find_noise_multiplier
 from repro.privacy.rdp import DEFAULT_ALPHAS, rdp_subsampled_gaussian, rdp_to_dp
 
 
@@ -34,36 +33,3 @@ class TestFindNoiseMultiplier:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             find_noise_multiplier(1.0, 1e-5, 0.01, 0)
-
-
-class TestEpsilonCurve:
-    def test_monotone(self):
-        curve = epsilon_curve(1.0, 0.01, [0, 10, 100, 1000, 10000], 1e-5)
-        assert curve[0] == 0.0
-        assert np.all(np.diff(curve) > 0)
-
-    def test_matches_direct_composition(self):
-        curve = epsilon_curve(1.2, 0.02, [500], 1e-5)
-        assert curve[0] == pytest.approx(composed(1.2, 0.02, 500, 1e-5))
-
-    def test_rejects_negative_steps(self):
-        with pytest.raises(ValueError):
-            epsilon_curve(1.0, 0.01, [-5], 1e-5)
-
-
-class TestStepsUntilBudget:
-    def test_consistent_with_curve(self):
-        steps = steps_until_budget(1.0, 0.01, 2.0, 1e-5)
-        assert composed(1.0, 0.01, steps, 1e-5) <= 2.0
-        assert composed(1.0, 0.01, steps + 1, 1e-5) > 2.0
-
-    def test_zero_when_budget_tiny(self):
-        assert steps_until_budget(0.5, 0.9, 1e-4, 1e-5) == 0
-
-    def test_round_trip_with_find_noise_multiplier(self):
-        sigma = find_noise_multiplier(3.0, 1e-5, 0.02, 2000)
-        steps = steps_until_budget(sigma, 0.02, 3.0, 1e-5)
-        assert steps >= 2000
-
-    def test_max_steps_cap(self):
-        assert steps_until_budget(100.0, 0.001, 10.0, 1e-5, max_steps=50) == 50

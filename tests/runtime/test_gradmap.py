@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import DpSgdOptimizer, SgdOptimizer, Trainer
 from repro.data import make_mnist_like
-from repro.models import build_logistic_regression, build_mlp
-from repro.nn import Dropout
+from repro.models import build_logistic_regression
 from repro.privacy.clipping import AutoSClipping, FlatClipping, PsacClipping
 from repro.runtime import chunk_ranges, parallel_available
 from repro.runtime.gradmap import ParallelGradientMap
@@ -137,26 +136,6 @@ class TestMapChunks:
 
 
 class TestValidation:
-    def test_rejects_running_stats_model(self, tiny_data):
-        class FakeBatchNorm:
-            running_mean = None
-            running_var = None
-
-        class FakeModel:
-            layers = [FakeBatchNorm()]
-
-        with pytest.raises(ValueError, match="running statistics"):
-            ParallelGradientMap(FakeModel(), tiny_data, workers=2)
-
-    def test_rejects_dropout_with_positive_rate(self, tiny_data):
-        model = build_mlp((1, 8, 8), [16], dropout=0.3, rng=0)
-        with pytest.raises(ValueError, match=r"Dropout\(rate=0.3\)"):
-            ParallelGradientMap(model, tiny_data, workers=2)
-        for layer in model.layers:
-            if isinstance(layer, Dropout):
-                layer.rate = 0.0  # draws no masks, so the serial order is moot
-        ParallelGradientMap(model, tiny_data, workers=2).close()
-
     def test_single_worker_map_is_disabled(self, tiny_data):
         gradmap = ParallelGradientMap(tiny_model(), tiny_data, workers=1)
         assert not gradmap.available
@@ -180,18 +159,6 @@ class TestValidation:
                 tiny_data,
                 batch_size=60,
                 parallel_grad_workers=2,
-            )
-
-    def test_trainer_rejects_augment(self, tiny_data):
-        with pytest.raises(ValueError, match="augment"):
-            Trainer(
-                tiny_model(),
-                DpSgdOptimizer(0.5, 0.5, 1.0, rng=0),
-                tiny_data,
-                batch_size=60,
-                microbatch_size=16,
-                parallel_grad_workers=2,
-                augment=lambda x, rng: x,
             )
 
     def test_trainer_requires_clipping_optimizer(self, tiny_data):

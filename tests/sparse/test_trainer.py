@@ -14,6 +14,7 @@ from repro.privacy.clipping import PsacClipping
 from repro.privacy.ledger import ReleaseLedger, verify_ledger
 from repro.sparse import SparseTrainer, find_embedding
 from repro.telemetry import MetricsRecorder, Tracer
+from tests.conftest import series_at
 
 pytestmark = pytest.mark.sparse
 
@@ -224,7 +225,7 @@ class TestSharedLoop:
         assert len(recorder.events) == 4
         for event in recorder.events:
             assert {"loss", "pre_clip_norm_mean", "clipped_fraction"} <= set(
-                event.metrics
+                series_at(recorder, event.iteration)
             )
         assert recorder.counters["releases_geodp"] == 4
         assert {"run", "lot"} <= {span.name for span in tracer.spans}

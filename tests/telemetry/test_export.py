@@ -63,7 +63,8 @@ class TestTraceRoundTrip:
 
     def test_file_with_recorder_timers_still_loads(self, tmp_path):
         """Files written while the recorder timed phases carry a ``timers``
-        line and per-step ``timings``; the loader skips both."""
+        line and per-step ``timings``, and their ``step`` lines carry a
+        ``metrics`` copy of the step's scalars; the loader skips all three."""
         path = tmp_path / "trace.jsonl"
         save_jsonl(
             path,
@@ -82,9 +83,7 @@ class TestTraceRoundTrip:
             ],
         )
         rec = load_trace(path)
-        assert [e.to_dict() for e in rec.events] == [
-            {"iteration": 1, "metrics": {"loss": 0.5}}
-        ]
+        assert [e.to_dict() for e in rec.events] == [{"iteration": 1}]
         assert rec.series == {"loss": [(1, 0.5)]}
         assert rec.counters == {"iterations": 1.0}
 

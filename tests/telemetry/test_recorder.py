@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry import MetricsRecorder, StepTrace, metric_summary, summarize
+from tests.conftest import series_at
 
 
 class TestSeries:
@@ -38,15 +39,16 @@ class TestCounters:
 
 class TestSteps:
     def test_step_captures_metrics(self):
+        """A scalar recorded in an open step is a series point keyed by the
+        step's iteration; the step itself keeps only its iteration."""
         rec = MetricsRecorder()
         rec.start_step(1)
         rec.record("loss", 3.0)
         step = rec.end_step()
-        assert step.iteration == 1
-        assert step.metrics == {"loss": 3.0}
+        assert step == StepTrace(1)
         assert rec.events == [step]
-        # The flat series got the same point, keyed by the iteration.
         assert rec.series["loss"] == [(1, 3.0)]
+        assert series_at(rec, step.iteration) == {"loss": 3.0}
 
     def test_double_start_raises(self):
         rec = MetricsRecorder()
@@ -64,14 +66,17 @@ class TestSteps:
         rec.record("x", 1.0)
         rec.record("x", 2.0)
         step = rec.end_step()
-        assert step.metrics["x"] == 2.0
-        assert rec.values("x") == [1.0, 2.0]  # series keeps both points
+        assert series_at(rec, step.iteration)["x"] == 2.0
+        assert rec.series["x"] == [(5, 1.0), (5, 2.0)]  # both points kept
 
 
 class TestStepTrace:
     def test_round_trip_dict(self):
-        step = StepTrace(3, metrics={"loss": 1.0})
+        step = StepTrace(3)
+        assert step.to_dict() == {"iteration": 3}
         assert StepTrace.from_dict(step.to_dict()) == step
+        # Older payloads carried a copy of the step's scalars; it is ignored.
+        assert StepTrace.from_dict({"iteration": 3, "metrics": {"loss": 1.0}}) == step
 
     def test_from_dict_defaults(self):
         step = StepTrace.from_dict({"iteration": 7})

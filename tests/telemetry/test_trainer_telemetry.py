@@ -23,6 +23,7 @@ from repro.telemetry import (
     clip_diagnostics,
     release_diagnostics,
 )
+from tests.conftest import series_at
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,7 @@ class TestTrainerTelemetry:
         ).train(8, eval_every=4)
         assert len(rec.events) == 8
         assert [e.iteration for e in rec.events] == list(range(1, 9))
-        assert DP_METRICS <= set(rec.events[0].metrics)
+        assert DP_METRICS <= set(series_at(rec, rec.events[0].iteration))
         assert {"sample", "forward_backward", "clip", "noise", "step"} <= (
             _spans_in_first_lot(tracer)
         )
@@ -154,7 +155,7 @@ class TestTrainerTelemetry:
             1.0, 0.1, 1.0, beta=0.1, rng=2, sensitivity_mode="per_angle"
         )
         Trainer(lr_model(), opt, train, batch_size=64, rng=1, telemetry=rec).train(4)
-        metrics = rec.events[0].metrics
+        metrics = series_at(rec, rec.events[0].iteration)
         assert {
             "geodp_beta",
             "geodp_magnitude_noise_scale",
@@ -169,8 +170,9 @@ class TestTrainerTelemetry:
         opt = GeoDpAdamOptimizer(0.05, 0.1, 1.0, beta=0.1, rng=2)
         Trainer(lr_model(), opt, train, batch_size=64, rng=1, telemetry=rec).train(3)
         assert len(rec.events) == 3
-        assert "angular_deviation" in rec.events[0].metrics
-        assert "geodp_direction_noise_scale" in rec.events[0].metrics
+        metrics = series_at(rec, rec.events[0].iteration)
+        assert "angular_deviation" in metrics
+        assert "geodp_direction_noise_scale" in metrics
 
     def test_non_private_optimizer_records_loss_and_timing(self, small_data):
         train, _ = small_data
@@ -185,8 +187,9 @@ class TestTrainerTelemetry:
             tracer=tracer,
         ).train(3)
         assert len(rec.events) == 3
-        assert "loss" in rec.events[0].metrics
-        assert "noise_to_signal" not in rec.events[0].metrics
+        metrics = series_at(rec, rec.events[0].iteration)
+        assert "loss" in metrics
+        assert "noise_to_signal" not in metrics
         assert {"sample", "forward_backward", "step"} <= _spans_in_first_lot(tracer)
 
     @pytest.mark.parametrize("grad_mode", ["materialize", "ghost"])
@@ -298,7 +301,9 @@ class TestTrainerTelemetry:
         assert len(opt_rec.values("noise_to_signal")) == 2
         # ...while the trainer's recorder still traced steps and loss.
         assert len(trainer_rec.events) == 2
-        assert "noise_to_signal" not in trainer_rec.events[0].metrics
+        assert "noise_to_signal" not in series_at(
+            trainer_rec, trainer_rec.events[0].iteration
+        )
 
     def test_optimizer_recorder_without_trainer_telemetry(self, small_data):
         """An optimizer-only recorder gets flat series but no step events."""
