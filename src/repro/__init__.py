@@ -18,8 +18,8 @@ The package is organised as:
 * :mod:`repro.checkpoint` — fault-tolerant training: atomic snapshots of
   complete training state with bit-identical resume.
 * :mod:`repro.runtime` — parallel execution over forked worker processes:
-  fault-tolerant job runner, concurrent experiment scheduler, and a
-  parallel per-sample gradient map — all bit-identical to serial runs.
+  fault-tolerant job runner, concurrent experiment scheduler and worker
+  telemetry ship-back — all bit-identical to serial runs.
 
 Quickstart::
 

@@ -202,13 +202,14 @@ def note_backend(recorder) -> None:
     """
     if recorder is None:
         return
+    # Resolve first: the first selection of a process clears ``_noted``.
+    backend = get_backend()
     try:
         if recorder in _noted:
             return
         _noted.add(recorder)
     except TypeError:  # unhashable / non-weakrefable recorders: note anyway
         pass
-    backend = get_backend()
     recorder.increment(f"backend_active_{backend.name}")
     if _active_fell_back:
         recorder.increment("backend_fallbacks")

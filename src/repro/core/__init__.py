@@ -23,15 +23,7 @@ from repro.core.dpsgd import DpSgdOptimizer
 from repro.core.geodp import GeoDpSgdOptimizer
 from repro.core.sgd import SgdOptimizer, AdamOptimizer, DpAdamOptimizer
 from repro.core.geodp_adam import GeoDpAdamOptimizer
-from repro.core.schedules import (
-    ConstantSchedule,
-    CosineDecay,
-    ExponentialDecay,
-    LinearDecay,
-    Schedule,
-    ScheduledOptimizer,
-    StepDecay,
-)
+from repro.core.schedules import LinearDecay, Schedule, ScheduledOptimizer
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.theory import (
@@ -53,11 +45,7 @@ __all__ = [
     "DpAdamOptimizer",
     "GeoDpAdamOptimizer",
     "Schedule",
-    "ConstantSchedule",
     "LinearDecay",
-    "ExponentialDecay",
-    "StepDecay",
-    "CosineDecay",
     "ScheduledOptimizer",
     "ImportanceSampling",
     "SelectiveUpdateRelease",

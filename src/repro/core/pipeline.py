@@ -135,6 +135,8 @@ class DpOptimizer:
         )
         self.rng = as_rng(rng)
         self.accountant = accountant
+        if sample_rate is not None:
+            sample_rate = check_probability("sample_rate", sample_rate)
         self.sample_rate = sample_rate
         if accountant is not None and sample_rate is None:
             raise ValueError("sample_rate is required when an accountant is attached")

@@ -14,19 +14,9 @@ supports per-step multipliers).
 
 from __future__ import annotations
 
-import math
-
 from repro.utils.validation import check_positive
 
-__all__ = [
-    "Schedule",
-    "ConstantSchedule",
-    "LinearDecay",
-    "ExponentialDecay",
-    "StepDecay",
-    "CosineDecay",
-    "ScheduledOptimizer",
-]
+__all__ = ["Schedule", "LinearDecay", "ScheduledOptimizer"]
 
 
 class Schedule:
@@ -39,16 +29,6 @@ class Schedule:
         if step < 0:
             raise ValueError(f"step must be >= 0, got {step}")
         return self.value(step)
-
-
-class ConstantSchedule(Schedule):
-    """Always returns ``value``."""
-
-    def __init__(self, value: float):
-        self._value = check_positive("value", value, strict=False)
-
-    def value(self, step: int) -> float:
-        return self._value
 
 
 class LinearDecay(Schedule):
@@ -64,49 +44,6 @@ class LinearDecay(Schedule):
     def value(self, step: int) -> float:
         frac = min(step / self.total_steps, 1.0)
         return self.start + (self.end - self.start) * frac
-
-
-class ExponentialDecay(Schedule):
-    """``start * decay^step``, floored at ``minimum``."""
-
-    def __init__(self, start: float, decay: float, *, minimum: float = 0.0):
-        self.start = check_positive("start", start)
-        if not 0 < decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.decay = decay
-        self.minimum = check_positive("minimum", minimum, strict=False)
-
-    def value(self, step: int) -> float:
-        return max(self.start * self.decay**step, self.minimum)
-
-
-class StepDecay(Schedule):
-    """Multiply by ``factor`` every ``period`` steps."""
-
-    def __init__(self, start: float, factor: float, period: int):
-        self.start = check_positive("start", start)
-        self.factor = check_positive("factor", factor)
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        self.period = period
-
-    def value(self, step: int) -> float:
-        return self.start * self.factor ** (step // self.period)
-
-
-class CosineDecay(Schedule):
-    """Cosine annealing from ``start`` to ``end`` over ``total_steps``."""
-
-    def __init__(self, start: float, end: float, total_steps: int):
-        self.start = check_positive("start", start, strict=False)
-        self.end = check_positive("end", end, strict=False)
-        if total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-        self.total_steps = total_steps
-
-    def value(self, step: int) -> float:
-        frac = min(step / self.total_steps, 1.0)
-        return self.end + (self.start - self.end) * 0.5 * (1 + math.cos(math.pi * frac))
 
 
 class ScheduledOptimizer:

@@ -18,7 +18,6 @@ from repro.checkpoint.snapshot import SnapshotError
 from repro.core.ghost import check_grad_mode
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.data.sampling import minibatch_indices
-from repro.telemetry.diagnostics import record_clipping
 from repro.telemetry.tracing import maybe_span
 from repro.utils.rng import as_rng, get_rng_state, set_rng_state
 
@@ -29,6 +28,12 @@ __all__ = ["Trainer", "TrainingHistory"]
 #: when it rejects an update, otherwise the rejected noisy gradient keeps
 #: steering every subsequent accepted step through the momentum buffer.
 _UPDATE_STATE_ATTRS = ("_velocity", "_m", "_v", "_t")
+
+#: Importance sampling draws its candidate pool as this many lots.
+IS_POOL_FACTOR = 2
+
+#: Size of the held-out training slice that scores SUR's updates.
+SUR_EVAL_SIZE = 256
 
 
 def _unwrap_optimizer(optimizer):
@@ -99,21 +104,13 @@ class Trainer:
         Mini-batch size ``B``.
     importance_sampling:
         Optional :class:`ImportanceSampling`.  A candidate pool of
-        ``pool_factor * B`` samples is drawn uniformly; the batch is then
+        ``IS_POOL_FACTOR * B`` samples is drawn uniformly; the batch is then
         chosen from the pool by gradient-norm importance, reusing the pool's
         per-sample gradients (no second backward pass).
     sur:
         Optional :class:`SelectiveUpdateRelease`; rejected updates are rolled
-        back.  Validation uses a fixed held-out slice of the training data.
-    parallel_grad_workers:
-        Opt-in parallel per-sample gradient computation: shard each lot's
-        microbatch chunks across this many worker processes through
-        :class:`repro.runtime.ParallelGradientMap`.  Requires
-        ``microbatch_size`` (the chunks are the unit of sharding).  Results
-        are bit-identical to the serial loop for any worker count; on
-        worker failure the trainer falls back to the serial loop
-        automatically.  Call :meth:`close` (or use the trainer as a context
-        manager) to release the workers.
+        back.  Validation uses a fixed held-out slice of ``SUR_EVAL_SIZE``
+        training samples.
     grad_mode:
         Gradient execution mode for per-sample (DP) optimizers.
         ``"materialize"`` computes the full ``(B, P)`` per-sample gradient
@@ -123,14 +120,13 @@ class Trainer:
         ``None`` (default) inherits the optimizer's own ``grad_mode``
         attribute, so an optimizer built with ``grad_mode="ghost"`` routes
         the whole training loop through the fast path.  Ghost mode cannot
-        combine with ``importance_sampling`` (which reuses the materialized
-        pool gradients) or ``parallel_grad_workers`` (whose workers
-        materialize per-sample gradients; see ``docs/parallelism.md``).
+        combine with ``importance_sampling``, which reuses the materialized
+        pool gradients.
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  When given,
         every iteration records its scalar diagnostics as series points at
-        that iteration and closes one :class:`~repro.telemetry.StepTrace`
-        (phase times come from ``tracer``).  If the optimizer has a
+        that iteration and adds one to the ``iterations`` counter (phase
+        times come from ``tracer``).  If the optimizer has a
         ``recorder`` slot that is still unset, the trainer attaches this
         recorder to it so DP release geometry (noise-to-signal, angular
         deviation, ...) lands in the same trace.
@@ -170,11 +166,8 @@ class Trainer:
         rng=None,
         importance_sampling: ImportanceSampling | None = None,
         sur: SelectiveUpdateRelease | None = None,
-        pool_factor: int = 2,
-        sur_eval_size: int = 256,
         sampling: str = "uniform",
         microbatch_size: int | None = None,
-        parallel_grad_workers: int | None = None,
         telemetry=None,
         tracer=None,
         grad_mode: str | None = None,
@@ -183,8 +176,6 @@ class Trainer:
             raise ValueError(
                 f"batch_size must be in [1, {len(train_data)}], got {batch_size}"
             )
-        if pool_factor < 1:
-            raise ValueError(f"pool_factor must be >= 1, got {pool_factor}")
         self.model = model
         self.optimizer = optimizer
         self.train_data = train_data
@@ -193,7 +184,6 @@ class Trainer:
         self.rng = as_rng(rng)
         self.importance_sampling = importance_sampling
         self.sur = sur
-        self.pool_factor = pool_factor
         if sampling not in ("uniform", "poisson"):
             raise ValueError(f"sampling must be 'uniform' or 'poisson', got {sampling!r}")
         if sampling == "poisson":
@@ -231,12 +221,6 @@ class Trainer:
                     "grad_mode='ghost' cannot combine with importance sampling: "
                     "batch selection reuses the materialized pool gradients"
                 )
-            if parallel_grad_workers is not None:
-                raise ValueError(
-                    "grad_mode='ghost' cannot combine with parallel_grad_workers: "
-                    "the worker pool shards materialized per-sample gradients "
-                    "(see docs/parallelism.md)"
-                )
         if microbatch_size is not None:
             if microbatch_size < 1:
                 raise ValueError(f"microbatch_size must be >= 1, got {microbatch_size}")
@@ -247,23 +231,6 @@ class Trainer:
                     f"{type(optimizer).__name__} does not support gradient accumulation"
                 )
         self.microbatch_size = microbatch_size
-        if parallel_grad_workers is not None:
-            if int(parallel_grad_workers) < 1:
-                raise ValueError(
-                    f"parallel_grad_workers must be >= 1, got {parallel_grad_workers}"
-                )
-            if microbatch_size is None:
-                raise ValueError(
-                    "parallel_grad_workers requires microbatch_size (the "
-                    "microbatch chunks are the unit of parallel sharding)"
-                )
-            if not hasattr(optimizer, "clipping"):
-                raise ValueError(
-                    f"{type(optimizer).__name__} exposes no clipping strategy; "
-                    "parallel gradient sharding needs one"
-                )
-        self.parallel_grad_workers = parallel_grad_workers
-        self._gradmap = None
         self.telemetry = telemetry
         self.tracer = tracer
         # Attach the sinks to the (unwrapped) DP optimizer's free slots.
@@ -274,33 +241,11 @@ class Trainer:
             if getattr(inner, slot) is None:
                 setattr(inner, slot, sink)
         if sur is not None:
-            eval_n = min(sur_eval_size, len(train_data))
+            eval_n = min(SUR_EVAL_SIZE, len(train_data))
             eval_idx = self.rng.choice(len(train_data), size=eval_n, replace=False)
             self._sur_eval = train_data.batch(eval_idx)
         else:
             self._sur_eval = None
-        if parallel_grad_workers is not None:
-            from repro.runtime.gradmap import ParallelGradientMap
-
-            # Construct eagerly so model/worker validation errors surface at
-            # init; the worker pool itself starts lazily on the first lot.
-            self._gradmap = ParallelGradientMap(
-                model, train_data, workers=parallel_grad_workers, telemetry=telemetry
-            )
-
-    # ------------------------------------------------------------ lifecycle
-    def close(self) -> None:
-        """Release the parallel gradient workers (no-op when not used)."""
-        if self._gradmap is not None:
-            self._gradmap.close()
-            self._gradmap = None
-
-    def __enter__(self) -> "Trainer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------ steps
     def _lot(self) -> float:
@@ -349,28 +294,10 @@ class Trainer:
         exactly that chunk's ghost or materialized clipped sum.
         """
         size = self.microbatch_size or max(len(idx), 1)
-        chunks = [idx[start : start + size] for start in range(0, len(idx), size)]
-        outs = None
-        if self._gradmap is not None and self._gradmap.available:
-            with maybe_span(self.tracer, "parallel_grad"):
-                outs = self._gradmap.map_chunks(params, chunks, self.optimizer.clipping)
-        if outs is not None:
-            # The workers clipped in their own processes; record their
-            # norms here as the serial loop's clipped_sum would.
-            recorder = getattr(self.optimizer, "recorder", None)
-            if recorder is not None:
-                for _, _, norms in outs:
-                    record_clipping(
-                        recorder, norms, self.optimizer.clipping.sensitivity()
-                    )
-            sums = [(chunk_sum, chunk_losses) for chunk_sum, chunk_losses, _ in outs]
-        else:
-            sums = map(self._clipped_chunk, chunks)
-        # Reduce in chunk-index order: the parallel sums are added in the
-        # serial loop's order, hence bit-identical.
         total = None
         losses: list[np.ndarray] = []
-        for chunk_sum, chunk_losses in sums:
+        for start in range(0, len(idx), size):
+            chunk_sum, chunk_losses = self._clipped_chunk(idx[start : start + size])
             if total is None:
                 total = chunk_sum
             else:
@@ -400,7 +327,7 @@ class Trainer:
         if self.importance_sampling is None:
             return self._accumulated_step(params, self._draw_indices(n))
         with maybe_span(self.tracer, "sample"):
-            pool_size = min(self.pool_factor * self.batch_size, n)
+            pool_size = min(IS_POOL_FACTOR * self.batch_size, n)
             pool_idx = minibatch_indices(n, pool_size, self.rng)
             x, y = self.train_data.batch(pool_idx)
         with maybe_span(self.tracer, "forward_backward"):
@@ -420,13 +347,6 @@ class Trainer:
         with maybe_span(self.tracer, "step"):
             new_params = self.optimizer.step(params, grad)
         return new_params, loss
-
-    def train_epochs(self, num_epochs: int, *, eval_every: int = 0) -> TrainingHistory:
-        """Convenience: run ``ceil(N / B) * num_epochs`` iterations."""
-        if num_epochs < 1:
-            raise ValueError(f"num_epochs must be >= 1, got {num_epochs}")
-        steps_per_epoch = -(-len(self.train_data) // self.batch_size)
-        return self.train(steps_per_epoch * num_epochs, eval_every=eval_every)
 
     def train(
         self,

@@ -38,6 +38,7 @@ __all__ = [
     "LedgerVerification",
     "ReleaseLedger",
     "ReleaseRecord",
+    "charge_entry",
     "verify_ledger",
 ]
 
@@ -333,6 +334,21 @@ class LedgerVerification:
         return f"ledger verification FAILED: {self.error}"
 
 
+def charge_entry(accountant: RdpAccountant, record: ReleaseRecord) -> None:
+    """Step ``accountant`` for one ledger entry: the one replay rule.
+
+    Annotations (``num_steps == 0``) spend nothing.  Every other entry is
+    charged as a subsampled Gaussian at ``max(σ, 1e-12)``, mirroring how
+    the optimizers account a zero-noise ablation.  An entry the accountant
+    cannot charge (e.g. a sample rate outside (0, 1], or a negative step
+    count) raises :class:`ValueError`.
+    """
+    if not record.is_annotation:
+        accountant.step(
+            max(record.sigma, 1e-12), record.sample_rate, num_steps=record.num_steps
+        )
+
+
 def verify_ledger(
     ledger: ReleaseLedger,
     accountant: RdpAccountant | None = None,
@@ -347,11 +363,11 @@ def verify_ledger(
     the newest recorded ε-at-release to within ``tol``; (3) when the live
     ``accountant`` is given, its current ε also matches the replay to
     within ``tol`` — i.e. the ledger accounts for everything the accountant
-    has seen.  σ values are replayed as ``max(σ, 1e-12)``, mirroring how
-    the optimizers account a zero-noise ablation.  Non-spending annotation
-    entries (``num_steps == 0``) contribute nothing to the replayed
-    composition, but any ε they recorded must still equal the cumulative ε
-    at their position in the chain.
+    has seen.  Each entry is charged by :func:`charge_entry`; an entry it
+    cannot charge fails the check.  Non-spending annotation entries
+    contribute nothing to the replayed composition, but any ε they
+    recorded must still equal the cumulative ε at their position in the
+    chain.
 
     With ``strict=True`` (default) a failed check raises
     :class:`LedgerError`; otherwise the failure is reported in the returned
@@ -380,9 +396,15 @@ def verify_ledger(
     replay = RdpAccountant(alphas=alphas)
     recorded: float | None = None
     for record in ledger.entries:
-        if record.num_steps > 0:
-            replay.step(
-                max(record.sigma, 1e-12), record.sample_rate, num_steps=record.num_steps
+        try:
+            charge_entry(replay, record)
+        except ValueError as exc:
+            return outcome(
+                False,
+                None,
+                recorded,
+                None,
+                error=f"entry {record.index}: cannot be charged: {exc}",
             )
         if record.epsilon is not None:
             recorded = record.epsilon

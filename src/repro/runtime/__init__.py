@@ -1,6 +1,6 @@
 """``repro.runtime`` — parallel execution subsystem.
 
-Four layers, each usable on its own:
+Three layers, each usable on its own:
 
 * :mod:`repro.runtime.pool` — fault-tolerant process-pool **job runner**
   (:func:`run_jobs`): forked workers, per-job retry with capped backoff,
@@ -9,10 +9,6 @@ Four layers, each usable on its own:
 * :mod:`repro.runtime.scheduler` — **experiment scheduler**
   (:func:`run_cells`): runs grid/sweep cells concurrently with index-based
   seed assignment, so results are bit-identical for any worker count.
-* :mod:`repro.runtime.gradmap` — **parallel per-sample gradient map**
-  (:class:`ParallelGradientMap`): shards a lot's microbatch chunks across
-  forked workers that inherit the model and dataset; opt-in through
-  ``Trainer(parallel_grad_workers=...)``.
 * :mod:`repro.runtime.shipback` — **worker telemetry ship-back**
   (:func:`instrument` / :func:`merge_shipped`): per-job recorders and
   tracers travel back with results and merge deterministically in the
@@ -22,7 +18,6 @@ See ``docs/parallelism.md`` for the worker model and the determinism
 guarantees.
 """
 
-from repro.runtime.gradmap import ParallelGradientMap
 from repro.runtime.jobs import (
     Job,
     JobFailure,
@@ -45,7 +40,6 @@ __all__ = [
     "Job",
     "JobFailure",
     "JobOutcome",
-    "ParallelGradientMap",
     "ShippedTelemetry",
     "assign_job_rngs",
     "chunk_ranges",

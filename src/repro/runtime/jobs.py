@@ -96,9 +96,8 @@ def assign_job_rngs(rng, n: int) -> list[np.random.Generator]:
 def chunk_ranges(total: int, chunk_size: int) -> list[tuple[int, int]]:
     """Half-open ``(start, stop)`` ranges covering ``range(total)`` in order.
 
-    The deterministic sharding used by the parallel gradient map: chunk
-    boundaries depend only on ``total`` and ``chunk_size``, never on the
-    number of workers.
+    Deterministic sharding: chunk boundaries depend only on ``total`` and
+    ``chunk_size``, never on the number of workers.
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")

@@ -21,7 +21,7 @@ import threading
 from dataclasses import asdict, dataclass
 
 from repro.privacy.accountant import RdpAccountant
-from repro.privacy.ledger import ReleaseLedger, verify_ledger
+from repro.privacy.ledger import ReleaseLedger, charge_entry, verify_ledger
 
 __all__ = ["TenantPolicy", "Tenant", "TenantRegistry", "replay_accountant"]
 
@@ -56,18 +56,15 @@ class TenantPolicy:
 def replay_accountant(ledger: ReleaseLedger) -> RdpAccountant:
     """Fresh accountant advanced through the ledger's spending entries.
 
-    Annotations (``num_steps == 0``) are skipped; σ is replayed as
-    ``max(σ, 1e-12)`` exactly as :func:`~repro.privacy.ledger.verify_ledger`
-    does.  Because the live server steps its accountant once per admitted
-    job in chain order, the replayed curve is bit-identical to the one the
-    server held before a restart.
+    Each entry is charged by :func:`~repro.privacy.ledger.charge_entry`,
+    exactly as :func:`~repro.privacy.ledger.verify_ledger` replays it.
+    Because the live server steps its accountant once per admitted job in
+    chain order, the replayed curve is bit-identical to the one the server
+    held before a restart.
     """
     accountant = RdpAccountant()
     for record in ledger.entries:
-        if record.num_steps > 0:
-            accountant.step(
-                max(record.sigma, 1e-12), record.sample_rate, num_steps=record.num_steps
-            )
+        charge_entry(accountant, record)
     return accountant
 
 

@@ -26,8 +26,8 @@ match to floating-point summation order.
 
 Everything else — the run/epoch/lot loop, history, ``eval_every``,
 checkpoint/resume (each checkpoint is a flush barrier), per-lot
-``StepTrace`` telemetry and attaching the sinks to the optimizer — is the
-base :class:`~repro.core.Trainer`'s.
+telemetry and attaching the sinks to the optimizer — is the base
+:class:`~repro.core.Trainer`'s.
 
 Constraints: deferred noise drawn at step ``t + k`` must use the same
 ``lr * sigma * C`` the release at step ``t`` promised.  Every clipping

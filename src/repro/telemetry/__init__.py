@@ -1,4 +1,4 @@
-"""Telemetry for DP training runs: metrics, step traces, JSONL export.
+"""Telemetry for DP training runs: metrics, span traces, JSONL export.
 
 The paper's analysis is geometric — what matters per step is not just the
 loss but *where the released gradient points* relative to the true one.
@@ -21,7 +21,6 @@ from repro.telemetry.diagnostics import (
     record_release,
     release_diagnostics,
 )
-from repro.telemetry.events import StepTrace
 from repro.telemetry.export import (
     RunBundle,
     export_trace,
@@ -52,7 +51,6 @@ from repro.telemetry.tracing import Span, Tracer, maybe_span
 
 __all__ = [
     "MetricsRecorder",
-    "StepTrace",
     "Span",
     "Tracer",
     "maybe_span",

@@ -7,13 +7,11 @@ and a GeoDP training at equal budget — can share one file):
 ``{"kind": "meta", "version": 2, "run": "dpsgd", ...}``
     header of one run's block; carries the tracer's configuration when the
     run was traced;
-``{"kind": "step", "run": ..., "iteration": ...}``
-    one :class:`~repro.telemetry.events.StepTrace` per training iteration
-    (its scalars are the ``series`` points at that iteration);
 ``{"kind": "series", "run": ..., "name": ..., "points": [[step, value], ...]}``
-    one line per scalar series;
+    one line per scalar series (a training iteration's scalars are the
+    points at that iteration);
 ``{"kind": "counters", "run": ..., "values": {...}}``
-    the run's counters;
+    the run's counters (``iterations`` counts the training iterations);
 ``{"kind": "span", "run": ..., ...}``
     one line per :class:`~repro.telemetry.tracing.Span` (format version 2),
     the run's only record of phase time;
@@ -27,17 +25,15 @@ and ledger lines, for backward compatibility), while
 :func:`load_run_bundles` returns a :class:`RunBundle` per run with the
 recorder, the rebuilt :class:`~repro.telemetry.tracing.Tracer`, and the
 rebuilt :class:`~repro.privacy.ledger.ReleaseLedger` — everything the
-``repro report`` subcommand needs.  Files written while the recorder still
-timed phases also carry a ``timers`` line and per-step ``timings``, and
-older ``step`` lines carry a ``metrics`` copy of the step's scalars; the
-loaders skip all three.
+``repro report`` subcommand needs.  Older files also carry one ``step``
+line per training iteration, and files written while the recorder still
+timed phases a ``timers`` line; the loaders skip both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.telemetry.events import StepTrace
 from repro.telemetry.recorder import MetricsRecorder
 from repro.telemetry.tracing import Span, Tracer
 from repro.utils.serialization import load_jsonl, save_jsonl
@@ -78,8 +74,6 @@ def _lines(recorder: MetricsRecorder, run: str, tracer, ledger):
             "trace_memory": tracer.trace_memory,
         }
     yield meta
-    for event in recorder.events:
-        yield {"kind": "step", "run": run, **event.to_dict()}
     for name, points in recorder.series.items():
         yield {
             "kind": "series",
@@ -143,16 +137,14 @@ def load_run_bundles(path) -> dict[str, RunBundle]:
             continue
         bundle = bundles[run]
         recorder = bundle.recorder
-        if kind == "step":
-            recorder.events.append(StepTrace.from_dict(record))
-        elif kind == "series":
+        if kind == "series":
             recorder.series[record["name"]] = [
                 (int(s), float(v)) for s, v in record["points"]
             ]
         elif kind == "counters":
             recorder.counters.update(record["values"])
-        elif kind == "timers":
-            pass  # older files; the span lines hold phase time
+        elif kind in ("step", "timers"):
+            pass  # older files; the series, counters and spans hold both
         elif kind == "span":
             if bundle.tracer is None:
                 config = meta.get("tracer", {})

@@ -329,9 +329,7 @@ class HealthMonitor:
         """
         if getattr(recorder, "_registry", None) is not self.registry:
             recorder.bind_registry(self.registry)
-        recorder.add_end_step_hook(
-            lambda trace: self.evaluate(step=trace.iteration)
-        )
+        recorder.add_end_step_hook(lambda iteration: self.evaluate(step=iteration))
 
 
 def alert_meta(verdict: dict) -> dict:

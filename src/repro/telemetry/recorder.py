@@ -10,10 +10,9 @@ Phase wall-clock time is not kept here: it lives in the span tree of a
 :class:`~repro.telemetry.tracing.Tracer`, its one store.
 
 While a step is open (:meth:`start_step` / :meth:`end_step`) a recorded
-scalar's point takes that step's iteration, and closing the step appends
-its :class:`~repro.telemetry.events.StepTrace` to ``events``.  A step's
-scalars are the ``series`` points at its iteration; nothing else stores
-them.
+scalar's point takes that step's iteration.  A step's scalars are the
+``series`` points at its iteration; the trainer counts closed steps in the
+``iterations`` counter.  Nothing else stores either.
 
 The recorder never touches any random state, so an instrumented run is
 bit-identical to an uninstrumented one; telemetry is off unless a recorder
@@ -21,8 +20,6 @@ is explicitly passed to the trainer/optimizers.
 """
 
 from __future__ import annotations
-
-from repro.telemetry.events import StepTrace
 
 __all__ = ["MetricsRecorder"]
 
@@ -35,13 +32,12 @@ class MetricsRecorder:
         self.series: dict[str, list[tuple[int, float]]] = {}
         #: ``name -> count`` monotone counters.
         self.counters: dict[str, float] = {}
-        #: Closed per-iteration events, in order.
-        self.events: list[StepTrace] = []
-        self._open_step: StepTrace | None = None
+        #: Iteration of the open step, ``None`` between steps.
+        self._open_step: int | None = None
         #: Optional live :class:`~repro.telemetry.live.MetricsRegistry`
         #: mirror (see :meth:`bind_registry`).
         self._registry = None
-        #: Callables invoked with each closed :class:`StepTrace` (used by
+        #: Callables invoked with each closed step's iteration (used by
         #: :meth:`repro.telemetry.live.HealthMonitor.watch`).
         self._end_step_hooks: list = []
 
@@ -60,7 +56,7 @@ class MetricsRecorder:
         self._registry = registry
 
     def add_end_step_hook(self, hook) -> None:
-        """Call ``hook(step_trace)`` after every :meth:`end_step`."""
+        """Call ``hook(iteration)`` after every :meth:`end_step`."""
         self._end_step_hooks.append(hook)
 
     # ------------------------------------------------------------- scalars
@@ -71,8 +67,8 @@ class MetricsRecorder:
         length when no step is open.
         """
         value = float(value)
-        if step is None and self._open_step is not None:
-            step = self._open_step.iteration
+        if step is None:
+            step = self._open_step
         points = self.series.setdefault(name, [])
         if step is None:
             step = len(points)
@@ -91,33 +87,29 @@ class MetricsRecorder:
             self._registry.inc(name, amount)
 
     # --------------------------------------------------------------- steps
-    def start_step(self, iteration: int) -> StepTrace:
-        """Open the :class:`StepTrace` for ``iteration``."""
+    def start_step(self, iteration: int) -> None:
+        """Open the step of ``iteration``."""
         if self._open_step is not None:
             raise RuntimeError(
-                f"step {self._open_step.iteration} is still open; "
-                "call end_step() first"
+                f"step {self._open_step} is still open; call end_step() first"
             )
-        self._open_step = StepTrace(int(iteration))
-        return self._open_step
+        self._open_step = int(iteration)
 
-    def end_step(self) -> StepTrace:
-        """Close the open step and append it to ``events``."""
+    def end_step(self) -> int:
+        """Close the open step, run the end-step hooks; returns its iteration."""
         if self._open_step is None:
             raise RuntimeError("no step is open; call start_step() first")
-        step, self._open_step = self._open_step, None
-        self.events.append(step)
+        iteration, self._open_step = self._open_step, None
         for hook in self._end_step_hooks:
-            hook(step)
-        return step
+            hook(iteration)
+        return iteration
 
     # --------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
         """Full recorder contents for checkpointing (no step may be open)."""
         if self._open_step is not None:
             raise RuntimeError(
-                f"step {self._open_step.iteration} is still open; "
-                "close it before checkpointing"
+                f"step {self._open_step} is still open; close it before checkpointing"
             )
         return {
             "series": {
@@ -125,7 +117,6 @@ class MetricsRecorder:
                 for name, points in self.series.items()
             },
             "counters": {k: float(v) for k, v in self.counters.items()},
-            "events": [event.to_dict() for event in self.events],
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -133,20 +124,21 @@ class MetricsRecorder:
 
         A bound registry is left as it is: it counts what this process
         published, and restoring older history publishes nothing again.
+        The ``events`` list of older snapshots is ignored: the series and
+        the ``iterations`` counter hold everything it did.
         """
         self.series = {
             name: [(int(s), float(v)) for s, v in points]
             for name, points in state["series"].items()
         }
         self.counters = {k: float(v) for k, v in state["counters"].items()}
-        self.events = [StepTrace.from_dict(payload) for payload in state["events"]]
         self._open_step = None
 
     # -------------------------------------------------------------- merging
     def merge_state(self, state: dict) -> None:
         """Fold another recorder's captured state into this one.
 
-        Series points and step events are appended, counters are summed.
+        Series points are appended, counters are summed.
         Applied in a fixed order (job index, regardless of which worker ran
         which job — see :mod:`repro.runtime.shipback`) the merged recorder
         is independent of worker count.
@@ -161,7 +153,6 @@ class MetricsRecorder:
             self.counters[name] = self.counters.get(name, 0) + float(value)
             if self._registry is not None:
                 self._registry.inc(name, float(value))
-        self.events.extend(StepTrace.from_dict(payload) for payload in state["events"])
 
     def deterministic_state(self) -> dict:
         """The recorder's contents with every wall-clock quantity removed.
@@ -169,7 +160,7 @@ class MetricsRecorder:
         Series whose names end in ``_seconds`` (the project convention for
         wall-clock series, e.g. ``runtime_job_seconds``) measure elapsed
         time and legitimately vary between runs.  Everything else — metric
-        series, counters, step events — is a pure function of the
+        series and counters — is a pure function of the
         computation, so this projection is bit-identical across reruns and
         across worker counts.
         """
@@ -184,5 +175,5 @@ class MetricsRecorder:
     def __repr__(self) -> str:
         return (
             f"MetricsRecorder(series={len(self.series)}, "
-            f"counters={len(self.counters)}, events={len(self.events)})"
+            f"counters={len(self.counters)})"
         )

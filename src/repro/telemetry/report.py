@@ -192,7 +192,7 @@ def build_report(bundles: dict) -> dict:
             if name in recorder.series
         }
         runs[run] = {
-            "iterations": len(recorder.events),
+            "iterations": int(recorder.counters.get("iterations", 0)),
             "tracing": _tracing_section(bundle.tracer),
             "diagnostics": diagnostics,
             "counters": {k: float(v) for k, v in sorted(recorder.counters.items())},

@@ -15,6 +15,7 @@ import pytest
 import repro.backend as backend_mod
 from repro.backend import (
     BACKEND_DISABLE_ENV,
+    BACKEND_ENV,
     available_backends,
     get_backend,
     set_backend,
@@ -23,6 +24,7 @@ from repro.backend import (
 from repro.core.dpsgd import DpSgdOptimizer
 from repro.experiments import table2
 from repro.experiments.table2 import run_table2
+from repro.telemetry.diagnostics import record_clipping
 from repro.telemetry.recorder import MetricsRecorder
 
 pytestmark = pytest.mark.backend
@@ -63,6 +65,18 @@ def test_fallback_emits_one_counter(compiled_backends_disabled):
     grads = np.random.default_rng(1).normal(size=(4, 10))
     params = opt.step(np.zeros(10), grads)
     params = opt.step(params, grads)  # second step must not double-count
+    assert recorder.counters["backend_active_fused"] == 1
+    assert recorder.counters["backend_fallbacks"] == 1
+
+
+def test_first_selection_is_noted_once(compiled_backends_disabled, monkeypatch):
+    """The first recorder of a process triggers the backend selection,
+    which must not erase that recorder's note and count it twice."""
+    monkeypatch.setattr(backend_mod, "_active", None)
+    monkeypatch.setenv(BACKEND_ENV, "cext")
+    recorder = MetricsRecorder()
+    for _ in range(3):
+        record_clipping(recorder, np.ones(4), 1.0)
     assert recorder.counters["backend_active_fused"] == 1
     assert recorder.counters["backend_fallbacks"] == 1
 

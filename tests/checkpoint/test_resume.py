@@ -274,13 +274,15 @@ class TestResumeSemantics:
     def test_telemetry_counters_survive_resume(self, small_data, tmp_path):
         _, _, _, trainer_a = make_setup("dpsgd_momentum", small_data)
         trainer_a.train(TOTAL)
-        full_steps = len(trainer_a.telemetry.events)
+        full_series = trainer_a.telemetry.series
 
         _, _, _, trainer_b = make_setup("dpsgd_momentum", small_data)
         trainer_b.train(8, checkpoint_every=4, checkpoint_dir=tmp_path)
         _, _, _, trainer_c = make_setup("dpsgd_momentum", small_data)
         trainer_c.train(TOTAL, checkpoint_every=4, checkpoint_dir=tmp_path)
-        assert len(trainer_c.telemetry.events) == full_steps
+        assert trainer_c.telemetry.counters["iterations"] == TOTAL
+        assert trainer_c.telemetry.series == full_series
+        assert [s for s, _ in full_series["loss"]] == list(range(1, TOTAL + 1))
 
 
 class TestMismatchDetection:

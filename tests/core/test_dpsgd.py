@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DpSgdOptimizer
-from repro.privacy import AutoSClipping, FlatClipping, RdpAccountant
+from repro.privacy import AutoSClipping, FlatClipping, RdpAccountant, ReleaseLedger
 
 
 class TestNoisyGradient:
@@ -62,6 +62,17 @@ class TestAccounting:
     def test_accountant_requires_sample_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
             DpSgdOptimizer(0.1, 1.0, 1.0, accountant=RdpAccountant())
+
+    @pytest.mark.parametrize("sample_rate", [1.5, -0.2])
+    @pytest.mark.parametrize("sink", ["accountant", "ledger"])
+    def test_sample_rate_outside_unit_interval_rejected(self, sink, sample_rate):
+        """Refused at construction, before a release draws noise or chains
+        a rate no accountant can charge into the ledger."""
+        sinks = {"accountant": RdpAccountant(), "ledger": ReleaseLedger()}
+        with pytest.raises(ValueError, match="sample_rate"):
+            DpSgdOptimizer(
+                1.0, 1.0, 1.0, rng=0, sample_rate=sample_rate, **{sink: sinks[sink]}
+            )
 
     def test_float_clipping_becomes_flat(self):
         opt = DpSgdOptimizer(0.1, 0.7, 1.0)

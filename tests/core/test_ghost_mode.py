@@ -207,19 +207,6 @@ class TestGhostValidation:
                 importance_sampling=ImportanceSampling(0.7),
             )
 
-    def test_parallel_workers_rejected(self, cnn_data):
-        train, _ = cnn_data
-        opt = DpSgdOptimizer(0.2, 0.7, 0.5, rng=7)
-        with pytest.raises(ValueError, match="parallel_grad_workers"):
-            Trainer(
-                cnn_model(),
-                opt,
-                train,
-                batch_size=16,
-                grad_mode="ghost",
-                parallel_grad_workers=2,
-            )
-
     def test_non_per_sample_optimizer_rejected(self, cnn_data):
         from repro.core import SgdOptimizer
 

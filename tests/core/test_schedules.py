@@ -3,23 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    ConstantSchedule,
-    CosineDecay,
-    DpSgdOptimizer,
-    ExponentialDecay,
-    LinearDecay,
-    ScheduledOptimizer,
-    SgdOptimizer,
-    StepDecay,
-)
+from repro.core import DpSgdOptimizer, LinearDecay, ScheduledOptimizer, SgdOptimizer
 
 
 class TestSchedules:
-    def test_constant(self):
-        s = ConstantSchedule(0.5)
-        assert s(0) == s(100) == 0.5
-
     def test_linear_decay_endpoints(self):
         s = LinearDecay(1.0, 0.1, 100)
         assert s(0) == pytest.approx(1.0)
@@ -27,38 +14,15 @@ class TestSchedules:
         assert s(100) == pytest.approx(0.1)
         assert s(500) == pytest.approx(0.1)  # clamps after total_steps
 
-    def test_exponential_decay(self):
-        s = ExponentialDecay(1.0, 0.5)
-        assert s(0) == 1.0
-        assert s(3) == pytest.approx(0.125)
-
-    def test_exponential_floor(self):
-        s = ExponentialDecay(1.0, 0.1, minimum=0.05)
-        assert s(100) == 0.05
-
-    def test_step_decay(self):
-        s = StepDecay(1.0, 0.5, period=10)
-        assert s(9) == 1.0
-        assert s(10) == 0.5
-        assert s(25) == 0.25
-
-    def test_cosine_decay(self):
-        s = CosineDecay(1.0, 0.0, 100)
-        assert s(0) == pytest.approx(1.0)
-        assert s(50) == pytest.approx(0.5)
-        assert s(100) == pytest.approx(0.0, abs=1e-12)
-
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            ConstantSchedule(1.0)(-1)
+            LinearDecay(1.0, 0.1, 10)(-1)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LinearDecay(1.0, 0.1, 0)
         with pytest.raises(ValueError):
-            ExponentialDecay(1.0, 1.5)
-        with pytest.raises(ValueError):
-            StepDecay(1.0, 0.5, 0)
+            LinearDecay(-1.0, 0.1, 10)
 
 
 class TestScheduledOptimizer:
@@ -75,7 +39,7 @@ class TestScheduledOptimizer:
 
     def test_noise_schedule_applied(self, rng):
         opt = DpSgdOptimizer(0.1, 1.0, 5.0, rng=0)
-        wrapped = ScheduledOptimizer(opt, noise_multiplier=ExponentialDecay(5.0, 0.5))
+        wrapped = ScheduledOptimizer(opt, noise_multiplier=LinearDecay(5.0, 2.5, 1))
         grads = rng.normal(size=(4, 3))
         wrapped.step(np.zeros(3), grads)
         wrapped.step(np.zeros(3), grads)
@@ -83,15 +47,15 @@ class TestScheduledOptimizer:
 
     def test_noise_schedule_needs_noise_attr(self):
         with pytest.raises(ValueError, match="noise_multiplier"):
-            ScheduledOptimizer(SgdOptimizer(0.1), noise_multiplier=ConstantSchedule(1.0))
+            ScheduledOptimizer(SgdOptimizer(0.1), noise_multiplier=LinearDecay(1.0, 1.0, 1))
 
     def test_second_schedule_on_same_optimizer_rejected(self):
         opt = DpSgdOptimizer(0.1, 1.0, 1.0, rng=0)
-        wrapped = ScheduledOptimizer(opt, learning_rate=ConstantSchedule(0.1))
+        wrapped = ScheduledOptimizer(opt, learning_rate=LinearDecay(0.1, 0.1, 1))
         with pytest.raises(ValueError, match="already scheduled"):
-            ScheduledOptimizer(opt, learning_rate=ConstantSchedule(0.01))
+            ScheduledOptimizer(opt, learning_rate=LinearDecay(0.01, 0.01, 1))
         with pytest.raises(ValueError, match="already scheduled"):
-            ScheduledOptimizer(wrapped, learning_rate=ConstantSchedule(0.01))
+            ScheduledOptimizer(wrapped, learning_rate=LinearDecay(0.01, 0.01, 1))
 
     def test_delegation(self, rng):
         opt = DpSgdOptimizer(0.1, 1.0, 1.0, rng=0)

@@ -262,21 +262,6 @@ class TestTrainingHistoryEdgeCases:
         assert history.sur_acceptance_rate == sur.accepted / 10
 
 
-class TestTrainerExtensions:
-    def test_train_epochs(self, small_data):
-        train, _ = small_data
-        trainer = Trainer(lr_model(), SgdOptimizer(1.0), train, batch_size=64, rng=1)
-        history = trainer.train_epochs(2)
-        steps_per_epoch = -(-len(train) // 64)
-        assert history.iterations == 2 * steps_per_epoch
-
-    def test_train_epochs_invalid(self, small_data):
-        train, _ = small_data
-        trainer = Trainer(lr_model(), SgdOptimizer(1.0), train, batch_size=64)
-        with pytest.raises(ValueError):
-            trainer.train_epochs(0)
-
-
 class TestSurMomentumRollback:
     """A SUR-rejected step must roll back the optimizer's update state
     (momentum velocity, Adam moments), not just the parameters — otherwise
@@ -314,14 +299,14 @@ class TestSurMomentumRollback:
         assert optimizer._t == 0
 
     def test_rollback_reaches_through_scheduled_wrapper(self, small_data):
-        from repro.core.schedules import ConstantSchedule, ScheduledOptimizer
+        from repro.core.schedules import LinearDecay, ScheduledOptimizer
 
         train, _ = small_data
         model = lr_model()
         inner = DpSgdOptimizer(1.0, 0.1, 1.0, rng=2, momentum=0.9)
         trainer = Trainer(
             model,
-            ScheduledOptimizer(inner, learning_rate=ConstantSchedule(1.0)),
+            ScheduledOptimizer(inner, learning_rate=LinearDecay(1.0, 1.0, 1)),
             train,
             batch_size=32,
             rng=1,

@@ -29,6 +29,7 @@ def _export_bundle(path):
                 with tracer.span("clip"):
                     pass
             recorder.record("clipped_fraction", 0.5)
+            recorder.increment("iterations")
             accountant.step(1.0, 0.1)
             ledger.record_release(
                 mechanism="gaussian", sigma=1.0, sensitivity=0.1,
@@ -47,11 +48,23 @@ class TestReportRendering:
         assert "verification **PASS**" in text
         assert "| clip |" in text and "clipped_fraction" in text
 
+    def test_unchargeable_ledger_renders_failed(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        ledger = ReleaseLedger()
+        ledger.record_release(
+            mechanism="gaussian", sigma=1.0, sensitivity=0.1, sample_rate=1.5
+        )
+        export_trace(path, MetricsRecorder(), ledger=ledger)
+        text = run_report(str(path))
+        assert "verification **FAIL**" in text
+        assert "ledger verification FAILED: entry 0" in text
+
     def test_json_report_is_parseable(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _export_bundle(path)
         payload = json.loads(run_report(str(path), fmt="json"))
         run = payload["runs"]["demo"]
+        assert run["iterations"] == 3
         assert run["ledger"]["verified"] is True
         assert run["ledger"]["entries"] == 3
         assert run["tracing"]["spans"] == 7

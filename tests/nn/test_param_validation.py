@@ -36,6 +36,9 @@ class TestCoerceParam:
         (Conv2d(2, 3, 3, rng=np.random.default_rng(0)), "bias"),
         (Embedding(5, 3, rng=np.random.default_rng(0)), "weight"),
     ],
+    ids=[
+        "Linear-weight", "Linear-bias", "Conv2d-weight", "Conv2d-bias", "Embedding-weight"
+    ],
 )
 class TestStrictSetParam:
     def test_exact_shape_round_trips(self, layer, name):

@@ -140,6 +140,26 @@ class TestReplayVerification:
         )
         assert verify_ledger(ledger, accountant).ok
 
+    def test_unchargeable_entry_is_a_failed_verdict(self):
+        """A ledger read from a file is outside input: an entry no
+        accountant can charge fails the audit instead of crashing it."""
+        ledger = _filled_ledger(2)
+        ledger.record_release(
+            mechanism="gaussian", sigma=1.2, sensitivity=0.1, sample_rate=1.5
+        )
+        verification = verify_ledger(ledger, strict=False)
+        assert not verification.ok
+        assert "entry 2" in verification.error and "sample_rate" in verification.error
+        with pytest.raises(LedgerError, match="entry 2"):
+            verify_ledger(ledger)
+
+    def test_negative_step_count_is_not_an_annotation(self):
+        ledger = _filled_ledger(2)
+        bad = dataclasses.replace(ledger.entries[-1], num_steps=-3)
+        ledger.entries[-1] = dataclasses.replace(bad, entry_hash=bad.compute_hash())
+        verification = verify_ledger(ledger, strict=False)
+        assert not verification.ok and "entry 1" in verification.error
+
     def test_empty_ledger_verifies(self):
         verification = verify_ledger(ReleaseLedger())
         assert verification.ok and verification.replayed_epsilon is None

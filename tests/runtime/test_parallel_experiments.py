@@ -1,18 +1,15 @@
-"""Parallel-equals-serial guarantees for grids and the gradient map.
+"""Parallel-equals-serial guarantees for experiment grids.
 
 The fast tests are the tier-1 smoke for the determinism invariant; the
-``slow``-marked matrix extends it to workers in {1, 2, 4} across both
-parallel surfaces.  A grid interrupted mid-run must resume only its
-unfinished cells, and a cell whose worker crashes must still produce the
-serial result through retry.
+``slow``-marked matrix extends it to workers in {1, 2, 4}.  A grid
+interrupted mid-run must resume only its unfinished cells, and a cell
+whose worker crashes must still produce the serial result through retry.
 """
 
 import os
 
-import numpy as np
 import pytest
 
-from repro.core import DpSgdOptimizer, Trainer
 from repro.data import make_mnist_like, train_test_split
 from repro.experiments.training_grid import (
     MethodSpec,
@@ -20,7 +17,6 @@ from repro.experiments.training_grid import (
     run_grid,
 )
 from repro.models import build_logistic_regression
-from repro.privacy.clipping import FlatClipping
 from repro.runtime import JobFailure, parallel_available
 from repro.telemetry import MetricsRecorder
 
@@ -64,22 +60,6 @@ def tiny_grid(grid_data, *, workers=1, sigmas=(0.5,), model_builder=builder,
     )
 
 
-def gradmap_run(data, workers):
-    trainer = Trainer(
-        builder(),
-        DpSgdOptimizer(0.5, FlatClipping(0.5), 0.8, rng=3),
-        data,
-        batch_size=48,
-        microbatch_size=16,
-        parallel_grad_workers=workers,
-        rng=5,
-    )
-    with trainer:
-        history = trainer.train(3)
-        params = trainer.model.get_params().copy()
-    return history.losses, params
-
-
 @needs_fork
 class TestSmoke:
     """Fast tier-1 coverage of the parallel = serial invariant."""
@@ -96,21 +76,13 @@ class TestSmoke:
 @needs_fork
 @pytest.mark.slow
 class TestDeterminismMatrix:
-    """workers in {1, 2, 4} x {grid, gradmap} are all bit-identical."""
+    """workers in {1, 2, 4} are all bit-identical."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_grid(self, grid_data, workers):
         reference = tiny_grid(grid_data, sigmas=(0.5, 1.0))
         result = tiny_grid(grid_data, workers=workers, sigmas=(0.5, 1.0))
         assert result == reference
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_gradmap(self, grid_data, workers):
-        train, _ = grid_data
-        ref_losses, ref_params = gradmap_run(train, None)
-        losses, params = gradmap_run(train, workers)
-        assert losses == ref_losses
-        assert np.array_equal(params, ref_params)
 
 
 @needs_fork

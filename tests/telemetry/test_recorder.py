@@ -1,9 +1,9 @@
-"""Tests for MetricsRecorder, StepTrace and the summary reporter."""
+"""Tests for MetricsRecorder and the summary reporter."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry import MetricsRecorder, StepTrace, metric_summary, summarize
+from repro.telemetry import MetricsRecorder, metric_summary, summarize
 from tests.conftest import series_at
 
 
@@ -40,15 +40,24 @@ class TestCounters:
 class TestSteps:
     def test_step_captures_metrics(self):
         """A scalar recorded in an open step is a series point keyed by the
-        step's iteration; the step itself keeps only its iteration."""
+        step's iteration; the recorder keeps no list of closed steps."""
         rec = MetricsRecorder()
         rec.start_step(1)
         rec.record("loss", 3.0)
-        step = rec.end_step()
-        assert step == StepTrace(1)
-        assert rec.events == [step]
+        assert rec.end_step() == 1
         assert rec.series["loss"] == [(1, 3.0)]
-        assert series_at(rec, step.iteration) == {"loss": 3.0}
+        assert series_at(rec, 1) == {"loss": 3.0}
+        assert not hasattr(rec, "events")
+        assert "events" not in rec.state_dict()
+
+    def test_end_step_hooks_receive_the_iteration(self):
+        rec = MetricsRecorder()
+        seen = []
+        rec.add_end_step_hook(seen.append)
+        for iteration in (4, 5):
+            rec.start_step(iteration)
+            rec.end_step()
+        assert seen == [4, 5]
 
     def test_double_start_raises(self):
         rec = MetricsRecorder()
@@ -65,22 +74,31 @@ class TestSteps:
         rec.start_step(5)
         rec.record("x", 1.0)
         rec.record("x", 2.0)
-        step = rec.end_step()
-        assert series_at(rec, step.iteration)["x"] == 2.0
+        rec.end_step()
+        assert series_at(rec, 5)["x"] == 2.0
         assert rec.series["x"] == [(5, 1.0), (5, 2.0)]  # both points kept
 
 
-class TestStepTrace:
-    def test_round_trip_dict(self):
-        step = StepTrace(3)
-        assert step.to_dict() == {"iteration": 3}
-        assert StepTrace.from_dict(step.to_dict()) == step
-        # Older payloads carried a copy of the step's scalars; it is ignored.
-        assert StepTrace.from_dict({"iteration": 3, "metrics": {"loss": 1.0}}) == step
-
-    def test_from_dict_defaults(self):
-        step = StepTrace.from_dict({"iteration": 7})
-        assert step == StepTrace(7)
+class TestState:
+    def test_state_with_events_loads(self):
+        """Older snapshots carry a list of step events (some with a copy of
+        the step's scalars); loading ignores it."""
+        state = {
+            "series": {"loss": [[1, 3.0], [2, 2.5]]},
+            "counters": {"iterations": 2.0},
+            "events": [{"iteration": 1, "metrics": {"loss": 3.0}}, {"iteration": 2}],
+        }
+        rec = MetricsRecorder()
+        rec.load_state_dict(state)
+        assert rec.series == {"loss": [(1, 3.0), (2, 2.5)]}
+        assert rec.counters == {"iterations": 2.0}
+        assert rec.state_dict() == {
+            "series": {"loss": [[1, 3.0], [2, 2.5]]},
+            "counters": {"iterations": 2.0},
+        }
+        merged = MetricsRecorder()
+        merged.merge_state(state)
+        assert merged.state_dict() == rec.state_dict()
 
 
 class TestReport:

@@ -137,13 +137,12 @@ class TestTrainerTelemetry:
             telemetry=rec,
             tracer=tracer,
         ).train(8, eval_every=4)
-        assert len(rec.events) == 8
-        assert [e.iteration for e in rec.events] == list(range(1, 9))
-        assert DP_METRICS <= set(series_at(rec, rec.events[0].iteration))
+        assert rec.counters["iterations"] == 8
+        assert [step for step, _ in rec.series["loss"]] == list(range(1, 9))
+        assert DP_METRICS <= set(series_at(rec, 1))
         assert {"sample", "forward_backward", "clip", "noise", "step"} <= (
             _spans_in_first_lot(tracer)
         )
-        assert rec.counters["iterations"] == 8
         assert rec.counters["releases"] == 8
         assert rec.values("loss") == history.losses
         assert rec.values("test_accuracy") == [a for _, a in history.test_accuracy]
@@ -155,7 +154,7 @@ class TestTrainerTelemetry:
             1.0, 0.1, 1.0, beta=0.1, rng=2, sensitivity_mode="per_angle"
         )
         Trainer(lr_model(), opt, train, batch_size=64, rng=1, telemetry=rec).train(4)
-        metrics = series_at(rec, rec.events[0].iteration)
+        metrics = series_at(rec, 1)
         assert {
             "geodp_beta",
             "geodp_magnitude_noise_scale",
@@ -169,8 +168,8 @@ class TestTrainerTelemetry:
         rec = MetricsRecorder()
         opt = GeoDpAdamOptimizer(0.05, 0.1, 1.0, beta=0.1, rng=2)
         Trainer(lr_model(), opt, train, batch_size=64, rng=1, telemetry=rec).train(3)
-        assert len(rec.events) == 3
-        metrics = series_at(rec, rec.events[0].iteration)
+        assert rec.counters["iterations"] == 3
+        metrics = series_at(rec, 1)
         assert "angular_deviation" in metrics
         assert "geodp_direction_noise_scale" in metrics
 
@@ -186,8 +185,8 @@ class TestTrainerTelemetry:
             telemetry=rec,
             tracer=tracer,
         ).train(3)
-        assert len(rec.events) == 3
-        metrics = series_at(rec, rec.events[0].iteration)
+        assert rec.counters["iterations"] == 3
+        metrics = series_at(rec, 1)
         assert "loss" in metrics
         assert "noise_to_signal" not in metrics
         assert {"sample", "forward_backward", "step"} <= _spans_in_first_lot(tracer)
@@ -300,18 +299,16 @@ class TestTrainerTelemetry:
         # Release metrics landed in the optimizer's own recorder...
         assert len(opt_rec.values("noise_to_signal")) == 2
         # ...while the trainer's recorder still traced steps and loss.
-        assert len(trainer_rec.events) == 2
-        assert "noise_to_signal" not in series_at(
-            trainer_rec, trainer_rec.events[0].iteration
-        )
+        assert trainer_rec.counters["iterations"] == 2
+        assert "noise_to_signal" not in series_at(trainer_rec, 1)
 
     def test_optimizer_recorder_without_trainer_telemetry(self, small_data):
-        """An optimizer-only recorder gets flat series but no step events."""
+        """An optimizer-only recorder gets flat series but no iterations."""
         train, _ = small_data
         rec = MetricsRecorder()
         opt = DpSgdOptimizer(1.0, 0.1, 1.0, rng=2, recorder=rec)
         Trainer(lr_model(), opt, train, batch_size=32, rng=1).train(3)
-        assert rec.events == []
+        assert "iterations" not in rec.counters
         assert len(rec.values("angular_deviation")) == 3
 
     def test_sur_telemetry(self, small_data):

@@ -17,6 +17,10 @@ loop instead of BLAS.
 The clipping gate keeps one clipping contract: a strategy supplies
 ``clip_factors`` and inherits the materialized clip, so the materialized,
 ghost and sparse paths cannot drift apart.
+
+The pool gate keeps one worker pool: only ``runtime/pool.py`` may import
+``multiprocessing`` or ``concurrent.futures``' process pool, so worker
+start, crash handling and shutdown live in one module.
 """
 
 import ast
@@ -341,6 +345,80 @@ def test_clip_contract_lint_detects_offender():
     ]
     unrelated = "class Clipper:\n    def clip(self, grads):\n        return grads\n"
     assert _clip_overrides({"x.py": unrelated}) == []
+
+
+#: The one module that may start worker processes (:func:`repro.runtime.run_jobs`).
+POOL_MODULE = "src/repro/runtime/pool.py"
+
+
+def _is_process_pool(name: str) -> bool:
+    parts = name.split(".")
+    return (
+        parts[0] == "multiprocessing"
+        or "ProcessPoolExecutor" in parts
+        or name.startswith("concurrent.futures.process")
+    )
+
+
+def _process_pool_uses(source: str, filename: str) -> list[str]:
+    """``file:line name`` for every import of ``multiprocessing`` or of the
+    process pool of ``concurrent.futures``, and every attribute access to
+    ``ProcessPoolExecutor``."""
+    violations = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+            names = [node.attr]
+        else:
+            continue
+        violations.extend(
+            f"{filename}:{node.lineno} {name}" for name in names if _is_process_pool(name)
+        )
+    return violations
+
+
+def test_one_worker_pool():
+    violations = []
+    for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
+        relative = str(path.relative_to(REPO_ROOT))
+        if relative != POOL_MODULE:
+            violations.extend(_process_pool_uses(path.read_text(), relative))
+    assert violations == [], (
+        f"a process pool outside {POOL_MODULE} — run the work through "
+        "repro.runtime.run_jobs:\n  " + "\n  ".join(violations)
+    )
+
+
+def test_pool_module_is_current():
+    """The exempt module exists and is the one that starts the workers."""
+    path = REPO_ROOT / POOL_MODULE
+    assert _process_pool_uses(path.read_text(), POOL_MODULE)
+
+
+def test_pool_lint_detects_offender():
+    """The AST check catches each spelling of a process pool, and only those."""
+    offender = (
+        "import multiprocessing as mp\n"
+        "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+        "from multiprocessing.pool import Pool\n"
+        "import concurrent.futures\n"
+        "pool = concurrent.futures.ProcessPoolExecutor()\n"
+    )
+    assert _process_pool_uses(offender, "x.py") == [
+        "x.py:1 multiprocessing",
+        "x.py:2 concurrent.futures.ProcessPoolExecutor",
+        "x.py:3 multiprocessing.pool.Pool",
+        "x.py:5 ProcessPoolExecutor",
+    ]
+    allowed = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "pool = ThreadPoolExecutor()\n"
+    )
+    assert _process_pool_uses(allowed, "x.py") == []
 
 
 def ruff_available() -> bool:
