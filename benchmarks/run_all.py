@@ -67,18 +67,13 @@ def build_benchmarks() -> dict:
     """Name -> zero-argument callable for every tracked hot path."""
     from repro.core import perturb_dp_batch, perturb_geodp_batch
     from repro.data import make_mnist_like
-    from repro.geometry import (
-        canonicalize_angles,
-        to_cartesian_batch,
-        to_spherical_batch,
-    )
+    from repro.geometry import to_cartesian_batch, to_spherical_batch
     from repro.models import build_cnn
     from repro.privacy.clipping import FlatClipping
 
     rng = np.random.default_rng(0)
     grads = rng.normal(size=(64, 5000)) * 0.01
     mags, thetas = to_spherical_batch(grads)
-    noised = thetas + rng.normal(0.0, 2.0, size=thetas.shape)
 
     batch = 64
     data = make_mnist_like(batch, rng=0, size=16)
@@ -97,7 +92,6 @@ def build_benchmarks() -> dict:
     return {
         "to_spherical_batch": lambda: to_spherical_batch(grads),
         "to_cartesian_batch": lambda: to_cartesian_batch(mags, thetas),
-        "canonicalize_angles": lambda: canonicalize_angles(noised),
         "perturb_dp_batch": lambda: perturb_dp_batch(grads, 0.1, 1.0, 1024, noise_rng),
         "perturb_geodp_batch": lambda: perturb_geodp_batch(
             grads, 0.1, 1.0, 1024, 0.1, noise_rng

@@ -17,7 +17,7 @@ Usage::
     python examples/advanced_training.py
 """
 
-from repro.core import DpSgdOptimizer, LinearDecay, ScheduledOptimizer, Trainer
+from repro.core import DpSgdOptimizer, LinearDecay, Trainer, schedule
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
 from repro.privacy import PldAccountant, RdpAccountant
@@ -33,11 +33,9 @@ def main():
     sample_rate = BATCH / len(train)
 
     rdp = RdpAccountant()
-    base = DpSgdOptimizer(
-        4.0, CLIP, SIGMA0, rng=1, accountant=rdp, sample_rate=sample_rate
-    )
-    optimizer = ScheduledOptimizer(
-        base, noise_multiplier=LinearDecay(SIGMA0, SIGMA1, ITERS)
+    optimizer = schedule(
+        DpSgdOptimizer(4.0, CLIP, SIGMA0, rng=1, accountant=rdp, sample_rate=sample_rate),
+        noise_multiplier=LinearDecay(SIGMA0, SIGMA1, ITERS),
     )
 
     model = build_logistic_regression((1, 16, 16), rng=0)
@@ -48,7 +46,7 @@ def main():
         test_data=test,
         batch_size=BATCH,
         rng=2,
-        sampling="poisson",     # fixed lot size set automatically
+        sampling="poisson",     # every release still averages over BATCH
         microbatch_size=32,     # 4 accumulation chunks per logical batch
     )
     history = trainer.train(ITERS, eval_every=ITERS)

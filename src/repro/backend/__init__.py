@@ -15,9 +15,8 @@ fused      Optimized numpy: row-blocked GeoDP round trip (the reference
            arithmetic on cache-resident blocks), BLAS-routed ghost
            kernels, blocked conv Grams.
 cext       ctypes-loaded C kernels compiled on first use with the system
-           C compiler (GeoDP perturbation, spherical compose, angle fold,
-           ``col2im``, 2x2 max pool); available only when compilation
-           succeeds.
+           C compiler (GeoDP perturbation, spherical compose, ``col2im``,
+           2x2 max pool); available only when compilation succeeds.
 auto       Selects the fastest available accelerated backend
            (cext > fused) without counting a fallback.
 ========= ==============================================================
@@ -42,8 +41,9 @@ random numbers a DP release consumes — noise is drawn by the callers, in a
 fixed order, and handed to the kernels — so accounting and ledger replay
 are bit-identical across backends (``tests/backend/`` enforces this).
 
-Kernels run on the calling thread.  Per-sample work spreads over cores
-through forked worker processes instead (see ``docs/parallelism.md``).
+Kernels run on the calling thread, and a lot's per-sample work runs in
+the trainer's one serial chunk loop; only whole jobs (grid cells, budget
+server jobs) run in forked worker processes (see ``docs/parallelism.md``).
 Hot-path buffers come from the :mod:`repro.backend.workspace` arena so
 steady-state release allocation is near zero.
 
@@ -53,7 +53,6 @@ See ``docs/backends.md`` for the full contract.
 from __future__ import annotations
 
 import os
-import weakref
 
 from repro.backend.cext import CExtBackend, compiler_available
 from repro.backend.fused import FusedBackend
@@ -87,7 +86,6 @@ _ACCELERATED_ORDER = ("cext", "fused")
 _active = None
 _active_fell_back = False
 _instances: dict[str, object] = {}
-_noted: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def _disabled() -> set[str]:
@@ -153,8 +151,6 @@ def set_backend(name: str):
     resolved, fell_back = _resolve(name)
     _active = _instantiate(resolved)
     _active_fell_back = fell_back
-    # A new selection should be re-noted by any recorder that asks.
-    _noted.clear()
     return _active
 
 
@@ -180,7 +176,6 @@ class use_backend:
     def __exit__(self, *exc):
         global _active, _active_fell_back
         _active, _active_fell_back = self._previous
-        _noted.clear()
         return False
 
 
@@ -193,24 +188,21 @@ def get_num_threads() -> int:
 
 
 def note_backend(recorder) -> None:
-    """Record the active backend on a telemetry recorder, once per recorder.
+    """Record the active backend on a telemetry recorder, once per backend.
 
     Emits a ``backend_active_<name>`` counter, plus one
     ``backend_fallbacks`` counter when the active backend was substituted
-    for an unavailable request.  Observational only — never touches the
-    RNG or the kernels.
+    for an unavailable request.  The recorder's own counters say whether
+    it has noted this backend, so a recorder restored from a snapshot is
+    not counted again.  Observational only — never touches the RNG or the
+    kernels.
     """
     if recorder is None:
         return
-    # Resolve first: the first selection of a process clears ``_noted``.
-    backend = get_backend()
-    try:
-        if recorder in _noted:
-            return
-        _noted.add(recorder)
-    except TypeError:  # unhashable / non-weakrefable recorders: note anyway
-        pass
-    recorder.increment(f"backend_active_{backend.name}")
+    counter = f"backend_active_{get_backend().name}"
+    if counter in recorder.counters:
+        return
+    recorder.increment(counter)
     if _active_fell_back:
         recorder.increment("backend_fallbacks")
 

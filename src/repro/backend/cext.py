@@ -10,9 +10,9 @@ Compilation failures of any kind mark the backend unavailable, and the
 dispatch layer falls back to the fused-numpy backend — so environments
 without a toolchain lose speed, never correctness.
 
-Five kernels run in C: the fused GeoDP perturbation, the spherical
-compose, the canonical-angle fold, the conv ``col2im`` scatter and the
-2x2 max pool (forward and backward).  Each is one loop on the calling
+Four kernels run in C: the fused GeoDP perturbation, the spherical
+compose, the conv ``col2im`` scatter and the 2x2 max pool (forward and
+backward).  Each is one loop on the calling
 thread, over rows (the geometry kernels) or over ``(sample, channel)``
 image planes (``col2im``, the pool), and no kernel reduces across rows or
 planes.  Numpy runs ``col2im`` as ``k*k`` strided
@@ -92,9 +92,6 @@ __all__ = ["CExtBackend", "compiler_available"]
 
 _C_SOURCE = r"""
 #include <math.h>
-
-static const double PI = 3.14159265358979323846;
-static const double TWO_PI = 6.28318530717958647692;
 
 /* ------------------------------------------------- fused GeoDP perturb
  * Fused to_spherical -> perturb -> to_cartesian, one pass per row.  The
@@ -181,37 +178,6 @@ void spherical_compose(const double *mag, const double *theta, double *out,
             sinprod *= st;
         }
         oi[d - 1] = mi * sinprod;
-    }
-}
-
-/* ---------------------------------------------- canonical angle fold
- * Mirrors the vectorized reference: whether a polar angle folds is
- * independent of pending negations, so the negation flag at position z
- * is the exclusive prefix parity of the fold flags.  w = d - 1 angle
- * columns: w - 1 polar angles then one azimuth.
- */
-
-void canonicalize_angles(const double *theta, double *out, long m, long w) {
-    for (long i = 0; i < m; i++) {
-        const double *ti = theta + i * w;
-        double *oi = out + i * w;
-        int parity = 0;
-        for (long j = 0; j < w - 1; j++) {
-            /* np.mod: fmod with the sign folded positive. */
-            double r = fmod(ti[j], TWO_PI);
-            if (r < 0.0) r += TWO_PI;
-            int above = r > PI;
-            double folded = above ? TWO_PI - r : r;
-            oi[j] = parity ? PI - folded : folded;
-            parity ^= above;
-        }
-        double last = ti[w - 1];
-        if (parity) last += PI;
-        double r = fmod(last + PI, TWO_PI);
-        if (r < 0.0) r += TWO_PI;
-        r -= PI;
-        if (r == -PI) r = PI; /* keep the (-pi, pi] convention */
-        oi[w - 1] = r;
     }
 }
 
@@ -387,8 +353,6 @@ def _load() -> ctypes.CDLL | None:
             lib.geodp_perturb.argtypes = [ptr, ptr, ptr, ptr, c_long, c_long]
             lib.spherical_compose.restype = None
             lib.spherical_compose.argtypes = [ptr, ptr, ptr, c_long, c_long]
-            lib.canonicalize_angles.restype = None
-            lib.canonicalize_angles.argtypes = [ptr, ptr, c_long, c_long]
             lib.col2im.restype = None
             lib.col2im.argtypes = [ptr, ptr] + [c_long] * 8
             bools = np.ctypeslib.ndpointer(dtype=np.bool_, flags="C_CONTIGUOUS")
@@ -435,13 +399,6 @@ class CExtBackend(FusedBackend):
         d = d_minus_1 + 1
         out = workspace.take((m, d))
         self._lib.spherical_compose(magnitudes, thetas, out, m, d)
-        return out
-
-    def canonicalize_angles(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-        m, w = thetas.shape
-        out = workspace.take((m, w))
-        self._lib.canonicalize_angles(thetas, out, m, w)
         return out
 
     def col2im(

@@ -107,16 +107,6 @@ class FusedBackend(ReferenceBackend):
             )
         return out
 
-    def canonicalize_angles(self, thetas: np.ndarray) -> np.ndarray:
-        m, d_minus_1 = thetas.shape
-        block = _row_block(m, d_minus_1 + 1)
-        if block >= m:
-            return super().canonicalize_angles(thetas)
-        out = workspace.take((m, d_minus_1))
-        for rows in _blocks(m, block):
-            out[rows] = super().canonicalize_angles(thetas[rows])
-        return out
-
     # ---------------------------------------------------------- ghost norms
     def linear_norm_sq(
         self, x: np.ndarray, grad_out: np.ndarray, bias: bool

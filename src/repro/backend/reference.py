@@ -115,36 +115,6 @@ class ReferenceBackend:
         magnitudes, thetas = self.spherical_decompose(clipped)
         return self.spherical_compose(magnitudes + mag_noise, thetas + theta_noise)
 
-    def canonicalize_angles(self, thetas: np.ndarray) -> np.ndarray:
-        """Fold noised angles ``(m, d-1)`` into canonical ranges, row by row.
-
-        The exact historical vectorized formulation (see
-        :func:`repro.geometry.spherical.canonicalize_angles` for the
-        geometry): whether a polar angle folds is independent of pending
-        negations, so the negation flag at position ``z`` is the exclusive
-        prefix parity of the fold flags — one cumsum per row.  Rows never
-        interact, which is what lets accelerated backends chunk this.
-        """
-        out = np.empty_like(thetas)
-        d_minus_1 = thetas.shape[1]
-        if d_minus_1 > 1:
-            polar = np.mod(thetas[:, :-1], 2.0 * np.pi)
-            above = polar > np.pi
-            folded = np.where(above, 2.0 * np.pi - polar, polar)
-            fold_count = np.cumsum(above, axis=1)
-            pending = (fold_count - above) % 2 == 1  # exclusive prefix parity
-            out[:, :-1] = np.where(pending, np.pi - folded, folded)
-            negate = fold_count[:, -1] % 2 == 1
-        else:
-            negate = np.zeros(thetas.shape[0], dtype=bool)
-        last = thetas[:, -1].copy()
-        last[negate] += np.pi
-        last = np.mod(last + np.pi, 2 * np.pi) - np.pi
-        # mod maps pi -> -pi; keep the canonical (-pi, pi] convention.
-        last[last == -np.pi] = np.pi
-        out[:, -1] = last
-        return out
-
     # ---------------------------------------------------------- ghost norms
     def linear_norm_sq(
         self, x: np.ndarray, grad_out: np.ndarray, bias: bool

@@ -23,7 +23,7 @@ from repro.core.dpsgd import DpSgdOptimizer
 from repro.core.geodp import GeoDpSgdOptimizer
 from repro.core.sgd import SgdOptimizer, AdamOptimizer, DpAdamOptimizer
 from repro.core.geodp_adam import GeoDpAdamOptimizer
-from repro.core.schedules import LinearDecay, Schedule, ScheduledOptimizer
+from repro.core.schedules import LinearDecay, schedule
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.theory import (
@@ -44,9 +44,8 @@ __all__ = [
     "AdamOptimizer",
     "DpAdamOptimizer",
     "GeoDpAdamOptimizer",
-    "Schedule",
     "LinearDecay",
-    "ScheduledOptimizer",
+    "schedule",
     "ImportanceSampling",
     "SelectiveUpdateRelease",
     "Trainer",

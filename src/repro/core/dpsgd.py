@@ -22,8 +22,8 @@ class DpSgdOptimizer(GaussianMechanism, DpOptimizer, SgdOptimizer):
     ``learning_rate`` is the step size ``eta`` and ``momentum`` optional
     heavy-ball momentum on the released gradient (post-processing, so the
     privacy analysis is unchanged).  The remaining keyword arguments
-    (``accountant``, ``sample_rate``, ``lot_size``, ``recorder``,
-    ``tracer``, ``ledger``, ``grad_mode``) are documented on
+    (``accountant``, ``sample_rate``, ``recorder``, ``tracer``,
+    ``ledger``, ``grad_mode``) are documented on
     :class:`~repro.core.pipeline.DpOptimizer`.
     """
 

@@ -22,10 +22,12 @@ the mechanism supplies ``_perturb`` / ``_release_sparse`` / ledger meta,
 ``state_dict`` are reached through ``super()``.
 
 Every step enters through :meth:`DpOptimizer.release`, which takes a
-clipped sum plus optional sparse rows and returns the noisy gradient:
-``step`` (materialized per-sample gradients), ``step_presummed`` (the
-trainer's chunk loop) and ``step_sparse`` (:class:`repro.sparse.SparseTrainer`)
-apply the update rule to it.
+clipped sum, the denominator to average it over and optional sparse rows,
+and returns the noisy gradient: ``step`` (materialized per-sample
+gradients, averaged over their rows), ``step_presummed`` (the trainer's
+chunk loop) and ``step_sparse`` (:class:`repro.sparse.SparseTrainer`)
+apply the update rule to it.  The trainers pass their lot size ``B``, so
+a Poisson lot of any drawn size averages over ``B`` as Eq. 8 requires.
 
 Telemetry observes instead of forking: instrumented and uninstrumented
 runs execute the same arithmetic on the same workspace buffers and draw
@@ -73,12 +75,6 @@ class DpOptimizer:
     accountant / sample_rate:
         When both are given, every release records one subsampled Gaussian
         step with the accountant.
-    lot_size:
-        Fixed denominator for the average.  Required for Poisson sampling
-        (where the realised batch size is data-dependent, so dividing by it
-        would break the sensitivity analysis; the trainer sets it); also
-        used with gradient accumulation.  ``None`` (default) divides by the
-        actual batch size, correct for fixed-size batches.
     recorder:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  Every release
         records clipping statistics (pre-clip norm, clipped fraction) and
@@ -95,19 +91,18 @@ class DpOptimizer:
         sensitivity, sample rate and the accountant's ε-at-release,
         auditable with :func:`~repro.privacy.ledger.verify_ledger`.
     grad_mode:
-        ``"materialize"`` (default) has the trainer compute the full
-        ``(B, P)`` per-sample gradient matrix; ``"ghost"`` routes through
-        :meth:`ghost_clipped_sum`, which clips and sums without
-        materializing it — O(P) gradient memory, same DP release.  See
-        ``docs/performance.md``.
+        How the trainer computes the clipped sum.  ``"materialize"``
+        (default) computes the full ``(B, P)`` per-sample gradient matrix;
+        ``"ghost"`` routes through :meth:`ghost_clipped_sum`, which clips
+        and sums without materializing it — O(P) gradient memory, same DP
+        release (see ``docs/performance.md``); ``"sparse"`` keeps an
+        embedding's rows sparse and is driven by
+        :class:`repro.sparse.SparseTrainer`.
 
     The recorder and tracer are pure observers: they never touch the RNG
     or the arithmetic, so instrumented runs are bit-identical to
     uninstrumented ones.
     """
-
-    #: Trainer uses this to decide which gradient API to call.
-    requires_per_sample = True
 
     def __init__(
         self,
@@ -117,7 +112,6 @@ class DpOptimizer:
         *,
         accountant=None,
         sample_rate: float | None = None,
-        lot_size: int | None = None,
         recorder=None,
         tracer=None,
         ledger=None,
@@ -140,14 +134,13 @@ class DpOptimizer:
         self.sample_rate = sample_rate
         if accountant is not None and sample_rate is None:
             raise ValueError("sample_rate is required when an accountant is attached")
-        if lot_size is not None and lot_size < 1:
-            raise ValueError(f"lot_size must be >= 1, got {lot_size}")
-        self.lot_size = lot_size
         #: Noisy averaged gradient of the most recent release (diagnostics).
         self.last_noisy_gradient: np.ndarray | None = None
         #: Callables run at the start of every release, before any noise is
-        #: drawn (e.g. :class:`~repro.core.schedules.ScheduledOptimizer`).
+        #: drawn (e.g. the hook of :func:`~repro.core.schedules.schedule`).
         self.release_hooks: list = []
+        #: Releases made so far (checkpointed; schedules are indexed by it).
+        self.releases = 0
 
     # ------------------------------------------------------------------ clip
     def clipped_sum(self, per_sample_grads) -> np.ndarray:
@@ -182,22 +175,11 @@ class DpOptimizer:
         return losses, summed
 
     # ----------------------------------------------------------------- noise
-    def _denominator(self, count: int) -> int:
-        """The averaging denominator: the fixed lot size, else ``count``."""
-        denominator = self.lot_size if self.lot_size is not None else count
+    def noisy_gradient_presummed(self, clipped_sum: np.ndarray, denominator: int) -> np.ndarray:
+        """Noise an already clipped-and-summed gradient into its average
+        over ``denominator`` samples."""
         if denominator < 1:
-            raise ValueError(
-                "empty batch with no lot_size: set lot_size for Poisson sampling"
-            )
-        return denominator
-
-    def noisy_gradient_presummed(self, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """Noise an already clipped-and-summed gradient into one release.
-
-        ``count`` is the number of samples in the sum; ignored when a fixed
-        ``lot_size`` is configured.
-        """
-        denominator = self._denominator(count)
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
         workspace.note_release_shape(self, clipped_sum.shape)
         return self._perturb(clipped_sum, denominator)
 
@@ -231,24 +213,28 @@ class DpOptimizer:
             self.recorder.increment(f"releases_{self.ledger_mechanism}")
 
     # ----------------------------------------------------------- entry point
-    def release(self, clipped_sum: np.ndarray, count: int, sparse=None) -> np.ndarray:
+    def release(self, clipped_sum: np.ndarray, denominator: int, sparse=None) -> np.ndarray:
         """The single release entry point: noise and account one step.
 
-        ``clipped_sum`` holds the clipped per-sample gradients summed over
-        ``count`` samples.  With ``sparse`` (a
+        ``clipped_sum`` holds clipped per-sample gradients, and the release
+        averages it over ``denominator`` (the lot size ``B``, fixed even
+        when a Poisson lot drew another count).  With ``sparse`` (a
         :class:`repro.sparse.release.SparseRelease`), ``clipped_sum`` covers
         only the dense block and the touched embedding rows are released
         and updated in place.  One accountant step and one ledger entry
         either way.  Returns the noisy averaged (dense) gradient.
         """
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
         for hook in self.release_hooks:
             hook()
         if sparse is None:
-            noisy = self.noisy_gradient_presummed(clipped_sum, count)
+            noisy = self.noisy_gradient_presummed(clipped_sum, denominator)
         else:
-            noisy = self._release_sparse(clipped_sum, sparse, self._denominator(count))
+            noisy = self._release_sparse(clipped_sum, sparse, denominator)
         self.last_noisy_gradient = noisy
         self._account_release()
+        self.releases += 1
         return noisy
 
     def step(self, params: np.ndarray, per_sample_grads) -> np.ndarray:
@@ -256,18 +242,18 @@ class DpOptimizer:
         summed = self.clipped_sum(per_sample_grads)
         return super().step(params, self.release(summed, len(per_sample_grads)))
 
-    def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, count: int) -> np.ndarray:
+    def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, denominator: int) -> np.ndarray:
         """One DP update from an accumulated clipped sum (the trainer's lots)."""
-        return super().step(params, self.release(clipped_sum, count))
+        return super().step(params, self.release(clipped_sum, denominator))
 
-    def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, count: int, sparse) -> np.ndarray:
+    def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, denominator: int, sparse) -> np.ndarray:
         """One sparse DP update: dense block plus touched embedding rows.
 
         Embedding rows take a plain SGD step at ``learning_rate`` (they keep
         no momentum or Adam moments; see ``docs/sparse.md``).  Returns the
         new dense params.
         """
-        return super().step(params, self.release(dense_sum, count, sparse))
+        return super().step(params, self.release(dense_sum, denominator, sparse))
 
     # ------------------------------------------------------------ checkpoint
     def state_dict(self) -> dict:
@@ -275,11 +261,11 @@ class DpOptimizer:
 
         Covers everything a resumed run needs to continue bit-identically:
         the update rule's buffers (momentum velocity or Adam moments), the
-        fixed lot size, the noise stream's bit-generator state, and the
-        nested accountant / ledger state.
+        release count (a schedule's position), the noise stream's
+        bit-generator state, and the nested accountant / ledger state.
         """
         state = super().state_dict()
-        state["lot_size"] = None if self.lot_size is None else int(self.lot_size)
+        state["releases"] = int(self.releases)
         state["rng"] = get_rng_state(self.rng)
         state["accountant"] = (
             None if self.accountant is None else self.accountant.state_dict()
@@ -290,9 +276,9 @@ class DpOptimizer:
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
         super().load_state_dict(state)
-        # Adam snapshots from before the shared pipeline carry no lot size.
-        lot_size = state.get("lot_size", self.lot_size)
-        self.lot_size = None if lot_size is None else int(lot_size)
+        # Older snapshots carry no release count (and a lot size the
+        # trainer now owns, which is ignored).
+        self.releases = int(state.get("releases", 0))
         set_rng_state(self.rng, state["rng"])
         if state["accountant"] is not None:
             if self.accountant is None:

@@ -26,8 +26,6 @@ def _copy_or_none(value) -> np.ndarray | None:
 class SgdOptimizer:
     """Plain SGD, optionally with classical momentum."""
 
-    requires_per_sample = False
-
     def __init__(self, learning_rate: float, *, momentum: float = 0.0):
         self.learning_rate = check_positive("learning_rate", learning_rate)
         self.momentum = check_in_range("momentum", momentum, 0.0, 1.0, inclusive_high=False)
@@ -56,8 +54,6 @@ class SgdOptimizer:
 
 class AdamOptimizer:
     """Adam (Kingma & Ba 2015) on mean gradients."""
-
-    requires_per_sample = False
 
     def __init__(
         self,

@@ -1,11 +1,13 @@
 """Training loop tying model, optimizer, sampler, accountant and techniques.
 
 The trainer is deliberately simple: one uniform minibatch per iteration
-(the paper's setting), per-sample or mean gradients depending on what the
-optimizer requires, optional importance sampling of the batch (IS) and
+(the paper's setting), per-sample gradients for a DP optimizer and mean
+gradients otherwise, optional importance sampling of the batch (IS) and
 optional selective update/release (SUR).  Every DP lot without IS runs one
 chunk loop, and :class:`repro.sparse.SparseTrainer` replaces only the
-per-lot step.
+per-lot step.  The trainer owns the lot (its size ``B`` is every
+release's denominator) and the DP optimizer the release (``grad_mode``,
+noise, schedules); the trainer uses only the optimizer's public methods.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.checkpoint.snapshot import SnapshotError
-from repro.core.ghost import check_grad_mode
+from repro.core.pipeline import DpOptimizer
 from repro.core.techniques import ImportanceSampling, SelectiveUpdateRelease
 from repro.data.sampling import minibatch_indices
 from repro.telemetry.tracing import maybe_span
@@ -23,41 +25,14 @@ from repro.utils.rng import as_rng, get_rng_state, set_rng_state
 
 __all__ = ["Trainer", "TrainingHistory"]
 
-#: Optimizer attributes that the descent step mutates (momentum velocity,
-#: Adam moments).  SUR must roll these back together with the parameters
-#: when it rejects an update, otherwise the rejected noisy gradient keeps
-#: steering every subsequent accepted step through the momentum buffer.
-_UPDATE_STATE_ATTRS = ("_velocity", "_m", "_v", "_t")
-
 #: Importance sampling draws its candidate pool as this many lots.
 IS_POOL_FACTOR = 2
 
 #: Size of the held-out training slice that scores SUR's updates.
 SUR_EVAL_SIZE = 256
 
-
-def _unwrap_optimizer(optimizer):
-    """Follow ScheduledOptimizer-style wrappers to the stateful optimizer."""
-    inner = getattr(optimizer, "optimizer", None)
-    return inner if inner is not None else optimizer
-
-
-def _capture_update_state(optimizer) -> dict:
-    """Copy the optimizer attributes mutated by a descent step."""
-    optimizer = _unwrap_optimizer(optimizer)
-    state = {}
-    for name in _UPDATE_STATE_ATTRS:
-        if hasattr(optimizer, name):
-            value = getattr(optimizer, name)
-            state[name] = value.copy() if isinstance(value, np.ndarray) else value
-    return state
-
-
-def _restore_update_state(optimizer, state: dict) -> None:
-    """Undo a descent step's mutations (inverse of :func:`_capture_update_state`)."""
-    optimizer = _unwrap_optimizer(optimizer)
-    for name, value in state.items():
-        setattr(optimizer, name, value.copy() if isinstance(value, np.ndarray) else value)
+#: Test samples per forward pass of :meth:`Trainer.evaluate` (bounds memory).
+EVAL_CHUNK = 512
 
 
 @dataclass
@@ -96,12 +71,20 @@ class Trainer:
     model:
         The model to train (modified in place).
     optimizer:
-        Any optimizer from :mod:`repro.core`; its ``requires_per_sample``
-        attribute selects the gradient path.
+        Any optimizer from :mod:`repro.core`.  A DP optimizer
+        (:class:`~repro.core.pipeline.DpOptimizer`) gets clipped per-sample
+        gradients, computed as its ``grad_mode`` says: ``"materialize"``
+        builds the full ``(B, P)`` matrix, ``"ghost"`` clips and sums
+        through the ghost-norm fast path (two backward passes, O(P)
+        gradient memory, same DP release; see ``docs/performance.md``).
+        Ghost mode cannot combine with ``importance_sampling``, which
+        reuses the materialized pool gradients.  Other optimizers get the
+        mean gradient.
     train_data / test_data:
         :class:`repro.data.Dataset` instances.
     batch_size:
-        Mini-batch size ``B``.
+        Lot size ``B``.  Every DP release averages over ``B``, also when a
+        Poisson lot draws another count.
     importance_sampling:
         Optional :class:`ImportanceSampling`.  A candidate pool of
         ``IS_POOL_FACTOR * B`` samples is drawn uniformly; the batch is then
@@ -111,25 +94,14 @@ class Trainer:
         Optional :class:`SelectiveUpdateRelease`; rejected updates are rolled
         back.  Validation uses a fixed held-out slice of ``SUR_EVAL_SIZE``
         training samples.
-    grad_mode:
-        Gradient execution mode for per-sample (DP) optimizers.
-        ``"materialize"`` computes the full ``(B, P)`` per-sample gradient
-        matrix (bit-identical to historical behaviour); ``"ghost"`` clips
-        and sums through the ghost-norm fast path — two backward passes,
-        O(P) gradient memory, same DP release (see ``docs/performance.md``).
-        ``None`` (default) inherits the optimizer's own ``grad_mode``
-        attribute, so an optimizer built with ``grad_mode="ghost"`` routes
-        the whole training loop through the fast path.  Ghost mode cannot
-        combine with ``importance_sampling``, which reuses the materialized
-        pool gradients.
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  When given,
         every iteration records its scalar diagnostics as series points at
         that iteration and adds one to the ``iterations`` counter (phase
-        times come from ``tracer``).  If the optimizer has a
-        ``recorder`` slot that is still unset, the trainer attaches this
-        recorder to it so DP release geometry (noise-to-signal, angular
-        deviation, ...) lands in the same trace.
+        times come from ``tracer``).  If the optimizer is a DP one whose
+        ``recorder`` is still unset, the trainer attaches this recorder to
+        it so DP release geometry (noise-to-signal, angular deviation, ...)
+        lands in the same trace.
         Telemetry never consumes randomness: instrumented runs are
         bit-identical to uninstrumented ones.
     tracer:
@@ -141,7 +113,7 @@ class Trainer:
         ``spherical`` / ``noise`` and the ``ghost`` / ``checkpoint``
         phases) — exportable to Chrome trace-event JSON; it is the only
         store of phase time.  Like the recorder, the tracer is attached to
-        the optimizer's ``tracer`` slot if still unset, and never consumes
+        a DP optimizer's ``tracer`` if still unset, and never consumes
         randomness.  The tracer's ``granularity`` bounds the recorded depth
         (``"lot"`` skips the per-phase spans — the cheap setting; see
         ``docs/observability.md``).
@@ -150,10 +122,13 @@ class Trainer:
     #: Top-level snapshot keys this trainer restores: :meth:`state_dict`'s
     #: plus the ``iteration`` and ``history`` that
     #: :func:`~repro.checkpoint.capture_training_state` adds.
-    _snapshot_keys = frozenset(
+    snapshot_keys = frozenset(
         {"optimizer_class", "num_params", "model_params", "trainer_rng", "optimizer",
          "sur", "telemetry", "iteration", "history"}
     )
+
+    #: The DP optimizer ``grad_mode`` values this trainer drives.
+    grad_modes = ("materialize", "ghost")
 
     def __init__(
         self,
@@ -170,7 +145,6 @@ class Trainer:
         microbatch_size: int | None = None,
         telemetry=None,
         tracer=None,
-        grad_mode: str | None = None,
     ):
         if batch_size < 1 or batch_size > len(train_data):
             raise ValueError(
@@ -184,62 +158,44 @@ class Trainer:
         self.rng = as_rng(rng)
         self.importance_sampling = importance_sampling
         self.sur = sur
+        dp = isinstance(optimizer, DpOptimizer)
         if sampling not in ("uniform", "poisson"):
             raise ValueError(f"sampling must be 'uniform' or 'poisson', got {sampling!r}")
         if sampling == "poisson":
             if importance_sampling is not None:
                 raise ValueError("poisson sampling cannot combine with importance sampling")
-            if not getattr(optimizer, "requires_per_sample", False):
+            if not dp:
                 raise ValueError("poisson sampling requires a per-sample (DP) optimizer")
-            # Poisson batches vary in size, so the aggregation denominator
-            # must be the fixed expected lot size, not the realised count.
-            inner = _unwrap_optimizer(optimizer)
-            if hasattr(inner, "lot_size") and inner.lot_size is None:
-                inner.lot_size = batch_size
         self.sampling = sampling
-        if grad_mode is None:
-            grad_mode = getattr(optimizer, "grad_mode", "materialize")
-        self.grad_mode = check_grad_mode(grad_mode)
-        if self.grad_mode == "sparse":
-            # The core trainer round-trips the *full* flat parameter vector
-            # every iteration — O(vocab * dim) per step, which defeats the
-            # touched-rows scaling the sparse path exists for.
+        if dp and optimizer.grad_mode not in self.grad_modes:
+            # Trainer round-trips the *full* flat parameter vector every lot,
+            # which would scale with a sparse optimizer's embedding table.
             raise ValueError(
-                "grad_mode='sparse' is driven by repro.sparse.SparseTrainer, "
-                "which updates embedding rows in place; the core Trainer's "
-                "full parameter round-trip would scale with the table size"
+                f"{type(self).__name__} drives grad_mode {self.grad_modes}, not "
+                f"{optimizer.grad_mode!r} (repro.sparse.SparseTrainer drives 'sparse')"
             )
-        if self.grad_mode == "ghost":
-            if not getattr(optimizer, "requires_per_sample", False) or not hasattr(
-                optimizer, "ghost_clipped_sum"
-            ):
-                raise ValueError(
-                    f"{type(optimizer).__name__} does not support grad_mode='ghost'"
-                )
-            if importance_sampling is not None:
-                raise ValueError(
-                    "grad_mode='ghost' cannot combine with importance sampling: "
-                    "batch selection reuses the materialized pool gradients"
-                )
+        if dp and optimizer.grad_mode == "ghost" and importance_sampling is not None:
+            raise ValueError(
+                "grad_mode='ghost' cannot combine with importance sampling: "
+                "batch selection reuses the materialized pool gradients"
+            )
         if microbatch_size is not None:
             if microbatch_size < 1:
                 raise ValueError(f"microbatch_size must be >= 1, got {microbatch_size}")
             if importance_sampling is not None:
                 raise ValueError("microbatching cannot combine with importance sampling")
-            if not hasattr(optimizer, "clipped_sum"):
+            if not dp:
                 raise ValueError(
                     f"{type(optimizer).__name__} does not support gradient accumulation"
                 )
         self.microbatch_size = microbatch_size
         self.telemetry = telemetry
         self.tracer = tracer
-        # Attach the sinks to the (unwrapped) DP optimizer's free slots.
-        inner = _unwrap_optimizer(optimizer)
-        for slot, sink in (("recorder", telemetry), ("tracer", tracer)):
-            if sink is None or not hasattr(inner, slot):
-                continue
-            if getattr(inner, slot) is None:
-                setattr(inner, slot, sink)
+        if dp:
+            if optimizer.recorder is None:
+                optimizer.recorder = telemetry
+            if optimizer.tracer is None:
+                optimizer.tracer = tracer
         if sur is not None:
             eval_n = min(SUR_EVAL_SIZE, len(train_data))
             eval_idx = self.rng.choice(len(train_data), size=eval_n, replace=False)
@@ -256,13 +212,16 @@ class Trainer:
         rejected.
         """
         params = self.model.get_params()
+        dp = isinstance(self.optimizer, DpOptimizer)
         if self.sur is not None:
             loss_before = self.model.mean_loss(*self._sur_eval)
-            # The descent step also advances momentum/Adam buffers; a
-            # rejected update must roll those back too, or the rejected
+            # The descent step also advances the update rule's momentum/Adam
+            # buffers (a DP optimizer's rule is its base after DpOptimizer);
+            # a rejected update must roll those back too, or the rejected
             # noisy gradient keeps steering later accepted steps.
-            update_state = _capture_update_state(self.optimizer)
-        if getattr(self.optimizer, "requires_per_sample", False):
+            rule = super(DpOptimizer, self.optimizer) if dp else self.optimizer
+            update_state = rule.state_dict()
+        if dp:
             new_params, batch_loss = self._per_sample_step(params)
         else:
             new_params, batch_loss = self._mean_step(params)
@@ -272,7 +231,7 @@ class Trainer:
             accepted = self.sur.should_accept(loss_before, loss_after)
             if not accepted:
                 self.model.set_params(params)
-                _restore_update_state(self.optimizer, update_state)
+                rule.load_state_dict(update_state)
             if self.telemetry is not None:
                 self.telemetry.record("sur_accepted", float(accepted))
                 self.telemetry.increment("sur_accepted" if accepted else "sur_rejected")
@@ -291,7 +250,8 @@ class Trainer:
         A lot is ``microbatch_size`` chunks, or one chunk when that is unset
         (an empty Poisson lot has none and releases pure noise).  The lot's
         sum starts from the first chunk's, so a one-chunk lot releases
-        exactly that chunk's ghost or materialized clipped sum.
+        exactly that chunk's ghost or materialized clipped sum.  The release
+        averages over ``B``, whatever count a Poisson lot drew.
         """
         size = self.microbatch_size or max(len(idx), 1)
         total = None
@@ -306,7 +266,7 @@ class Trainer:
         if total is None:
             total = np.zeros(self.model.num_params)
         with maybe_span(self.tracer, "step"):
-            new_params = self.optimizer.step_presummed(params, total, len(idx))
+            new_params = self.optimizer.step_presummed(params, total, self.batch_size)
         batch_loss = float(np.mean(np.concatenate(losses))) if losses else float("nan")
         return new_params, batch_loss
 
@@ -314,7 +274,7 @@ class Trainer:
         """``(clipped gradient sum, per-sample losses)`` of one chunk of a lot."""
         with maybe_span(self.tracer, "sample"):
             x, y = self.train_data.batch(chunk)
-        if self.grad_mode == "ghost":
+        if self.optimizer.grad_mode == "ghost":
             with maybe_span(self.tracer, "forward_backward"):
                 losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
             return clipped_sum, losses
@@ -490,19 +450,15 @@ class Trainer:
             history.sur_acceptance_rate = self.sur.acceptance_rate
         return history
 
-    def evaluate(self, *, max_samples: int | None = None, chunk: int = 512) -> float:
-        """Test accuracy, computed in ``chunk``-sized pieces to bound memory."""
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+    def evaluate(self) -> float:
+        """Test accuracy, computed in ``EVAL_CHUNK``-sized pieces to bound memory."""
         if self.test_data is None:
             raise ValueError("no test_data attached")
         x, y = self.test_data.x, self.test_data.y
-        if max_samples is not None:
-            x, y = x[:max_samples], y[:max_samples]
         correct = 0
-        for start in range(0, len(y), chunk):
-            preds = self.model.predict(x[start : start + chunk])
-            correct += int(np.sum(preds == y[start : start + chunk]))
+        for start in range(0, len(y), EVAL_CHUNK):
+            preds = self.model.predict(x[start : start + EVAL_CHUNK])
+            correct += int(np.sum(preds == y[start : start + EVAL_CHUNK]))
         return correct / len(y)
 
     # ------------------------------------------------------------ checkpoint
@@ -512,15 +468,12 @@ class Trainer:
         :func:`repro.checkpoint.capture_training_state` adds the iteration
         and the history (see ``docs/checkpointing.md``).
         """
-        optimizer = self.optimizer
         return {
-            "optimizer_class": type(optimizer).__name__,
+            "optimizer_class": type(self.optimizer).__name__,
             "num_params": int(self.model.num_params),
             "model_params": self.model.get_params().copy(),
             "trainer_rng": get_rng_state(self.rng),
-            "optimizer": (
-                optimizer.state_dict() if hasattr(optimizer, "state_dict") else {}
-            ),
+            "optimizer": self.optimizer.state_dict(),
             "sur": None if self.sur is None else self.sur.state_dict(),
             "telemetry": (
                 None if self.telemetry is None else self.telemetry.state_dict()
@@ -536,13 +489,12 @@ class Trainer:
         :class:`~repro.checkpoint.SnapshotError` rather than silently
         resuming a different experiment.
         """
-        unknown = sorted(set(state) - self._snapshot_keys)
+        unknown = sorted(set(state) - self.snapshot_keys)
         if unknown:
             raise SnapshotError(
                 f"snapshot carries state this trainer does not restore: {unknown}"
             )
-        optimizer = self.optimizer
-        expected = type(optimizer).__name__
+        expected = type(self.optimizer).__name__
         if state["optimizer_class"] != expected:
             raise SnapshotError(
                 f"snapshot was taken with {state['optimizer_class']}, but the "
@@ -559,8 +511,7 @@ class Trainer:
             )
         self.model.set_params(np.asarray(state["model_params"], dtype=np.float64))
         set_rng_state(self.rng, state["trainer_rng"])
-        if hasattr(optimizer, "load_state_dict"):
-            optimizer.load_state_dict(state["optimizer"])
+        self.optimizer.load_state_dict(state["optimizer"])
         if self.sur is not None:
             self.sur.load_state_dict(state["sur"])
         if self.telemetry is not None and state["telemetry"] is not None:

@@ -50,12 +50,15 @@ def _make_clipping(kind: str, clip_norm: float):
     return PsacClipping(clip_norm)
 
 
-def _make_optimizer(spec: MethodSpec, sigma: float, lr: float, clip_norm: float, rng):
+def _make_optimizer(
+    spec: MethodSpec, sigma: float, lr: float, clip_norm: float, rng, grad_mode: str
+):
     clipping = _make_clipping(spec.clipping, clip_norm)
     if spec.scheme == "dp":
-        return DpSgdOptimizer(lr, clipping, sigma, rng=rng)
+        return DpSgdOptimizer(lr, clipping, sigma, rng=rng, grad_mode=grad_mode)
     return GeoDpSgdOptimizer(
-        lr, clipping, sigma, beta=spec.beta, rng=rng, sensitivity_mode="per_angle"
+        lr, clipping, sigma, beta=spec.beta, rng=rng, sensitivity_mode="per_angle",
+        grad_mode=grad_mode,
     )
 
 
@@ -93,7 +96,10 @@ def run_method(
     touches any random stream, so instrumented accuracies are unchanged.
     """
     model = model_builder()
-    optimizer = _make_optimizer(spec, sigma, learning_rate, clip_norm, rng)
+    optimizer = _make_optimizer(
+        spec, sigma, learning_rate, clip_norm, rng,
+        "materialize" if spec.use_is else grad_mode,
+    )
     importance = ImportanceSampling(clip_norm) if spec.use_is else None
     sur = SelectiveUpdateRelease(threshold=0.0, noise_std=0.01, rng=rng) if spec.use_sur else None
     trainer = Trainer(
@@ -105,7 +111,6 @@ def run_method(
         rng=rng,
         importance_sampling=importance,
         sur=sur,
-        grad_mode="materialize" if spec.use_is else grad_mode,
         telemetry=telemetry,
         tracer=tracer,
     )

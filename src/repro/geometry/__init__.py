@@ -11,7 +11,6 @@ from repro.geometry.spherical import (
     to_cartesian,
     to_spherical_batch,
     to_cartesian_batch,
-    canonicalize_angles,
 )
 from repro.geometry.metrics import (
     direction_mse,
@@ -40,7 +39,6 @@ __all__ = [
     "to_cartesian",
     "to_spherical_batch",
     "to_cartesian_batch",
-    "canonicalize_angles",
     "direction_mse",
     "gradient_mse",
     "cosine_similarity",

@@ -47,7 +47,6 @@ __all__ = [
     "to_cartesian",
     "to_spherical_batch",
     "to_cartesian_batch",
-    "canonicalize_angles",
 ]
 
 
@@ -99,33 +98,3 @@ def to_cartesian_batch(magnitudes, thetas) -> np.ndarray:
         )
     return get_backend().spherical_compose(magnitudes, thetas)
 
-
-def canonicalize_angles(thetas) -> np.ndarray:
-    """Map possibly-noised angles into canonical ranges, preserving direction.
-
-    After additive Gaussian noise, angles may leave their natural ranges
-    (polar angles in ``[0, pi]``, azimuth in ``(-pi, pi]``).  Eq. 27 is well
-    defined for any real angles, so this is only needed when *comparing*
-    angle vectors (e.g. Definition 4's MSE), but the fix-up must preserve the
-    represented vector: folding a polar angle from ``(pi, 2*pi)`` back to
-    ``(0, pi)`` keeps its cosine but flips its sine, i.e. negates the whole
-    downstream sub-vector.  The negation is propagated as the antipodal map
-    on the remaining angles (every later polar angle ``t -> pi - t``, which
-    keeps the flag pending, and finally azimuth ``t -> t + pi``), so the
-    output angles reconstruct exactly the same cartesian vector.
-
-    The input's dimensionality is preserved: a single angle vector ``(d-1,)``
-    comes back as ``(d-1,)``, a batch ``(m, d-1)`` as ``(m, d-1)``.
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    single = thetas.ndim == 1
-    if single:
-        thetas = thetas[None, :]
-    elif thetas.ndim != 2:
-        raise ValueError(f"thetas must be 1-D or 2-D, got shape {thetas.shape}")
-    if thetas.shape[1] == 0:
-        raise ValueError("thetas must have at least one angle column")
-    # The fold itself is a backend kernel (row-parallel hot loop); see
-    # ReferenceBackend.canonicalize_angles for the fold-parity algebra.
-    out = get_backend().canonicalize_angles(np.ascontiguousarray(thetas))
-    return out[0] if single else out

@@ -23,7 +23,6 @@ from repro.runtime.jobs import (
     JobFailure,
     JobOutcome,
     assign_job_rngs,
-    chunk_ranges,
     make_jobs,
 )
 from repro.runtime.pool import parallel_available, resolve_workers, run_jobs
@@ -42,7 +41,6 @@ __all__ = [
     "JobOutcome",
     "ShippedTelemetry",
     "assign_job_rngs",
-    "chunk_ranges",
     "instrument",
     "job_recorder",
     "job_tracer",

@@ -23,7 +23,6 @@ __all__ = [
     "JobFailure",
     "JobOutcome",
     "assign_job_rngs",
-    "chunk_ranges",
     "make_jobs",
 ]
 
@@ -91,16 +90,3 @@ def assign_job_rngs(rng, n: int) -> list[np.random.Generator]:
     runtime documentation uses: seed-sequence sharding by *index*.
     """
     return spawn_rngs(rng, n)
-
-
-def chunk_ranges(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Half-open ``(start, stop)`` ranges covering ``range(total)`` in order.
-
-    Deterministic sharding: chunk boundaries depend only on ``total`` and
-    ``chunk_size``, never on the number of workers.
-    """
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]

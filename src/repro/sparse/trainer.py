@@ -30,16 +30,17 @@ telemetry and attaching the sinks to the optimizer — is the base
 :class:`~repro.core.Trainer`'s.
 
 Constraints: deferred noise drawn at step ``t + k`` must use the same
-``lr * sigma * C`` the release at step ``t`` promised.  Every clipping
+``lr * sigma * C / B`` the release at step ``t`` promised.  Every clipping
 strategy's bound ``C`` is constant, construction rejects release hooks
-(e.g. a noise schedule), and the aggregation denominator must be fixed
-across steps (``lot_size`` or the fixed batch size).
+(e.g. a noise schedule), and every release averages over the fixed lot
+size ``B``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pipeline import DpOptimizer
 from repro.core.trainer import Trainer
 from repro.data.sampling import minibatch_indices
 from repro.sparse.noise import LazyRowNoise
@@ -64,8 +65,9 @@ class SparseTrainer(Trainer):
         A :class:`repro.nn.Sequential` containing exactly one
         :class:`repro.nn.Embedding` layer.
     optimizer:
-        Any DP optimizer of :mod:`repro.core` (they all release sparse
-        steps through :meth:`~repro.core.pipeline.DpOptimizer.step_sparse`).
+        Any DP optimizer of :mod:`repro.core` built with
+        ``grad_mode="sparse"`` (they all release sparse steps through
+        :meth:`~repro.core.pipeline.DpOptimizer.step_sparse`).
     lazy:
         ``True`` (default) defers untouched-row noise; ``False`` flushes
         every step — the eager reference the lazy path must match.
@@ -79,6 +81,8 @@ class SparseTrainer(Trainer):
     ``batch_size``, ``test_data``, ``rng``, ``telemetry`` and ``tracer`` are
     the base :class:`~repro.core.Trainer`'s.
     """
+
+    grad_modes = ("sparse",)
 
     def __init__(
         self,
@@ -95,18 +99,16 @@ class SparseTrainer(Trainer):
         telemetry=None,
         tracer=None,
     ):
-        if not hasattr(optimizer, "step_sparse"):
+        if not isinstance(optimizer, DpOptimizer):
             raise ValueError(
                 f"{type(optimizer).__name__} has no step_sparse; sparse training "
                 "needs a DP optimizer from repro.core"
             )
-        if getattr(optimizer, "release_hooks", None):
+        if optimizer.release_hooks:
             raise ValueError(
-                "optimizer has release hooks (e.g. a ScheduledOptimizer); "
+                "optimizer has release hooks (e.g. a noise schedule); "
                 "deferred row noise requires a constant lr * sigma"
             )
-        # The sparse pass is the ghost pass with the embedding's rows kept
-        # sparse, so the base trainer validates it as ghost.
         super().__init__(
             model,
             optimizer,
@@ -116,15 +118,9 @@ class SparseTrainer(Trainer):
             rng=rng,
             telemetry=telemetry,
             tracer=tracer,
-            grad_mode="ghost",
         )
         self.emb_index = find_embedding(model)
         self.embedding = model.layers[self.emb_index]
-        # The deferred-noise scale must be a per-run constant, so the
-        # denominator is pinned at construction: an explicit lot_size if the
-        # optimizer has one, else the fixed minibatch size.
-        lot_size = getattr(optimizer, "lot_size", None)
-        self.denominator = int(lot_size) if lot_size is not None else int(batch_size)
         self.lazy = bool(lazy)
         if noise_seed is None:
             noise_seed = int(self.rng.integers(0, 2**63 - 1))
@@ -144,7 +140,7 @@ class SparseTrainer(Trainer):
             self.optimizer.learning_rate
             * self.optimizer.noise_multiplier
             * self.optimizer.clipping.sensitivity()
-            / self.denominator
+            / self.batch_size
         )
 
     def _batch_rows(self, x) -> np.ndarray:
@@ -208,7 +204,7 @@ class SparseTrainer(Trainer):
         with maybe_span(self.tracer, "step"):
             dense = get_dense_params(self.model, self.emb_index)
             new_dense = self.optimizer.step_sparse(
-                dense, dense_sum, len(losses), release
+                dense, dense_sum, self.batch_size, release
             )
             set_dense_params(self.model, self.emb_index, new_dense)
         if not self.lazy:
@@ -218,10 +214,10 @@ class SparseTrainer(Trainer):
     # ------------------------------------------------------------------
     # barriers
 
-    def evaluate(self, *, max_samples: int | None = None, chunk: int = 512) -> float:
+    def evaluate(self) -> float:
         """Test accuracy on the fully-noised table (flushes first)."""
         self.flush()
-        return super().evaluate(max_samples=max_samples, chunk=chunk)
+        return super().evaluate()
 
     def finalize(self):
         """Flush deferred noise and return the model, ready for release."""
@@ -229,7 +225,7 @@ class SparseTrainer(Trainer):
         return self.model
 
     #: Snapshots also carry the deferred row noise (see :meth:`state_dict`).
-    _snapshot_keys = Trainer._snapshot_keys | {"lazy"}
+    snapshot_keys = Trainer.snapshot_keys | {"lazy"}
 
     def state_dict(self) -> dict:
         """Checkpoint: flushes first so the snapshot holds an eager table."""

@@ -35,4 +35,3 @@ def _restore_backend():
     saved = (backend_mod._active, backend_mod._active_fell_back)
     yield
     backend_mod._active, backend_mod._active_fell_back = saved
-    backend_mod._noted.clear()

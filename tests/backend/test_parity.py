@@ -15,7 +15,6 @@ import pytest
 
 from repro.backend import get_backend, use_backend
 from repro.backend.reference import ReferenceBackend
-from repro.geometry import canonicalize_angles
 from repro.nn.functional import conv_output_shape
 
 from tests.backend.conftest import parity_backends, require_backend
@@ -85,18 +84,6 @@ def test_geodp_perturb_parity(backend_name, shape, seed, dtype):
     ref = REFERENCE.geodp_perturb(grads, mag_noise, theta_noise)
     with use_backend(backend_name):
         out = get_backend().geodp_perturb(grads, mag_noise, theta_noise)
-    np.testing.assert_allclose(out, ref, **PARITY)
-
-
-@pytest.mark.parametrize("shape", GEOMETRY_SHAPES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_canonicalize_angles_parity(backend_name, shape, seed):
-    """Through the public entry point, which dispatches to the backend."""
-    m, d = shape
-    noised = np.random.default_rng(seed + 250).normal(0.0, 4.0, size=(m, d - 1))
-    ref = REFERENCE.canonicalize_angles(noised)
-    with use_backend(backend_name):
-        out = canonicalize_angles(noised)
     np.testing.assert_allclose(out, ref, **PARITY)
 
 

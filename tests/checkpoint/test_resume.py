@@ -66,7 +66,7 @@ def make_setup(kind, data):
     elif kind == "dpsgd_poisson":
         optimizer = DpSgdOptimizer(
             1.0, 0.1, 1.0, rng=2, momentum=0.5,
-            accountant=accountant, sample_rate=sample_rate, lot_size=32,
+            accountant=accountant, sample_rate=sample_rate,
         )
         kwargs["sampling"] = "poisson"
     elif kind == "geodp_momentum":
@@ -180,6 +180,26 @@ class TestOlderSnapshots:
         assert opt_c.rng.bit_generator.state == opt_a.rng.bit_generator.state
         assert acc_c.history == acc_a.history
 
+    def test_lot_size_key_is_ignored(self, small_data, tmp_path):
+        """Snapshots from before the trainer owned the lot size carry
+        ``optimizer["lot_size"]`` and no release count; a Poisson run
+        resumed from one continues bit-identically."""
+        model_a, _, acc_a, trainer_a = make_setup("dpsgd_poisson", small_data)
+        history_a = trainer_a.train(TOTAL)
+
+        _, _, _, trainer_b = make_setup("dpsgd_poisson", small_data)
+        state = capture_training_state(trainer_b, trainer_b.train(8), 8)
+        del state["optimizer"]["releases"]
+        state["optimizer"]["lot_size"] = 32
+        save_snapshot(snapshot_path(tmp_path, 8), state)
+
+        model_c, opt_c, acc_c, trainer_c = make_setup("dpsgd_poisson", small_data)
+        history_c = trainer_c.train(TOTAL, checkpoint_dir=tmp_path)
+        assert opt_c.releases == TOTAL - 8
+        assert np.array_equal(model_c.get_params(), model_a.get_params())
+        assert history_c.losses == history_a.losses
+        assert acc_c.history == acc_a.history
+
 
 class TestCrashInjection:
     def test_exception_mid_run_then_resume(self, small_data, tmp_path):
@@ -274,15 +294,15 @@ class TestResumeSemantics:
     def test_telemetry_counters_survive_resume(self, small_data, tmp_path):
         _, _, _, trainer_a = make_setup("dpsgd_momentum", small_data)
         trainer_a.train(TOTAL)
-        full_series = trainer_a.telemetry.series
+        full = trainer_a.telemetry.deterministic_state()
 
         _, _, _, trainer_b = make_setup("dpsgd_momentum", small_data)
         trainer_b.train(8, checkpoint_every=4, checkpoint_dir=tmp_path)
         _, _, _, trainer_c = make_setup("dpsgd_momentum", small_data)
         trainer_c.train(TOTAL, checkpoint_every=4, checkpoint_dir=tmp_path)
-        assert trainer_c.telemetry.counters["iterations"] == TOTAL
-        assert trainer_c.telemetry.series == full_series
-        assert [s for s, _ in full_series["loss"]] == list(range(1, TOTAL + 1))
+        assert trainer_c.telemetry.deterministic_state() == full
+        assert full["counters"]["iterations"] == TOTAL
+        assert [s for s, _ in full["series"]["loss"]] == list(range(1, TOTAL + 1))
 
 
 class TestMismatchDetection:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DpSgdOptimizer
+from repro.core.pipeline import DpOptimizer
 from repro.privacy import AutoSClipping, FlatClipping, RdpAccountant, ReleaseLedger
 
 
@@ -80,7 +81,8 @@ class TestAccounting:
         assert opt.clipping.clip_norm == 0.7
 
     def test_requires_per_sample_flag(self):
-        assert DpSgdOptimizer(0.1, 1.0, 1.0).requires_per_sample
+        """Being a DpOptimizer is what gets per-sample gradients from the trainer."""
+        assert isinstance(DpSgdOptimizer(0.1, 1.0, 1.0), DpOptimizer)
 
 
 class TestMomentum:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import AdamOptimizer, GeoDpAdamOptimizer
+from repro.core.pipeline import DpOptimizer
 from repro.privacy import RdpAccountant
 
 
 class TestGeoDpAdam:
     def test_requires_per_sample(self):
-        assert GeoDpAdamOptimizer(0.1, 1.0, 1.0, beta=0.5).requires_per_sample
+        assert isinstance(GeoDpAdamOptimizer(0.1, 1.0, 1.0, beta=0.5), DpOptimizer)
 
     def test_zero_noise_matches_adam(self, rng):
         grads = rng.normal(size=(8, 6)) * 0.01

@@ -104,8 +104,9 @@ class TestClippedSumParity:
 def run_training(
     optimizer_factory, train, test, *, grad_mode, iterations=8, model=cnn_model, **kw
 ):
+    """Train with an optimizer built with ``grad_mode`` (``None``: its default)."""
     model = model()
-    optimizer = optimizer_factory()
+    optimizer = optimizer_factory(**({} if grad_mode is None else {"grad_mode": grad_mode}))
     trainer = Trainer(
         model,
         optimizer,
@@ -113,7 +114,6 @@ def run_training(
         test_data=test,
         batch_size=16,
         rng=5,
-        grad_mode=grad_mode,
         **kw,
     )
     history = trainer.train(iterations)
@@ -124,10 +124,10 @@ class TestEndToEndParity:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7),
-            lambda: DpSgdOptimizer(0.2, AutoSClipping(0.7), 0.5, rng=7),
-            lambda: GeoDpSgdOptimizer(0.2, 0.7, 0.5, beta=0.1, rng=7),
-            lambda: GeoDpAdamOptimizer(0.05, 0.7, 0.5, beta=0.1, rng=7),
+            lambda **kw: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, **kw),
+            lambda **kw: DpSgdOptimizer(0.2, AutoSClipping(0.7), 0.5, rng=7, **kw),
+            lambda **kw: GeoDpSgdOptimizer(0.2, 0.7, 0.5, beta=0.1, rng=7, **kw),
+            lambda **kw: GeoDpAdamOptimizer(0.05, 0.7, 0.5, beta=0.1, rng=7, **kw),
         ],
         ids=["dpsgd", "dpsgd-autos", "geodp", "geodp-adam"],
     )
@@ -141,8 +141,8 @@ class TestEndToEndParity:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7),
-            lambda: GeoDpSgdOptimizer(0.2, 0.7, 0.5, beta=0.1, rng=7),
+            lambda **kw: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, **kw),
+            lambda **kw: GeoDpSgdOptimizer(0.2, 0.7, 0.5, beta=0.1, rng=7, **kw),
         ],
         ids=["dpsgd", "geodp"],
     )
@@ -159,7 +159,7 @@ class TestEndToEndParity:
 
     def test_microbatch_parity(self, cnn_data):
         train, test = cnn_data
-        factory = lambda: DpSgdOptimizer(0.2, AutoSClipping(0.7), 0.5, rng=7)  # noqa: E731
+        factory = lambda **kw: DpSgdOptimizer(0.2, AutoSClipping(0.7), 0.5, rng=7, **kw)  # noqa: E731
         losses_m, params_m = run_training(
             factory, train, test, grad_mode="materialize", microbatch_size=4
         )
@@ -171,7 +171,7 @@ class TestEndToEndParity:
 
     def test_poisson_parity(self, cnn_data):
         train, test = cnn_data
-        factory = lambda: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, lot_size=16)  # noqa: E731
+        factory = lambda **kw: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, **kw)  # noqa: E731
         losses_m, params_m = run_training(
             factory, train, test, grad_mode="materialize", sampling="poisson"
         )
@@ -186,42 +186,37 @@ class TestEndToEndParity:
         assert np.allclose(params_m, params_g, rtol=1e-7, atol=1e-10)
 
     def test_optimizer_grad_mode_inherited(self, cnn_data):
+        """The optimizer's ``grad_mode`` alone routes the trainer's lots."""
+        from repro.telemetry import MetricsRecorder
+
         train, test = cnn_data
         opt = DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, grad_mode="ghost")
-        trainer = Trainer(cnn_model(), opt, train, batch_size=16, rng=5)
-        assert trainer.grad_mode == "ghost"
+        trainer = Trainer(
+            cnn_model(), opt, train, batch_size=16, rng=5, telemetry=MetricsRecorder()
+        )
         trainer.train(2)
+        assert trainer.telemetry.counters["ghost_clipped_sums"] == 2
 
 
 class TestGhostValidation:
     def test_importance_sampling_rejected(self, cnn_data):
         train, _ = cnn_data
-        opt = DpSgdOptimizer(0.2, 0.7, 0.5, rng=7)
+        opt = DpSgdOptimizer(0.2, 0.7, 0.5, rng=7, grad_mode="ghost")
         with pytest.raises(ValueError, match="importance sampling"):
             Trainer(
                 cnn_model(),
                 opt,
                 train,
                 batch_size=16,
-                grad_mode="ghost",
                 importance_sampling=ImportanceSampling(0.7),
-            )
-
-    def test_non_per_sample_optimizer_rejected(self, cnn_data):
-        from repro.core import SgdOptimizer
-
-        train, _ = cnn_data
-        with pytest.raises(ValueError, match="ghost"):
-            Trainer(
-                cnn_model(), SgdOptimizer(0.2), train, batch_size=16, grad_mode="ghost"
             )
 
     def test_supported_clipping_no_warning(self, cnn_data):
         train, _ = cnn_data
-        opt = DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7)
+        opt = DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, grad_mode="ghost")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Trainer(cnn_model(), opt, train, batch_size=16, grad_mode="ghost")
+            Trainer(cnn_model(), opt, train, batch_size=16)
 
 
 class TestDefaultUnchanged:
@@ -229,7 +224,7 @@ class TestDefaultUnchanged:
         # grad_mode="materialize" must produce exactly the same trajectory
         # as a trainer constructed without the argument (seed stability).
         train, test = cnn_data
-        factory = lambda: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7)  # noqa: E731
+        factory = lambda **kw: DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, **kw)  # noqa: E731
         losses_default, params_default = run_training(
             factory, train, test, grad_mode=None
         )
@@ -244,16 +239,10 @@ class TestGhostTelemetry:
 
         train, _ = cnn_data
         recorder = MetricsRecorder()
-        opt = DpSgdOptimizer(0.2, FlatClipping(0.7), 0.5, rng=7, recorder=recorder)
-        trainer = Trainer(
-            cnn_model(),
-            opt,
-            train,
-            batch_size=16,
-            rng=5,
-            grad_mode="ghost",
-            telemetry=recorder,
+        opt = DpSgdOptimizer(
+            0.2, FlatClipping(0.7), 0.5, rng=7, recorder=recorder, grad_mode="ghost"
         )
+        trainer = Trainer(cnn_model(), opt, train, batch_size=16, rng=5, telemetry=recorder)
         trainer.train(3)
         assert recorder.counters["ghost_clipped_sums"] == 3
         assert recorder.counters["ghost_samples"] == 3 * 16

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
+from repro.privacy.clipping import FlatClipping
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def lr_model():
     return build_logistic_regression((1, 16, 16), rng=0)
 
 
-#: Every DP optimizer has ``lot_size``, so Poisson sampling pins it for all.
+#: Poisson lots run on every DP optimizer: both mechanisms, both update rules.
 POISSON_OPTIMIZERS = {
     "dpsgd": lambda sigma: DpSgdOptimizer(1.0, 0.1, sigma, rng=2),
     "geodp_adam": lambda sigma: GeoDpAdamOptimizer(0.05, 0.1, sigma, beta=0.1, rng=2),
@@ -85,11 +86,23 @@ class TestGradientAccumulation:
 
 class TestPoissonSampling:
     @pytest.mark.parametrize("name", sorted(POISSON_OPTIMIZERS))
-    def test_lot_size_auto_configured(self, small_data, name):
+    def test_lot_averages_over_batch_size(self, small_data, name, monkeypatch):
+        """A Poisson lot releases its clipped sum averaged over B, whatever
+        count it drew (Eq. 8's fixed denominator)."""
+        import repro.data.sampling as sampling
+
         train, _ = small_data
-        opt = POISSON_OPTIMIZERS[name](1.0)
-        Trainer(lr_model(), opt, train, batch_size=32, rng=3, sampling="poisson")
-        assert opt.lot_size == 32
+        draw, drawn = sampling.poisson_indices, []
+        monkeypatch.setattr(
+            sampling, "poisson_indices", lambda *args: drawn.append(draw(*args)) or drawn[-1]
+        )
+        opt = POISSON_OPTIMIZERS[name](0.0)
+        Trainer(lr_model(), opt, train, batch_size=32, rng=3, sampling="poisson").train(1)
+        (idx,) = drawn
+        assert len(idx) != 32
+        _, grads = lr_model().loss_and_per_sample_gradients(*train.batch(idx))
+        expected = FlatClipping(0.1).clip(grads).sum(axis=0) / 32
+        np.testing.assert_allclose(opt.last_noisy_gradient, expected, rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("name", sorted(POISSON_OPTIMIZERS))
     def test_training_runs_and_tolerates_empty_batches(self, small_data, name):
@@ -103,11 +116,20 @@ class TestPoissonSampling:
         assert np.sum(~np.isnan(history.losses)) > 0
 
     def test_fixed_denominator_used(self):
-        """With lot_size set, the division ignores the realised count."""
-        opt = DpSgdOptimizer(1.0, 1.0, 0.0, rng=0, lot_size=100)
+        """The release divides by the denominator it is given, not the
+        number of summed rows."""
+        opt = DpSgdOptimizer(1.0, 1.0, 0.0, rng=0)
         grads = np.ones((10, 4)) * 0.01
-        noisy = opt.noisy_gradient(grads)
+        noisy = opt.release(opt.clipped_sum(grads), 100)
         assert np.allclose(noisy, 10 * 0.01 / 100)
+
+    def test_release_refuses_denominator_below_one(self):
+        opt = DpSgdOptimizer(1.0, 1.0, 1.0, rng=0)
+        with pytest.raises(ValueError, match="denominator"):
+            opt.release(np.zeros(4), 0)
+        with pytest.raises(ValueError, match="denominator"):
+            opt.noisy_gradient(np.zeros((0, 4)))
+        assert opt.releases == 0
 
     def test_poisson_requires_dp_optimizer(self, small_data):
         from repro.core import SgdOptimizer

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AdamOptimizer, DpAdamOptimizer, SgdOptimizer
+from repro.core.pipeline import DpOptimizer
 from repro.privacy import RdpAccountant
 
 
@@ -38,7 +39,7 @@ class TestSgdOptimizer:
             SgdOptimizer(0.1, momentum=1.0)
 
     def test_not_per_sample(self):
-        assert not SgdOptimizer(0.1).requires_per_sample
+        assert not isinstance(SgdOptimizer(0.1), DpOptimizer)
 
 
 class TestAdamOptimizer:
@@ -63,7 +64,7 @@ class TestAdamOptimizer:
 
 class TestDpAdamOptimizer:
     def test_requires_per_sample(self):
-        assert DpAdamOptimizer(0.1, 1.0, 1.0).requires_per_sample
+        assert isinstance(DpAdamOptimizer(0.1, 1.0, 1.0), DpOptimizer)
 
     def test_zero_noise_matches_adam_on_clipped_mean(self, rng):
         grads = rng.normal(size=(8, 5)) * 0.01  # below clip threshold

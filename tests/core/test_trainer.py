@@ -11,10 +11,8 @@ from repro.core import (
     SgdOptimizer,
     Trainer,
 )
-from repro.data import make_click_log, make_mnist_like, train_test_split
+from repro.data import make_mnist_like, train_test_split
 from repro.models import build_logistic_regression
-from repro.models.text import build_text_classifier
-from repro.sparse import SparseTrainer
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +23,6 @@ def small_data():
 
 def lr_model():
     return build_logistic_regression((1, 16, 16), rng=0)
-
-
-def sparse_trainer():
-    """A small click-log SparseTrainer with test data attached."""
-    data = make_click_log(
-        60, rng=np.random.default_rng(1), vocab_size=200, seq_length=4,
-        touch_rate=0.1, padding_idx=0,
-    )
-    train, test = train_test_split(data, rng=np.random.default_rng(2))
-    model = build_text_classifier(
-        200, 2, embedding_dim=4, padding_idx=0, rng=np.random.default_rng(0)
-    )
-    optimizer = DpSgdOptimizer(0.5, 1.0, 0.7, rng=3)
-    return SparseTrainer(model, optimizer, train, test_data=test, batch_size=8, rng=4)
 
 
 class TestTrainerBasics:
@@ -91,31 +75,19 @@ class TestTrainerBasics:
         with pytest.raises(ValueError, match="test_data"):
             trainer.evaluate()
 
-    @pytest.mark.parametrize("kind", ["Trainer", "SparseTrainer"])
-    def test_evaluate_rejects_nonpositive_chunk(self, small_data, kind):
-        train, test = small_data
-        if kind == "Trainer":
-            trainer = Trainer(
-                lr_model(), SgdOptimizer(1.0), train, test_data=test, batch_size=32
-            )
-        else:
-            trainer = sparse_trainer()
-        with pytest.raises(ValueError, match="chunk"):
-            trainer.evaluate(chunk=0)
-        with pytest.raises(ValueError, match="chunk"):
-            trainer.evaluate(chunk=-5)
-
-    def test_evaluate_chunk_boundaries_agree(self, small_data):
+    def test_evaluate_chunk_boundaries_agree(self, small_data, monkeypatch):
         """Chunk sizes 1, n and n+1 must all produce the same accuracy."""
+        import repro.core.trainer as trainer_module
+
         train, test = small_data
         trainer = Trainer(
             lr_model(), SgdOptimizer(1.0), train, test_data=test, batch_size=32
         )
         n = len(test)
-        reference = trainer.evaluate(chunk=512)
-        assert trainer.evaluate(chunk=1) == reference
-        assert trainer.evaluate(chunk=n) == reference
-        assert trainer.evaluate(chunk=n + 1) == reference
+        reference = trainer.evaluate()
+        for chunk in (1, n, n + 1):
+            monkeypatch.setattr(trainer_module, "EVAL_CHUNK", chunk)
+            assert trainer.evaluate() == reference
 
     def test_history_final_properties_raise_when_empty(self):
         from repro.core import TrainingHistory
@@ -298,22 +270,29 @@ class TestSurMomentumRollback:
         assert optimizer._v is None
         assert optimizer._t == 0
 
-    def test_rollback_reaches_through_scheduled_wrapper(self, small_data):
-        from repro.core.schedules import LinearDecay, ScheduledOptimizer
+    def test_rollback_on_scheduled_optimizer(self, small_data):
+        """A rejected update rolls back the momentum of a scheduled optimizer;
+        the schedule still advances, since the release happened."""
+        from repro.core.schedules import LinearDecay, schedule
 
         train, _ = small_data
         model = lr_model()
-        inner = DpSgdOptimizer(1.0, 0.1, 1.0, rng=2, momentum=0.9)
+        optimizer = schedule(
+            DpSgdOptimizer(1.0, 0.1, 1.0, rng=2, momentum=0.9),
+            learning_rate=LinearDecay(1.0, 0.5, 2),
+        )
         trainer = Trainer(
             model,
-            ScheduledOptimizer(inner, learning_rate=LinearDecay(1.0, 1.0, 1)),
+            optimizer,
             train,
             batch_size=32,
             rng=1,
             sur=SelectiveUpdateRelease(threshold=self.ALWAYS_REJECT),
         )
         trainer.train(3)
-        assert inner._velocity is None
+        assert optimizer._velocity is None
+        assert optimizer.releases == 3
+        assert optimizer.learning_rate == 0.5
 
     def test_accepted_steps_advance_velocity_normally(self, small_data):
         train, _ = small_data

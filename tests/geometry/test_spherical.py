@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.geometry import (
-    canonicalize_angles,
     to_cartesian,
     to_cartesian_batch,
     to_spherical,
@@ -125,106 +124,3 @@ class TestRoundTrip:
         # Angles match except when a degenerate sine product collapses the
         # later angles; with angles bounded away from {0, pi} this is safe.
         assert np.allclose(theta2, theta, atol=1e-7)
-
-
-class TestCanonicalize:
-    def test_identity_on_canonical(self, gradient_batch):
-        _, theta = to_spherical_batch(gradient_batch)
-        assert np.allclose(canonicalize_angles(theta), theta)
-
-    def test_reflects_negative_polar(self):
-        out = canonicalize_angles(np.array([[-0.3, 0.0]]))
-        assert out[0, 0] == pytest.approx(0.3)
-
-    def test_folds_above_pi(self):
-        out = canonicalize_angles(np.array([[np.pi + 0.2, 0.0]]))
-        assert out[0, 0] == pytest.approx(np.pi - 0.2)
-
-    def test_wraps_azimuth(self):
-        out = canonicalize_angles(np.array([[0.5, np.pi + 0.1]]))
-        assert out[0, 1] == pytest.approx(-np.pi + 0.1)
-
-    def test_canonical_angles_represent_same_vector(self, rng):
-        theta = rng.normal(size=(12, 7)) * 3
-        canon = canonicalize_angles(theta)
-        for row, crow in zip(theta, canon):
-            g1 = to_cartesian(1.0, row)
-            g2 = to_cartesian(1.0, crow)
-            assert np.abs(g1 - g2).max() < 1e-9
-
-    def test_canonical_ranges(self, rng):
-        theta = rng.normal(size=(20, 5)) * 10
-        canon = canonicalize_angles(theta)
-        assert np.all(canon[:, :-1] >= 0) and np.all(canon[:, :-1] <= np.pi)
-        assert np.all(canon[:, -1] > -np.pi) and np.all(canon[:, -1] <= np.pi)
-
-    def test_idempotent(self, rng):
-        theta = rng.normal(size=(10, 6)) * 5
-        once = canonicalize_angles(theta)
-        twice = canonicalize_angles(once)
-        assert np.allclose(once, twice)
-
-
-class TestCanonicalizeDimensionality:
-    def test_1d_input_returns_1d(self):
-        theta = np.array([-0.3, 0.0])
-        out = canonicalize_angles(theta)
-        assert out.shape == theta.shape
-        assert out[0] == pytest.approx(0.3)
-
-    def test_1d_matches_row_of_2d_batch(self, rng):
-        theta = rng.normal(size=6) * 3
-        single = canonicalize_angles(theta)
-        batched = canonicalize_angles(theta[None, :])
-        assert batched.shape == (1, 6)
-        assert np.array_equal(single, batched[0])
-
-    def test_rejects_other_ranks(self):
-        with pytest.raises(ValueError):
-            canonicalize_angles(np.zeros((2, 3, 4)))
-        with pytest.raises(ValueError):
-            canonicalize_angles(np.array(0.5))
-
-
-class TestCanonicalizeVectorized:
-    """The cumsum-parity formulation must match the sequential fold."""
-
-    @staticmethod
-    def reference_loop(thetas):
-        """Sequential reference: fold angles one at a time, carrying the
-        pending-negation flag explicitly (the pre-vectorization algorithm)."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        out = np.empty_like(thetas)
-        d_minus_1 = thetas.shape[1]
-        negate = np.zeros(thetas.shape[0], dtype=bool)
-        for z in range(d_minus_1 - 1):
-            t = thetas[:, z].copy()
-            t[negate] = np.pi - t[negate]
-            t = np.mod(t, 2 * np.pi)
-            above = t > np.pi
-            t[above] = 2 * np.pi - t[above]
-            negate ^= above
-            out[:, z] = t
-        last = thetas[:, -1].copy()
-        last[negate] += np.pi
-        last = np.mod(last + np.pi, 2 * np.pi) - np.pi
-        last[last == -np.pi] = np.pi
-        out[:, -1] = last
-        return out
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 50, 200])
-    def test_matches_reference_loop(self, d):
-        rng = np.random.default_rng(17)
-        thetas = rng.normal(0.0, 4.0, size=(64, d - 1))
-        assert np.allclose(
-            canonicalize_angles(thetas), self.reference_loop(thetas), atol=1e-10
-        )
-
-    @pytest.mark.parametrize("d", [3, 5, 40])
-    def test_preserves_vector(self, d):
-        rng = np.random.default_rng(18)
-        thetas = rng.normal(0.0, 4.0, size=(32, d - 1))
-        mags = np.abs(rng.normal(1.0, 0.2, size=32))
-        before = to_cartesian_batch(mags, thetas)
-        after = to_cartesian_batch(mags, canonicalize_angles(thetas))
-        assert np.allclose(before, after, atol=1e-9)

@@ -3,32 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.runtime import Job, assign_job_rngs, chunk_ranges, make_jobs
+from repro.runtime import Job, assign_job_rngs, make_jobs
 from repro.utils.rng import spawn_rngs
-
-
-class TestChunkRanges:
-    def test_covers_everything_in_order(self):
-        ranges = chunk_ranges(10, 3)
-        assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_exact_division(self):
-        assert chunk_ranges(6, 3) == [(0, 3), (3, 6)]
-
-    def test_single_chunk(self):
-        assert chunk_ranges(4, 100) == [(0, 4)]
-
-    def test_empty(self):
-        assert chunk_ranges(0, 4) == []
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            chunk_ranges(-1, 4)
-        with pytest.raises(ValueError):
-            chunk_ranges(4, 0)
-
-    def test_independent_of_anything_but_inputs(self):
-        assert chunk_ranges(100, 7) == chunk_ranges(100, 7)
 
 
 class TestMakeJobs:

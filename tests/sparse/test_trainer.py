@@ -42,6 +42,7 @@ def _model():
 
 
 def _optimizer(scheme="dp", sigma=0.7, clipping=1.0, **extra):
+    extra.setdefault("grad_mode", "sparse")
     kwargs = dict(
         learning_rate=0.5,
         clipping=clipping,
@@ -92,6 +93,7 @@ class TestEquivalence:
                 ledger=ledger,
                 accountant=RdpAccountant(),
                 sample_rate=BATCH / len(click_data[0]),
+                grad_mode="sparse" if sparse else "materialize",
             )
             if sparse:
                 trainer = _sparse_trainer(click_data, opt, noise_mode="aggregate")
@@ -242,12 +244,16 @@ class TestValidation:
             SparseTrainer(_model(), SgdOptimizer(0.1), click_data[0], batch_size=BATCH)
 
     def test_rejects_scheduled_optimizer(self, click_data):
-        from repro.core.schedules import LinearDecay, ScheduledOptimizer
+        from repro.core.schedules import LinearDecay, schedule
 
-        opt = ScheduledOptimizer(
-            _optimizer("geodp"), noise_multiplier=LinearDecay(2.0, 0.5, 10)
-        )
+        opt = schedule(_optimizer("geodp"), noise_multiplier=LinearDecay(2.0, 0.5, 10))
         with pytest.raises(ValueError, match="release hooks"):
+            SparseTrainer(_model(), opt, click_data[0], batch_size=BATCH)
+
+    @pytest.mark.parametrize("grad_mode", ["materialize", "ghost"])
+    def test_rejects_non_sparse_mode(self, click_data, grad_mode):
+        opt = _optimizer(grad_mode=grad_mode)
+        with pytest.raises(ValueError, match="grad_mode"):
             SparseTrainer(_model(), opt, click_data[0], batch_size=BATCH)
 
     def test_rejects_model_without_embedding(self, click_data):

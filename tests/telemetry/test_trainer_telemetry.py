@@ -254,6 +254,7 @@ class TestTrainerTelemetry:
                 accountant=accountant,
                 sample_rate=15 / len(train),
                 ledger=ledger,
+                grad_mode="sparse",
                 **sinks,
             )
             model = build_text_classifier(

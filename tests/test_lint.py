@@ -21,6 +21,10 @@ ghost and sparse paths cannot drift apart.
 The pool gate keeps one worker pool: only ``runtime/pool.py`` may import
 ``multiprocessing`` or ``concurrent.futures``' process pool, so worker
 start, crash handling and shutdown live in one module.
+
+The trainer gate keeps each DP-step setting with one owner: the trainers
+drive an optimizer through its public methods only, so the optimizer's
+internals can change without the trainers following.
 """
 
 import ast
@@ -419,6 +423,69 @@ def test_pool_lint_detects_offender():
         "pool = ThreadPoolExecutor()\n"
     )
     assert _process_pool_uses(allowed, "x.py") == []
+
+
+#: The trainers, which use only an optimizer's public API.
+TRAINER_MODULES = ("src/repro/core/trainer.py", "src/repro/sparse/trainer.py")
+
+#: The attributes a trainer may assign on another object: a DP optimizer's
+#: telemetry sinks, attached when they are unset.
+TRAINER_SINKS = frozenset({"recorder", "tracer"})
+
+#: The local name of the ``TrainingHistory`` a trainer fills in and returns.
+TRAINER_HISTORY = "history"
+
+
+def _reaches_past_public_api(source: str, filename: str) -> list[str]:
+    """``file:line what`` for every ``getattr`` / ``hasattr`` / ``setattr``
+    call, every read of another object's underscore attribute, and every
+    assignment to another object's attribute but a sink or the history's."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("getattr", "hasattr", "setattr"):
+                found.append((node.lineno, f"{node.func.id}()"))
+        elif isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner == "self":
+                continue
+            if isinstance(node.ctx, ast.Store):
+                if node.attr not in TRAINER_SINKS and owner != TRAINER_HISTORY:
+                    found.append((node.lineno, f"{owner}.{node.attr} ="))
+            elif node.attr.startswith("_") and not node.attr.endswith("__"):
+                found.append((node.lineno, f"{owner}.{node.attr}"))
+    return [f"{filename}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_trainers_use_public_optimizer_api():
+    violations = []
+    for relative in TRAINER_MODULES:
+        source = (REPO_ROOT / relative).read_text()
+        violations.extend(_reaches_past_public_api(source, relative))
+    assert violations == [], (
+        "a trainer reaches past the optimizer's public API — add a public "
+        "method or move the setting to its owner:\n  " + "\n  ".join(violations)
+    )
+
+
+def test_public_api_lint_detects_offender():
+    """The AST check flags probes, private reads and foreign assignments,
+    and passes sinks, the history, dunders and the trainer's own state."""
+    offender = (
+        "def step(self, optimizer, history):\n"
+        "    mode = getattr(optimizer, 'grad_mode', 'materialize')\n"
+        "    inner = optimizer.optimizer\n"
+        "    inner.lot_size = self.batch_size\n"
+        "    velocity = inner._velocity.copy()\n"
+        "    optimizer.recorder = self._recorder\n"
+        "    history.iterations = type(optimizer).__name__\n"
+        "    self._mode = super().__init__\n"
+    )
+    assert _reaches_past_public_api(offender, "x.py") == [
+        "x.py:2 getattr()",
+        "x.py:4 inner.lot_size =",
+        "x.py:5 inner._velocity",
+    ]
 
 
 def ruff_available() -> bool:

@@ -96,13 +96,15 @@ class TestConventions:
             GeoDpSgdOptimizer,
             SgdOptimizer,
         )
+        from repro.core.pipeline import DpOptimizer
 
-        assert DpSgdOptimizer(0.1, 1.0, 1.0).requires_per_sample
-        assert GeoDpSgdOptimizer(0.1, 1.0, 1.0, beta=0.5).requires_per_sample
-        assert DpAdamOptimizer(0.1, 1.0, 1.0).requires_per_sample
-        assert GeoDpAdamOptimizer(0.1, 1.0, 1.0, beta=0.5).requires_per_sample
-        assert not SgdOptimizer(0.1).requires_per_sample
-        assert not AdamOptimizer(0.1).requires_per_sample
+        # A DP optimizer gets per-sample gradients from the trainer.
+        assert isinstance(DpSgdOptimizer(0.1, 1.0, 1.0), DpOptimizer)
+        assert isinstance(GeoDpSgdOptimizer(0.1, 1.0, 1.0, beta=0.5), DpOptimizer)
+        assert isinstance(DpAdamOptimizer(0.1, 1.0, 1.0), DpOptimizer)
+        assert isinstance(GeoDpAdamOptimizer(0.1, 1.0, 1.0, beta=0.5), DpOptimizer)
+        assert not isinstance(SgdOptimizer(0.1), DpOptimizer)
+        assert not isinstance(AdamOptimizer(0.1), DpOptimizer)
 
     def test_stochastic_components_accept_rng_seed(self):
         """Every stochastic public entry point must be seedable for reproducibility."""
