@@ -41,7 +41,6 @@ __all__ = [
     "perturb_geodp",
     "perturb_dp_batch",
     "perturb_geodp_batch",
-    "perturb_geodp_active",
 ]
 
 
@@ -266,49 +265,3 @@ def perturb_geodp(
         tracer=tracer,
     )[0]
 
-
-def perturb_geodp_active(
-    dense_avg,
-    row_avg,
-    clip_norm: float,
-    noise_multiplier: float,
-    batch_size: int,
-    beta: float,
-    rng=None,
-    *,
-    sensitivity_mode: str = "total",
-    tracer=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """GeoDP perturbation of a sparse release's *active subvector*.
-
-    A sparse embedding step releases the dense-parameter average together
-    with only the *touched* embedding rows.  Geometrically those form one
-    averaged gradient — the untouched coordinates are exactly zero and
-    carry no signal — so the spherical decomposition operates on the
-    concatenation ``[dense_avg, row_avg.ravel()]`` and the result is split
-    back.  ``row_avg`` is ``(R, dim)``; the per-sample clipping already
-    bounded the full gradient (including the zero coordinates), so the
-    active subvector's norm is bounded by the same ``clip_norm``.
-
-    Returns ``(noisy_dense_avg, noisy_row_avg)``.  Deferred Gaussian cover
-    noise for the untouched rows is the caller's concern
-    (:mod:`repro.sparse`); this helper only perturbs the active part, and
-    consumes RNG draws exactly like :func:`perturb_geodp` on a
-    ``dense_avg.size + row_avg.size``-dimensional gradient.
-    """
-    dense_avg = np.asarray(dense_avg, dtype=np.float64)
-    row_avg = np.asarray(row_avg, dtype=np.float64)
-    active = np.concatenate([dense_avg, row_avg.ravel()])
-    noisy = perturb_geodp(
-        active,
-        clip_norm,
-        noise_multiplier,
-        batch_size,
-        beta,
-        rng,
-        clip=False,
-        sensitivity_mode=sensitivity_mode,
-        tracer=tracer,
-    )
-    split = dense_avg.size
-    return noisy[:split], noisy[split:].reshape(row_avg.shape)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import workspace
-from repro.core.ghost import check_grad_mode
 from repro.core.perturbation import perturb_geodp
 from repro.geometry.bounding import (
     delta_prime_upper_bound,
@@ -56,7 +55,12 @@ from repro.telemetry.tracing import maybe_span
 from repro.utils.rng import as_rng, get_rng_state, set_rng_state
 from repro.utils.validation import check_matrix, check_positive, check_probability
 
-__all__ = ["DpOptimizer", "GaussianMechanism", "GeoDpMechanism"]
+__all__ = ["GRAD_MODES", "DpOptimizer", "GaussianMechanism", "GeoDpMechanism"]
+
+#: How a trainer computes an optimizer's clipped sum (see ``grad_mode`` on
+#: :class:`DpOptimizer`).  :class:`~repro.core.Trainer` drives the first
+#: two; ``sparse`` is :class:`repro.sparse.SparseTrainer`'s.
+GRAD_MODES = ("materialize", "ghost", "sparse")
 
 
 class DpOptimizer:
@@ -74,7 +78,8 @@ class DpOptimizer:
         Seed or generator of the noise stream.
     accountant / sample_rate:
         When both are given, every release records one subsampled Gaussian
-        step with the accountant.
+        step with the accountant.  An accountant or a ledger without a
+        ``sample_rate`` is refused: replay could not charge its releases.
     recorder:
         Optional :class:`~repro.telemetry.MetricsRecorder`.  Every release
         records clipping statistics (pre-clip norm, clipped fraction) and
@@ -120,7 +125,9 @@ class DpOptimizer:
         self.recorder = recorder
         self.tracer = tracer
         self.ledger = ledger
-        self.grad_mode = check_grad_mode(grad_mode)
+        if grad_mode not in GRAD_MODES:
+            raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
+        self.grad_mode = grad_mode
         if isinstance(clipping, (int, float)):
             clipping = FlatClipping(float(clipping))
         self.clipping = clipping
@@ -132,8 +139,10 @@ class DpOptimizer:
         if sample_rate is not None:
             sample_rate = check_probability("sample_rate", sample_rate)
         self.sample_rate = sample_rate
-        if accountant is not None and sample_rate is None:
-            raise ValueError("sample_rate is required when an accountant is attached")
+        if sample_rate is None and (accountant is not None or ledger is not None):
+            raise ValueError(
+                "sample_rate is required when an accountant or a ledger is attached"
+            )
         #: Noisy averaged gradient of the most recent release (diagnostics).
         self.last_noisy_gradient: np.ndarray | None = None
         #: Callables run at the start of every release, before any noise is
@@ -203,7 +212,7 @@ class DpOptimizer:
                 mechanism=self.ledger_mechanism,
                 sigma=self.noise_multiplier,
                 sensitivity=self.clipping.sensitivity(),
-                sample_rate=0.0 if self.sample_rate is None else self.sample_rate,
+                sample_rate=self.sample_rate,
                 accountant=self.accountant,
                 meta=self._ledger_meta(),
             )

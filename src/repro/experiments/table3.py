@@ -72,7 +72,8 @@ def run_table3(
     results (see :mod:`repro.runtime`); combined with ``checkpoint_dir`` a
     killed parallel run resumes only its unfinished cells.
     ``grad_mode="ghost"`` routes every non-IS cell through the
-    ghost-clipping fast path (see :mod:`repro.core.ghost`).
+    ghost-clipping fast path (see
+    :meth:`repro.core.pipeline.DpOptimizer.ghost_clipped_sum`).
     """
     check_scale(scale)
     cfg = _PRESETS[scale]

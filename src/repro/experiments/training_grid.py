@@ -207,13 +207,16 @@ def run_grid(
     ``grad_mode="ghost"`` runs every cell's DP training through the
     ghost-clipping fast path (results are equal to the default within
     floating-point tolerance, not bit-identical; IS rows stay
-    materialized).
+    materialized).  Any mode a grid cell's :class:`Trainer` does not drive
+    is refused before the first cell runs.
     """
-    from repro.core.ghost import check_grad_mode
     from repro.runtime.scheduler import make_cells, run_cells
     from repro.runtime.shipback import job_recorder, job_tracer
 
-    check_grad_mode(grad_mode)
+    if grad_mode not in Trainer.grad_modes:
+        raise ValueError(
+            f"grad_mode must be one of {Trainer.grad_modes}, got {grad_mode!r}"
+        )
 
     def cell_dir(label: str, sigma: float):
         if checkpoint_dir is None:

@@ -98,6 +98,8 @@ class Sequential:
     def _flatten_grads(
         self, per_layer: list[dict[str, np.ndarray]], batch: int | None
     ) -> np.ndarray:
+        if not self._index:
+            return np.zeros(0 if batch is None else (batch, 0))
         chunks = []
         for i, name, _, size in self._index:
             g = per_layer[i][name]
@@ -129,15 +131,19 @@ class Sequential:
 
     def per_sample_grad_norms(
         self, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
-        """Ghost backward pass #1: pre-clip per-sample gradient L2 norms.
+    ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
+        """Ghost backward pass #1: pre-clip per-sample squared gradient norms.
 
         Runs the layer chain's :meth:`~repro.nn.layers.Layer.backward_norm_sq`
         hooks on the (already cached) forward activations, accumulating each
-        layer's squared-norm contribution.  Returns ``(norms (B,),
-        upstream)``: ``upstream[i]`` is parametric layer ``i``'s unscaled
-        upstream gradient (``None`` for parameter-free layers), the input of
-        its :meth:`~repro.nn.layers.Layer.accumulate_clipped` in pass #2.
+        layer's squared-norm contribution.  Returns ``(norm_sq (B,),
+        upstream, grad_in)``: ``upstream[i]`` is parametric layer ``i``'s
+        unscaled upstream gradient (``None`` for parameter-free layers), the
+        input of :meth:`clipped_grad_sum` in pass #2, and ``grad_in`` is the
+        gradient into the first layer.  The sparse path's dense head hands
+        ``grad_in`` to the embedding below it and adds that layer's squared
+        norms last; a caller that does not read ``grad_in`` should drop it
+        before pass #2.
         """
         norm_sq = np.zeros(grad_out.shape[0])
         upstream: list[np.ndarray | None] = [None] * len(self.layers)
@@ -148,25 +154,41 @@ class Sequential:
                 upstream[i] = grad
             grad, layer_norm_sq = layer.backward_norm_sq(grad)
             norm_sq += layer_norm_sq
-        return np.sqrt(norm_sq), upstream
+        return norm_sq, upstream, grad
+
+    def clipped_grad_sum(
+        self, upstream: list[np.ndarray | None], factors: np.ndarray
+    ) -> np.ndarray:
+        """Ghost backward pass #2: the flat clipped gradient sum ``(P,)``.
+
+        Every layer with a cached upstream gradient from
+        :meth:`per_sample_grad_norms` runs its
+        :meth:`~repro.nn.layers.Layer.accumulate_clipped` with the
+        per-sample clip factors — summed parameter gradients only, *no*
+        second trip through the layer chain (input gradients, col2im, ...).
+        """
+        per_layer: list[dict[str, np.ndarray]] = [
+            layer.accumulate_clipped(grad, factors) if grad is not None else {}
+            for layer, grad in zip(self.layers, upstream)
+        ]
+        return self._flatten_grads(per_layer, batch=None)
 
     def loss_and_clipped_grad_sum(
         self, x: np.ndarray, y, clipping
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ghost-clipping fast path: clipped gradient sum without ``(B, P)``.
 
-        Backward pass #1 accumulates per-sample gradient norms from
-        layer-local "ghost" quantities while caching each parametric
-        layer's (unscaled) upstream gradient; ``clipping`` maps the norms
-        to per-sample factors ``c_i`` (:meth:`~repro.privacy.clipping.
-        ClippingStrategy.clip_factors`); pass #2 then calls every
-        parametric layer's :meth:`~repro.nn.layers.Layer.accumulate_clipped`
-        on its cached upstream gradient — summed parameter gradients only,
-        *no* second trip through the layer chain.  Because backward never mixes
-        samples, scaling sample ``i``'s upstream rows by ``c_i`` commutes
-        with the (per-sample linear) backward map, so the result equals
-        ``sum_i c_i g_i`` exactly — within floating-point tolerance of the
-        materialized path.
+        Backward pass #1 (:meth:`per_sample_grad_norms`) accumulates
+        per-sample gradient norms from layer-local "ghost" quantities while
+        caching each parametric layer's (unscaled) upstream gradient;
+        ``clipping`` maps the norms to per-sample factors ``c_i``
+        (:meth:`~repro.privacy.clipping.ClippingStrategy.clip_factors`);
+        pass #2 (:meth:`clipped_grad_sum`) accumulates each parametric
+        layer's clipped gradient sum from its cached upstream gradient.
+        Because backward never mixes samples, scaling sample ``i``'s
+        upstream rows by ``c_i`` commutes with the (per-sample linear)
+        backward map, so the result equals ``sum_i c_i g_i`` exactly —
+        within floating-point tolerance of the materialized path.
 
         Returns ``(per-sample losses (B,), clipped sum (P,), pre-clip
         norms (B,))``.
@@ -178,22 +200,11 @@ class Sequential:
         outputs = self.forward(x, train=True)
         losses = self.loss.per_sample(outputs, y)
         grad_out = self.loss.gradient(outputs, y)
-
-        # Pass #1: norms, caching each parametric layer's upstream gradient.
-        norms, upstream = self.per_sample_grad_norms(grad_out)
-
-        factors = clipping.clip_factors(norms)
-
-        # Pass #2: per-layer clipped accumulation from the cached upstream
-        # gradients — the chain (input gradients, col2im, ...) is not
-        # recomputed, which is what makes ghost match materialize on speed.
-        per_layer: list[dict[str, np.ndarray]] = [
-            self.layers[i].accumulate_clipped(upstream[i], factors)
-            if upstream[i] is not None
-            else {}
-            for i in range(len(self.layers))
-        ]
-        return losses, self._flatten_grads(per_layer, batch=None), norms
+        # Nothing reads the chain's input gradient: drop it before pass #2.
+        norm_sq, upstream = self.per_sample_grad_norms(grad_out)[:2]
+        norms = np.sqrt(norm_sq)
+        summed = self.clipped_grad_sum(upstream, clipping.clip_factors(norms))
+        return losses, summed, norms
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(layer) for layer in self.layers)

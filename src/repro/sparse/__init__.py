@@ -1,7 +1,9 @@
 """Sparse embedding-scale DP training: touched rows only, noise deferred.
 
-Per-sample embedding gradients live as compacted ``(sample, row, value)``
-triples (:class:`SparseBatchGrads`) instead of ``(B, vocab, dim)`` scatters;
+A sparse model is an embedding at layer 0 plus a dense head, which clips
+through the same ghost passes as any dense model.  Per-sample embedding
+gradients live as compacted ``(sample, row, value)`` triples
+(:class:`SparseBatchGrads`) instead of ``(B, vocab, dim)`` scatters;
 untouched rows' DP cover noise is deferred through counter-based streams
 (:class:`LazyRowNoise`) and materialized only when a row is next touched or
 at a barrier.  :class:`SparseTrainer` drives the whole pipeline with step
@@ -11,12 +13,10 @@ cost proportional to the rows a lot actually touches.  See ``docs/sparse.md``.
 from repro.sparse.grads import SparseBatchGrads
 from repro.sparse.noise import NOISE_MODES, LazyRowNoise, row_step_noise
 from repro.sparse.pipeline import (
-    dense_param_slices,
     find_embedding,
     get_dense_params,
     set_dense_params,
     sparse_clipped_sums,
-    sparse_loss_and_clipped_grads,
 )
 from repro.sparse.release import (
     SparseRelease,
@@ -31,7 +31,6 @@ __all__ = [
     "SparseBatchGrads",
     "SparseRelease",
     "SparseTrainer",
-    "dense_param_slices",
     "find_embedding",
     "gaussian_sparse_release",
     "geodp_sparse_release",
@@ -39,5 +38,4 @@ __all__ = [
     "row_step_noise",
     "set_dense_params",
     "sparse_clipped_sums",
-    "sparse_loss_and_clipped_grads",
 ]

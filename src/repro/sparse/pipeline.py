@@ -1,13 +1,15 @@
-"""Sparse clip-and-sum pass: ghost norms for dense layers, sparse rows for
-the embedding.
+"""Sparse clip-and-sum stage: the dense head's ghost passes plus sparse
+embedding rows.
 
-One backward pass accumulates exact per-sample gradient norms — dense
-layers through their ``backward_norm_sq`` ghost hooks, the embedding from
-its compacted sparse per-sample gradients (:meth:`Embedding.
-backward_sparse`), which are *the same numbers* the dense Gram computes —
-then clip factors scale-and-merge both halves: dense layers through
-``accumulate_clipped``, the embedding through a sparse row reduction.
-The ``(B, P)`` matrix and the ``(B, vocab, dim)`` scatter never exist.
+A sparse model is an :class:`Embedding` at layer 0 followed by a dense
+head, ``Sequential(model.layers[1:], model.loss)``.  The head runs the
+same two ghost passes as any dense model
+(:meth:`Sequential.per_sample_grad_norms` and
+:meth:`Sequential.clipped_grad_sum`); the embedding adds its exact
+per-sample norms from compacted sparse gradients (:meth:`Embedding.
+backward_sparse`, *the same numbers* the dense Gram computes), and the
+clip factors merge its rows through a sparse row reduction.  The
+``(B, P)`` matrix and the ``(B, vocab, dim)`` scatter never exist.
 """
 
 from __future__ import annotations
@@ -20,134 +22,67 @@ from repro.telemetry.tracing import maybe_span
 
 __all__ = [
     "find_embedding",
-    "dense_param_slices",
     "get_dense_params",
     "set_dense_params",
-    "sparse_loss_and_clipped_grads",
     "sparse_clipped_sums",
 ]
 
 
-def find_embedding(model) -> int:
-    """Index of the model's single :class:`Embedding` layer (or raise)."""
-    indices = [
-        i for i, layer in enumerate(model.layers) if isinstance(layer, Embedding)
-    ]
-    if len(indices) != 1:
+def find_embedding(model) -> Embedding:
+    """The model's single :class:`Embedding`, which must be layer 0 (or raise).
+
+    The embedding reads token ids, which no layer below it can produce, and
+    at least one layer must follow it to form the dense head.
+    """
+    layers = model.layers
+    count = sum(isinstance(layer, Embedding) for layer in layers)
+    if count != 1 or not isinstance(layers[0], Embedding) or len(layers) < 2:
         raise ValueError(
-            f"sparse training requires exactly one Embedding layer, "
-            f"found {len(indices)}"
+            "sparse training requires exactly one Embedding layer, as layer 0 "
+            "of a model with at least two layers; got "
+            f"{[type(layer).__name__ for layer in layers]}"
         )
-    return indices[0]
+    return layers[0]
 
 
-def dense_param_slices(model, emb_index: int) -> list[tuple[int, str, tuple, slice]]:
-    """``(layer, name, shape, slice)`` of every non-embedding parameter.
-
-    Slices address the *dense* flat vector — the model's parameter vector
-    with the embedding table removed.  This is the vector the optimizers'
-    ``step_sparse`` descends on; the table itself is updated in place, row
-    by row, so step cost never scales with ``vocab``.
-    """
-    out = []
-    offset = 0
-    for i, name, shape, size in model._index:
-        if i == emb_index:
-            continue
-        out.append((i, name, shape, slice(offset, offset + size)))
-        offset += size
-    return out
+# Module functions, not inline ``head.get_params()`` calls:
+# ``benchmarks/step/step_probe.py`` times them by name as ``nn.params``.
+def get_dense_params(head) -> np.ndarray:
+    """Flat vector of the dense head's parameters (every non-embedding one)."""
+    return head.get_params()
 
 
-def get_dense_params(model, emb_index: int) -> np.ndarray:
-    """Flat vector of all non-embedding parameters."""
-    chunks = [
-        model.layers[i].params()[name].ravel()
-        for i, name, _, _ in dense_param_slices(model, emb_index)
-    ]
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+def set_dense_params(head, flat: np.ndarray) -> None:
+    """Write a dense flat vector back into the head's layers."""
+    head.set_params(flat)
 
 
-def set_dense_params(model, emb_index: int, flat: np.ndarray) -> None:
-    """Write a dense flat vector back into the non-embedding layers."""
-    for i, name, shape, sl in dense_param_slices(model, emb_index):
-        model.layers[i].set_param(name, flat[sl].reshape(shape))
+def sparse_clipped_sums(optimizer, embedding, head, x, y):
+    """Clip and sum one lot: ``(losses, dense_sum, rows, row_sum)``.
 
-
-def sparse_loss_and_clipped_grads(model, emb_index: int, x, y, clipping):
-    """Sparse ghost pass over one lot.
-
-    Returns ``(losses (B,), dense_sum (P_dense,), rows (R,), row_sum
-    (R, dim), norms (B,))`` where ``rows`` are the sorted unique embedding
-    rows the lot touched and ``row_sum = sum_i c_i dw_i`` restricted to
-    them.  ``clipping.clip_factors`` sees the exact per-sample norms
-    (dense ghost norm² + sparse norm²), so the factors are the dense
-    paths' factors.
-    """
-    embedding = model.layers[emb_index]
-    dense_size = sum(size for i, _, _, size in model._index if i != emb_index)
-    if len(x) == 0:
-        # Empty Poisson lot: zero sums, no touched rows.
-        return (
-            np.zeros(0),
-            np.zeros(dense_size),
-            np.zeros(0, dtype=np.int64),
-            np.zeros((0, embedding.dim)),
-            np.zeros(0),
-        )
-    outputs = model.forward(x, train=True)
-    losses = model.loss.per_sample(outputs, y)
-    grad_out = model.loss.gradient(outputs, y)
-
-    # Pass #1: norms — ghost hooks for dense layers, sparse compaction for
-    # the embedding (cached for pass #2; its norm contribution is exact).
-    norm_sq = np.zeros(grad_out.shape[0])
-    upstream: list[np.ndarray | None] = [None] * len(model.layers)
-    sparse_grads = None
-    grad = grad_out
-    for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
-        if i == emb_index:
-            sparse_grads = layer.backward_sparse(grad)
-            norm_sq += sparse_grads.norm_sq()
-            grad = np.zeros(layer._tokens.shape)
-            continue
-        if layer.params():
-            upstream[i] = grad
-        grad, layer_norm_sq = layer.backward_norm_sq(grad)
-        norm_sq += layer_norm_sq
-    norms = np.sqrt(norm_sq)
-
-    factors = clipping.clip_factors(norms)
-
-    # Pass #2: clip-scaled accumulation — dense layers from their cached
-    # upstream gradients, the embedding from its sparse triples.
-    chunks = []
-    per_layer: dict[int, dict] = {}
-    for i, name, _, size in model._index:
-        if i == emb_index:
-            continue
-        if i not in per_layer:
-            per_layer[i] = model.layers[i].accumulate_clipped(upstream[i], factors)
-        chunks.append(per_layer[i][name].reshape(size))
-    dense_sum = np.concatenate(chunks) if chunks else np.zeros(0)
-    rows, row_sum = sparse_grads.clipped_row_sum(factors)
-    return losses, dense_sum, rows, row_sum, norms
-
-
-def sparse_clipped_sums(optimizer, model, emb_index: int, x, y):
-    """:func:`sparse_loss_and_clipped_grads` with the optimizer's telemetry.
-
-    The sparse counterpart of
+    ``dense_sum`` is the head's clipped gradient sum ``(P_dense,)`` — the
+    vector the optimizers' ``step_sparse`` descends on; ``rows`` are the
+    sorted unique embedding rows the lot touched and ``row_sum = sum_i c_i
+    dw_i`` restricted to them.  ``optimizer.clipping.clip_factors`` sees
+    the exact per-sample norms (head ghost norm² + sparse norm²), so the
+    factors are the dense paths' factors.  The sparse counterpart of
     :meth:`~repro.core.pipeline.DpOptimizer.ghost_clipped_sum`: the clip
     span, clipping diagnostics from the exact norms, and ``sparse_*``
     counters.
     """
     recorder = optimizer.recorder
     with maybe_span(optimizer.tracer, "sparse_clip"):
-        losses, dense_sum, rows, row_sum, norms = sparse_loss_and_clipped_grads(
-            model, emb_index, x, y, optimizer.clipping
+        outputs = head.forward(embedding.forward(x, train=True), train=True)
+        losses = head.loss.per_sample(outputs, y)
+        norm_sq, upstream, grad_in = head.per_sample_grad_norms(
+            head.loss.gradient(outputs, y)
         )
+        sparse_grads = embedding.backward_sparse(grad_in)
+        norm_sq += sparse_grads.norm_sq()
+        norms = np.sqrt(norm_sq)
+        factors = optimizer.clipping.clip_factors(norms)
+        dense_sum = head.clipped_grad_sum(upstream, factors)
+        rows, row_sum = sparse_grads.clipped_row_sum(factors)
     if recorder is not None:
         record_clipping(recorder, norms, optimizer.clipping.sensitivity())
         recorder.increment("sparse_clipped_sums")

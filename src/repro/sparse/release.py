@@ -10,7 +10,7 @@ perturbs and applies, per step:
   counter-based row streams (:mod:`repro.sparse.noise`); the GeoDP
   mechanism perturbs the *active subvector* ``[dense, touched rows]``
   geometrically as one averaged gradient
-  (:func:`repro.core.perturbation.perturb_geodp_active`);
+  (:func:`repro.core.perturbation.perturb_geodp` on their concatenation);
 * the **untouched rows** — nothing now; their Gaussian cover noise
   (scale ``sigma * C / denominator`` per coordinate per step) is owed in
   the :class:`~repro.sparse.noise.LazyRowNoise` bookkeeping and
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.perturbation import perturb_geodp_active
+from repro.core.perturbation import perturb_geodp
 from repro.sparse.noise import LazyRowNoise
 from repro.telemetry.diagnostics import record_release
 from repro.telemetry.tracing import maybe_span
@@ -81,27 +81,33 @@ def geodp_sparse_release(
 
     The dense average and the touched-row averages are perturbed *jointly*
     (magnitude + direction, Algorithm 1) — geometrically they are one
-    averaged gradient whose untouched coordinates are exactly zero.  The
-    touched rows are then applied in place and marked noised-through-now;
-    untouched rows accrue deferred Gaussian cover noise as usual.  Returns
-    the noisy dense average for the caller's descent.  Draws from the
-    optimizer's RNG exactly once per release, like the dense path.
+    averaged gradient whose untouched coordinates are exactly zero and
+    carry no signal.  Per-sample clipping bounded the full gradient, so
+    the concatenation ``[dense_avg, row_avg]`` is perturbed unclipped at
+    the same ``C``.  The touched rows are then applied in place and marked
+    noised-through-now; untouched rows accrue deferred Gaussian cover
+    noise as usual.  Returns the noisy dense average for the caller's
+    descent.  Draws from the optimizer's RNG exactly once per release,
+    like the dense path.
     """
     dense_avg = dense_sum / denominator
     row_avg = sparse.row_sum / denominator
+    active = np.concatenate([dense_avg, row_avg.ravel()])
     recorder, tracer = optimizer.recorder, optimizer.tracer
     with maybe_span(tracer, "noise"):
-        noisy_dense, noisy_rows = perturb_geodp_active(
-            dense_avg,
-            row_avg,
+        noisy = perturb_geodp(
+            active,
             optimizer.clipping.sensitivity(),
             optimizer.noise_multiplier,
             denominator,
             optimizer.beta,
             optimizer.rng,
+            clip=False,
             sensitivity_mode=optimizer.sensitivity_mode,
             tracer=tracer,
         )
+    noisy_dense = noisy[: dense_avg.size]
+    noisy_rows = noisy[dense_avg.size :].reshape(row_avg.shape)
     sparse.lazy.advance()
     sparse.lazy.mark(sparse.rows)
     if sparse.rows.size:
@@ -109,8 +115,8 @@ def geodp_sparse_release(
     if recorder is not None:
         record_release(
             recorder,
-            np.concatenate([dense_avg, row_avg.ravel()]),
-            np.concatenate([noisy_dense, noisy_rows.ravel()]),
+            active,
+            noisy,
             sigma=optimizer.noise_multiplier,
             sensitivity=optimizer.clipping.sensitivity(),
             extras={"sparse_touched_rows": float(sparse.rows.size)},

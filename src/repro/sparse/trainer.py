@@ -5,10 +5,10 @@ never round-trips the *full* flat parameter vector, which is
 O(vocab * dim) no matter how few embedding rows a lot touches.  It keeps
 the table out of the optimizer's parameter vector entirely:
 
-* the **dense block** (every non-embedding parameter) goes through the
-  optimizer's ``step_sparse`` exactly like a dense DP step — same noise
-  draws from the optimizer's RNG, same accountant update, same ledger
-  entry;
+* the **dense block** (the head: every layer after the embedding at
+  layer 0) goes through the optimizer's ``step_sparse`` exactly like a
+  dense DP step — same noise draws from the optimizer's RNG, same
+  accountant update, same ledger entry;
 * **touched rows** are clipped, summed, noised and updated *in place* on
   ``embedding.weight``;
 * **untouched rows** owe Gaussian cover noise (every row must be perturbed
@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.pipeline import DpOptimizer
 from repro.core.trainer import Trainer
 from repro.data.sampling import minibatch_indices
+from repro.nn.model import Sequential
 from repro.sparse.noise import LazyRowNoise
 from repro.sparse.pipeline import (
     find_embedding,
@@ -62,8 +63,8 @@ class SparseTrainer(Trainer):
     Parameters
     ----------
     model:
-        A :class:`repro.nn.Sequential` containing exactly one
-        :class:`repro.nn.Embedding` layer.
+        A :class:`repro.nn.Sequential` whose only :class:`repro.nn.Embedding`
+        is layer 0, followed by at least one layer (the dense head).
     optimizer:
         Any DP optimizer of :mod:`repro.core` built with
         ``grad_mode="sparse"`` (they all release sparse steps through
@@ -119,8 +120,10 @@ class SparseTrainer(Trainer):
             telemetry=telemetry,
             tracer=tracer,
         )
-        self.emb_index = find_embedding(model)
-        self.embedding = model.layers[self.emb_index]
+        self.embedding = find_embedding(model)
+        #: Every layer after the embedding, sharing the model's layer objects
+        #: and loss: the dense block the optimizer's ``step_sparse`` descends on.
+        self.head = Sequential(model.layers[1:], model.loss)
         self.lazy = bool(lazy)
         if noise_seed is None:
             noise_seed = int(self.rng.integers(0, 2**63 - 1))
@@ -186,14 +189,14 @@ class SparseTrainer(Trainer):
         """Draw one lot and take one sparse step on its touched rows."""
         with maybe_span(self.tracer, "sample"):
             idx = minibatch_indices(len(self.train_data), self.batch_size, self.rng)
-            x, y = self.train_data.x[idx], self.train_data.y[idx]
+            x, y = self.train_data.batch(idx)
         return self._step(x, y)
 
     def _step(self, x, y) -> float:
         rows = self._batch_rows(x)
         self._catch_up(rows)
         losses, dense_sum, srows, row_sum = sparse_clipped_sums(
-            self.optimizer, self.model, self.emb_index, x, y
+            self.optimizer, self.embedding, self.head, x, y
         )
         release = SparseRelease(
             rows=srows,
@@ -202,14 +205,14 @@ class SparseTrainer(Trainer):
             table=self.embedding.weight,
         )
         with maybe_span(self.tracer, "step"):
-            dense = get_dense_params(self.model, self.emb_index)
+            dense = get_dense_params(self.head)
             new_dense = self.optimizer.step_sparse(
                 dense, dense_sum, self.batch_size, release
             )
-            set_dense_params(self.model, self.emb_index, new_dense)
+            set_dense_params(self.head, new_dense)
         if not self.lazy:
             self.flush()
-        return float(np.mean(losses)) if losses.size else float("nan")
+        return float(np.mean(losses))
 
     # ------------------------------------------------------------------
     # barriers

@@ -64,6 +64,12 @@ class TestAccounting:
         with pytest.raises(ValueError, match="sample_rate"):
             DpSgdOptimizer(0.1, 1.0, 1.0, accountant=RdpAccountant())
 
+    def test_ledger_requires_sample_rate(self):
+        """Without a rate every entry would chain ``sample_rate`` 0.0, which
+        replay cannot charge, so ``verify_ledger`` would fail the run."""
+        with pytest.raises(ValueError, match="sample_rate"):
+            DpSgdOptimizer(0.1, 1.0, 1.0, rng=0, ledger=ReleaseLedger())
+
     @pytest.mark.parametrize("sample_rate", [1.5, -0.2])
     @pytest.mark.parametrize("sink", ["accountant", "ledger"])
     def test_sample_rate_outside_unit_interval_rejected(self, sink, sample_rate):

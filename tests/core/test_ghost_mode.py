@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import DpSgdOptimizer, GeoDpSgdOptimizer, ImportanceSampling, Trainer
 from repro.core.geodp_adam import GeoDpAdamOptimizer
-from repro.core.ghost import check_grad_mode
 from repro.data import make_cifar_like, make_mnist_like, train_test_split
 from repro.models import build_cnn, build_resnet
 from repro.privacy.clipping import AutoSClipping, FlatClipping, PsacClipping
@@ -47,13 +46,15 @@ def batch(data, n=16, rng_seed=3):
 
 
 class TestCheckGradMode:
+    """The optimizer constructor is the one place a ``grad_mode`` is checked."""
+
     def test_valid(self):
-        assert check_grad_mode("materialize") == "materialize"
-        assert check_grad_mode("ghost") == "ghost"
+        for mode in ("materialize", "ghost", "sparse"):
+            assert DpSgdOptimizer(0.1, 1.0, 1.0, rng=0, grad_mode=mode).grad_mode == mode
 
     def test_invalid(self):
         with pytest.raises(ValueError, match="grad_mode"):
-            check_grad_mode("magic")
+            DpSgdOptimizer(0.1, 1.0, 1.0, rng=0, grad_mode="magic")
 
 
 def check_clipped_sum_parity(model, train, make):

@@ -80,6 +80,23 @@ class TestTableContracts:
         text = format_table2(result)
         assert "Table II" in text and "GeoDP+SUR+PSAC" in text
 
+    @pytest.mark.parametrize("grad_mode", ["sparse", "magic"])
+    def test_grid_refuses_a_mode_no_cell_drives(self, grad_mode):
+        """Refused before the first cell, the noise-free reference, trains."""
+        from repro.data import make_mnist_like, train_test_split
+        from repro.experiments.training_grid import MethodSpec, run_grid
+
+        def builder():
+            raise AssertionError("a grid cell built its model")
+
+        train, test = train_test_split(make_mnist_like(40, rng=0, size=8), rng=0)
+        with pytest.raises(ValueError, match="grad_mode"):
+            run_grid(
+                [MethodSpec("DP", "dp", 8)], builder, train, test,
+                sigmas=(1.0,), iterations=1, learning_rate=1.0, clip_norm=1.0,
+                rng=0, grad_mode=grad_mode,
+            )
+
     def test_table3(self, micro_presets):
         result = run_table3("smoke", rng=0)
         assert len(result["rows"]) == 15

@@ -277,7 +277,9 @@ class TestModelGhostNorms:
 
         outputs = model.forward(x, train=True)
         grad_out = model.loss.gradient(outputs, y)
-        norms, _ = model.per_sample_grad_norms(grad_out)
+        norm_sq, _, grad_in = model.per_sample_grad_norms(grad_out)
+        norms = np.sqrt(norm_sq)
+        assert grad_in.shape[0] == x.shape[0]
         assert np.allclose(norms, expected, rtol=1e-10, atol=1e-12), (
             np.abs(norms - expected).max()
         )

@@ -1,14 +1,20 @@
 """SparseTrainer end-to-end: equivalence, accounting, validation, barriers."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.backend import use_backend
+from repro.checkpoint import load_snapshot
 from repro.core.dpsgd import DpSgdOptimizer
 from repro.core.geodp import GeoDpSgdOptimizer
 from repro.core.geodp_adam import GeoDpAdamOptimizer
 from repro.core.trainer import Trainer
 from repro.data import make_click_log, train_test_split
 from repro.models.text import build_text_classifier
+from repro.nn import Embedding, Flatten, Sequential
 from repro.privacy.accountant import RdpAccountant
 from repro.privacy.clipping import PsacClipping
 from repro.privacy.ledger import ReleaseLedger, verify_ledger
@@ -20,6 +26,9 @@ pytestmark = pytest.mark.sparse
 
 VOCAB = 500
 BATCH = 15
+
+#: Snapshots committed with the test suite (see ``TestOlderSnapshots``).
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -278,4 +287,68 @@ class TestValidation:
             trainer._step(np.full((2, 3), VOCAB, dtype=np.float64), np.zeros(2))
 
     def test_find_embedding(self):
-        assert find_embedding(_model()) == 0
+        model = _model()
+        assert find_embedding(model) is model.layers[0]
+
+    def test_find_embedding_requires_layer_zero(self):
+        """Token ids can only enter at layer 0, and a head must follow."""
+        for layers in (
+            [Flatten(), Embedding(10, 2, rng=0)],
+            [Embedding(10, 2, rng=0)],
+        ):
+            with pytest.raises(ValueError, match="layer 0"):
+                find_embedding(Sequential(layers))
+
+
+def _same_state(a, b) -> bool:
+    """Nested snapshot states equal, arrays bit for bit."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_state, a, b))
+    return a == b
+
+
+class TestOlderSnapshots:
+    """``data/{dp,geodp}-snapshot-8.npz`` were written by ``_audited_trainer``
+    with ``noise_mode="aggregate"``, ``train(8, checkpoint_every=4)`` on the
+    reference backend, before the sparse clip stage ran its dense head
+    through ``Sequential``'s ghost passes."""
+
+    @pytest.mark.parametrize("scheme", ["dp", "geodp"])
+    def test_committed_snapshot_resumes_bit_identically(
+        self, click_data, tmp_path, scheme
+    ):
+        def run(directory):
+            trainer, _, ledger = _audited_trainer(
+                click_data, scheme, noise_mode="aggregate"
+            )
+            history = trainer.train(12, checkpoint_every=4, checkpoint_dir=directory)
+            return trainer, history, ledger
+
+        committed = DATA / f"{scheme}-snapshot-8.npz"
+        resumed_dir = tmp_path / "resumed"
+        resumed_dir.mkdir()
+        shutil.copy(committed, resumed_dir / "snapshot-000000008.npz")
+        with use_backend("reference"):
+            fresh, fresh_history, fresh_ledger = run(tmp_path / "fresh")
+            resumed, resumed_history, resumed_ledger = run(resumed_dir)
+
+        # Same format and the same first 8 lots as today's code ...
+        assert _same_state(
+            load_snapshot(committed),
+            load_snapshot(tmp_path / "fresh" / "snapshot-000000008.npz"),
+        )
+        # ... and the resumed run started at 9: it wrote no snapshot before 12.
+        assert sorted(p.name for p in resumed_dir.iterdir()) == [
+            "snapshot-000000008.npz",
+            "snapshot-000000012.npz",
+        ]
+        assert resumed_history.losses == fresh_history.losses
+        assert resumed_ledger.head == fresh_ledger.head
+        assert np.array_equal(resumed.model.get_params(), fresh.model.get_params())
+        assert _same_state(
+            resumed.lazy_noise.state_dict(), fresh.lazy_noise.state_dict()
+        )

@@ -425,8 +425,14 @@ def test_pool_lint_detects_offender():
     assert _process_pool_uses(allowed, "x.py") == []
 
 
-#: The trainers, which use only an optimizer's public API.
-TRAINER_MODULES = ("src/repro/core/trainer.py", "src/repro/sparse/trainer.py")
+#: The trainers and the sparse clip and release stages, which use only the
+#: public API of the optimizer, the model and its layers.
+PUBLIC_API_MODULES = (
+    "src/repro/core/trainer.py",
+    "src/repro/sparse/trainer.py",
+    "src/repro/sparse/pipeline.py",
+    "src/repro/sparse/release.py",
+)
 
 #: The attributes a trainer may assign on another object: a DP optimizer's
 #: telemetry sinks, attached when they are unset.
@@ -459,11 +465,11 @@ def _reaches_past_public_api(source: str, filename: str) -> list[str]:
 
 def test_trainers_use_public_optimizer_api():
     violations = []
-    for relative in TRAINER_MODULES:
+    for relative in PUBLIC_API_MODULES:
         source = (REPO_ROOT / relative).read_text()
         violations.extend(_reaches_past_public_api(source, relative))
     assert violations == [], (
-        "a trainer reaches past the optimizer's public API — add a public "
+        "a trainer or sparse stage reaches past a public API — add a public "
         "method or move the setting to its owner:\n  " + "\n  ".join(violations)
     )
 
